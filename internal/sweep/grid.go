@@ -37,7 +37,7 @@ var knownModes = []string{"hybrid", "processor-only", "fpga-only"}
 // means "solve the model equation" (Eq. 4 / Eq. 5 for LU, Eq. 6 for
 // FW, Eq. 1 for MM).
 type Grid struct {
-	// Apps selects applications: "lu", "fw", "mm".
+	// Apps selects applications: "lu", "fw", "mm", "spmv".
 	Apps []string `json:"apps,omitempty"`
 	// Machines selects machine presets by name: "xd1", "xt3", "src6",
 	// "rasc".
@@ -76,7 +76,7 @@ type Point struct {
 	// Index is the point's position in the deterministic enumeration
 	// order; results are always reported in Index order.
 	Index int `json:"index"`
-	// App is the application ("lu", "fw", "mm").
+	// App is the application ("lu", "fw", "mm", "spmv").
 	App string `json:"app"`
 	// Machine is the machine preset name.
 	Machine string `json:"machine"`
@@ -126,7 +126,7 @@ func (g Grid) normalized() (Grid, error) {
 		g.Density = []float64{0}
 	}
 	for _, d := range g.Density {
-		if d < 0 || d > 1 {
+		if !(d >= 0 && d <= 1) { // NaN fails both comparisons
 			return g, fmt.Errorf("sweep: density %g out of [0,1]", d)
 		}
 	}

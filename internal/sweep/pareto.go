@@ -1,43 +1,81 @@
 package sweep
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"slices"
+)
 
-// dominates reports whether outcome a dominates b on the three sweep
-// objectives: throughput up, FPGA area down, DRAM bandwidth demand
-// down. Domination requires a to be no worse on every objective and
-// strictly better on at least one, so duplicate points never eliminate
-// each other.
-func dominates(a, b Outcome) bool {
-	if a.GFLOPS < b.GFLOPS || a.Slices > b.Slices || a.BdGBps > b.BdGBps {
+// objectives are the three values the Pareto frontier ranks a point
+// on: throughput up, FPGA area down, DRAM bandwidth demand down.
+type objectives struct {
+	gflops float64
+	slices int
+	bd     float64
+}
+
+func (o *Outcome) objectives() objectives {
+	return objectives{gflops: o.GFLOPS, slices: o.Slices, bd: o.BdGBps}
+}
+
+// dominates reports whether a dominates b on the sweep objectives.
+// Domination requires a to be no worse on every objective and strictly
+// better on at least one, so duplicate points never eliminate each
+// other.
+func dominates(a, b objectives) bool {
+	if a.gflops < b.gflops || a.slices > b.slices || a.bd > b.bd {
 		return false
 	}
-	return a.GFLOPS > b.GFLOPS || a.Slices < b.Slices || a.BdGBps < b.BdGBps
+	return a.gflops > b.gflops || a.slices < b.slices || a.bd < b.bd
 }
 
 // markPareto sets Outcome.Pareto on every non-dominated feasible point
-// and returns their indices in ascending order. Infeasible points
-// never join the frontier. Quadratic in the feasible count, which is
-// fine for the grid sizes MaxPoints admits in practice.
+// and returns their indices in ascending order (nil when there are
+// none). Infeasible points never join the frontier.
+//
+// The feasible points are sorted by GFLOPS descending, then slices,
+// then bandwidth ascending, so any dominator sorts before every point
+// it dominates; as domination is transitive, a dominated point is
+// always dominated by an earlier frontier member. Each point is
+// therefore tested against the frontier found so far only:
+// O(n log n + n·|frontier|). Exact duplicates never dominate each
+// other, so both stay. The objectives of feasible outcomes are finite.
 func markPareto(outcomes []Outcome) []int {
-	var frontier []int
+	type cand struct {
+		objectives
+		i int
+	}
+	cands := make([]cand, 0, len(outcomes))
 	for i := range outcomes {
-		if !outcomes[i].OK {
-			continue
+		if outcomes[i].OK {
+			cands = append(cands, cand{outcomes[i].objectives(), i})
 		}
+	}
+	slices.SortFunc(cands, func(a, b cand) int {
+		return cmp.Or(cmp.Compare(b.gflops, a.gflops), cmp.Compare(a.slices, b.slices),
+			cmp.Compare(a.bd, b.bd), cmp.Compare(a.i, b.i))
+	})
+	var front []cand
+	for _, c := range cands {
 		dominated := false
-		for j := range outcomes {
-			if i == j || !outcomes[j].OK {
-				continue
-			}
-			if dominates(outcomes[j], outcomes[i]) {
+		for _, f := range front {
+			if dominates(f.objectives, c.objectives) {
 				dominated = true
 				break
 			}
 		}
 		if !dominated {
-			outcomes[i].Pareto = true
-			frontier = append(frontier, i)
+			front = append(front, c)
 		}
+	}
+	var frontier []int
+	for _, f := range front {
+		frontier = append(frontier, f.i)
+	}
+	slices.Sort(frontier)
+	for _, i := range frontier {
+		outcomes[i].Pareto = true
 	}
 	return frontier
 }
@@ -48,7 +86,7 @@ func markPareto(outcomes []Outcome) []int {
 // values get a table — a fixed axis has no sensitivity to report.
 type SensitivityTable struct {
 	// Param names the axis ("app", "machine", "mode", "nodes", "n",
-	// "b", "pes", "bf", "l").
+	// "density", "b", "pes", "bf", "l").
 	Param string `json:"param"`
 	// Rows holds one aggregate per distinct axis value, in first-seen
 	// (enumeration) order.
@@ -71,63 +109,77 @@ type SensitivityRow struct {
 	MeanGFLOPS float64 `json:"mean_gflops"`
 }
 
-// axes lists the sensitivity dimensions and how to read them off a
-// point.
-var axes = []struct {
-	name string
-	key  func(Point) string
-}{
-	{"app", func(p Point) string { return p.App }},
-	{"machine", func(p Point) string { return p.Machine }},
-	{"mode", func(p Point) string { return p.Mode }},
-	{"nodes", func(p Point) string { return fmt.Sprint(p.Nodes) }},
-	{"n", func(p Point) string { return fmt.Sprint(p.N) }},
-	{"density", func(p Point) string { return fmt.Sprint(p.Density) }},
-	{"b", func(p Point) string { return fmt.Sprint(p.B) }},
-	{"pes", func(p Point) string { return fmt.Sprint(p.PEs) }},
-	{"bf", func(p Point) string { return fmt.Sprint(p.BF) }},
-	{"l", func(p Point) string { return fmt.Sprint(p.L) }},
-}
-
 // sensitivity builds one table per axis that actually varies. Rows are
 // emitted in the order values first appear in the (deterministic)
 // point enumeration, so the output is stable across runs and worker
 // counts.
 func sensitivity(points []Point, outcomes []Outcome) []SensitivityTable {
 	var tables []SensitivityTable
-	for _, ax := range axes {
-		order := make([]string, 0, 8)
-		rows := make(map[string]*SensitivityRow)
-		sums := make(map[string]float64)
-		for i, pt := range points {
-			v := ax.key(pt)
-			row, ok := rows[v]
-			if !ok {
-				row = &SensitivityRow{Value: v}
-				rows[v] = row
-				order = append(order, v)
-			}
-			row.Count++
-			if outcomes[i].OK {
-				row.OK++
-				sums[v] += outcomes[i].GFLOPS
-				if outcomes[i].GFLOPS > row.BestGFLOPS {
-					row.BestGFLOPS = outcomes[i].GFLOPS
-				}
-			}
+	add := func(param string, rows []SensitivityRow) {
+		if len(rows) >= 2 {
+			tables = append(tables, SensitivityTable{Param: param, Rows: rows})
 		}
-		if len(order) < 2 {
-			continue
-		}
-		t := SensitivityTable{Param: ax.name}
-		for _, v := range order {
-			row := rows[v]
-			if row.OK > 0 {
-				row.MeanGFLOPS = sums[v] / float64(row.OK)
-			}
-			t.Rows = append(t.Rows, *row)
-		}
-		tables = append(tables, t)
 	}
+	add("app", axisRows(points, outcomes, func(p *Point) string { return p.App }))
+	add("machine", axisRows(points, outcomes, func(p *Point) string { return p.Machine }))
+	add("mode", axisRows(points, outcomes, func(p *Point) string { return p.Mode }))
+	add("nodes", axisRows(points, outcomes, func(p *Point) int { return p.Nodes }))
+	add("n", axisRows(points, outcomes, func(p *Point) int { return p.N }))
+	add("density", axisRows(points, outcomes, func(p *Point) densityKey { return densityKey(math.Float64bits(p.Density)) }))
+	add("b", axisRows(points, outcomes, func(p *Point) int { return p.B }))
+	add("pes", axisRows(points, outcomes, func(p *Point) int { return p.PEs }))
+	add("bf", axisRows(points, outcomes, func(p *Point) int { return p.BF }))
+	add("l", axisRows(points, outcomes, func(p *Point) int { return p.L }))
 	return tables
+}
+
+// densityKey keys the density axis on the value's bit pattern, so -0
+// and 0 get separate rows, as their formatted values differ.
+type densityKey uint64
+
+func (d densityKey) String() string { return fmt.Sprint(math.Float64frombits(uint64(d))) }
+
+// axisRows aggregates the points per distinct value of one axis, keyed
+// by its typed value and formatted with fmt.Sprint once per row.
+func axisRows[K comparable](points []Point, outcomes []Outcome, key func(*Point) K) []SensitivityRow {
+	var (
+		keys []K
+		rows []SensitivityRow
+		sums []float64
+		r    int
+	)
+	for i := range points {
+		k := key(&points[i])
+		// In enumeration order an axis value mostly repeats or follows
+		// the previous point's, so the search starts at the last row hit.
+		tried := 0
+		for tried < len(keys) && keys[r] != k {
+			tried++
+			if r++; r == len(keys) {
+				r = 0
+			}
+		}
+		if tried == len(keys) {
+			r = len(keys)
+			keys = append(keys, k)
+			rows = append(rows, SensitivityRow{})
+			sums = append(sums, 0)
+		}
+		row := &rows[r]
+		row.Count++
+		if o := &outcomes[i]; o.OK {
+			row.OK++
+			sums[r] += o.GFLOPS
+			if o.GFLOPS > row.BestGFLOPS {
+				row.BestGFLOPS = o.GFLOPS
+			}
+		}
+	}
+	for r := range rows {
+		rows[r].Value = fmt.Sprint(keys[r])
+		if rows[r].OK > 0 {
+			rows[r].MeanGFLOPS = sums[r] / float64(rows[r].OK)
+		}
+	}
+	return rows
 }

@@ -3,6 +3,10 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 )
 
@@ -71,7 +75,80 @@ func TestMarkParetoTiesAndDuplicates(t *testing.T) {
 					t.Errorf("outcome %d: Pareto=%v, frontier membership=%v", i, outcomes[i].Pareto, onFrontier)
 				}
 			}
+			checkReduceMatchesReference(t, make([]Point, len(tc.outcomes)), tc.outcomes)
 		})
+	}
+
+	// Seeded random outcome sets from 0 to 2,000 points. Few objective
+	// levels force heavy ties on every axis; copies of earlier outcomes
+	// make exact duplicates; infeasible points carry unbeatable numbers.
+	for _, n := range []int{0, 1, 2, 3, 7, 40, 300, 2000} {
+		for _, levels := range []int{2, 5, 40, 1 << 30} {
+			r := rand.New(rand.NewSource(int64(n*31 + levels)))
+			points, outcomes := randomReduceInput(r, n, levels)
+			t.Run(fmt.Sprintf("random n=%d levels=%d", n, levels), func(t *testing.T) {
+				checkReduceMatchesReference(t, points, outcomes)
+			})
+		}
+	}
+
+	// A real multi-axis grid, in enumeration order.
+	res, err := Run(context.Background(), Grid{
+		Apps: []string{"lu", "mm"}, Machines: []string{"xd1", "rasc"},
+		PEs: []int{0, 2, 4, 8}, BF: []int{-1, 0, 240, 480}, L: []int{-1, 2},
+	}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	outcomes := append([]Outcome(nil), res.Outcomes...)
+	for i := range outcomes {
+		outcomes[i].Pareto = false
+	}
+	checkReduceMatchesReference(t, res.Points, outcomes)
+}
+
+// randomReduceInput draws n points and outcomes whose objectives take
+// one of levels values each. Density mixes -0 with 0, which format as
+// different sensitivity rows.
+func randomReduceInput(r *rand.Rand, n, levels int) ([]Point, []Outcome) {
+	apps := []string{"lu", "fw", "mm", "spmv"}
+	densities := []float64{0, math.Copysign(0, -1), 0.01, 0.1}
+	points := make([]Point, n)
+	outcomes := make([]Outcome, n)
+	for i := range points {
+		points[i] = Point{
+			Index: i, App: apps[r.Intn(len(apps))], Machine: "xd1", Mode: "hybrid",
+			Nodes: r.Intn(2) * 6, N: 1200 * (1 + r.Intn(2)), Density: densities[r.Intn(len(densities))],
+			B: 120, PEs: r.Intn(12), BF: r.Intn(6) - 1, L: r.Intn(4) - 1,
+		}
+		level := func() int { return r.Intn(levels) }
+		switch {
+		case r.Intn(6) == 0:
+			outcomes[i] = Outcome{Err: "infeasible", GFLOPS: 1e9, Slices: -1}
+		case i > 0 && r.Intn(5) == 0:
+			outcomes[i] = outcomes[r.Intn(i)]
+		default:
+			outcomes[i] = Outcome{OK: true, GFLOPS: 0.5 * float64(level()), Slices: 1000 * level(), BdGBps: 0.25 * float64(level())}
+		}
+	}
+	return points, outcomes
+}
+
+// checkReduceMatchesReference requires markPareto and sensitivity to
+// agree exactly with the quadratic scan and the fmt.Sprint-keyed
+// tables: frontier indices (nil when empty), Pareto flags and rows.
+func checkReduceMatchesReference(t *testing.T, points []Point, outcomes []Outcome) {
+	t.Helper()
+	got := append([]Outcome(nil), outcomes...)
+	want := append([]Outcome(nil), outcomes...)
+	if g, w := markPareto(got), referenceMarkPareto(want); !reflect.DeepEqual(g, w) {
+		t.Fatalf("frontier = %v, reference %v", g, w)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("Pareto flags differ from the reference scan")
+	}
+	if g, w := sensitivity(points, got), referenceSensitivity(points, want); !reflect.DeepEqual(g, w) {
+		t.Fatalf("sensitivity differs from the reference:\n got %+v\nwant %+v", g, w)
 	}
 }
 

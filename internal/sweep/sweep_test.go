@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -142,7 +143,7 @@ func TestParetoFrontier(t *testing.T) {
 			t.Errorf("frontier point %d not marked Pareto", i)
 		}
 		for j := range res.Outcomes {
-			if j != i && res.Outcomes[j].OK && dominates(res.Outcomes[j], res.Outcomes[i]) {
+			if j != i && res.Outcomes[j].OK && dominates(res.Outcomes[j].objectives(), res.Outcomes[i].objectives()) {
 				t.Errorf("frontier point %d is dominated by %d", i, j)
 			}
 		}
@@ -256,6 +257,9 @@ func TestGridValidation(t *testing.T) {
 		{Grid{Machines: []string{"bluegene"}}, "unknown preset"},
 		{Grid{Modes: []string{"quantum"}}, "unknown mode"},
 		{Grid{Method: "guess"}, "unknown method"},
+		{Grid{Density: []float64{math.NaN()}}, "density NaN out of [0,1]"},
+		{Grid{Density: []float64{0.1, math.Inf(1)}}, "density +Inf out of [0,1]"},
+		{Grid{Density: []float64{math.Inf(-1)}}, "density -Inf out of [0,1]"},
 	}
 	for _, c := range cases {
 		if err := c.g.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
