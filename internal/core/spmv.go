@@ -109,7 +109,7 @@ func runMV(cfg SpMVConfig, applies int) (*SpMVResult, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("core: spmv needs n > 0")
 	}
-	if cfg.Density < 0 || cfg.Density > 1 {
+	if !(cfg.Density >= 0 && cfg.Density <= 1) { // NaN fails both comparisons
 		return nil, fmt.Errorf("core: density %g out of [0,1]", cfg.Density)
 	}
 	sys, err := machine.New(cfg.Machine)

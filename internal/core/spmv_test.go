@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -111,8 +112,10 @@ func TestRunSpMVRejectsBadConfigs(t *testing.T) {
 	if _, err := RunSpMV(SpMVConfig{N: 0}); err == nil {
 		t.Error("n=0 accepted")
 	}
-	if _, err := RunSpMV(SpMVConfig{N: 64, Density: 1.5}); err == nil {
-		t.Error("density 1.5 accepted")
+	for _, d := range []float64{-0.1, 1.5, math.NaN()} {
+		if _, err := RunSpMV(SpMVConfig{N: 64, Density: d}); err == nil {
+			t.Errorf("density %g accepted", d)
+		}
 	}
 	if _, err := RunSpMV(SpMVConfig{N: 64, RowsFPGA: 65, Mode: Hybrid}); err == nil {
 		t.Error("rowsFPGA > n accepted")

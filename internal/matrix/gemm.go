@@ -131,17 +131,3 @@ func Mul(a, b *Dense) *Dense {
 	Gemm(1, a, b, 0, c)
 	return c
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

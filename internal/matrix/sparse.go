@@ -3,8 +3,8 @@ package matrix
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
-	"sort"
 )
 
 // CSR is a compressed sparse row matrix, the format the FPGA-augmented
@@ -105,7 +105,9 @@ func (s *CSR) RangeNNZ(lo, hi int) int {
 // so downstream kernels can index without further checks: rowPtr must
 // have rows+1 entries starting at 0, be non-decreasing, and end at the
 // common length of colIdx and vals; every column index must lie in
-// [0, cols). The slices are adopted, not copied.
+// [0, cols), strictly increasing within each row (a repeated column
+// would make Apply and ToDense disagree). The slices are adopted, not
+// copied.
 func NewCSR(rows, cols int, rowPtr, colIdx []int, vals []float64) (*CSR, error) {
 	if rows < 0 || cols < 0 {
 		return nil, fmt.Errorf("matrix: negative CSR dims %dx%d", rows, cols)
@@ -127,9 +129,16 @@ func NewCSR(rows, cols int, rowPtr, colIdx []int, vals []float64) (*CSR, error) 
 	if rowPtr[rows] != len(vals) {
 		return nil, fmt.Errorf("matrix: CSR rowPtr ends at %d but %d values stored", rowPtr[rows], len(vals))
 	}
-	for k, j := range colIdx {
-		if j < 0 || j >= cols {
-			return nil, fmt.Errorf("matrix: CSR column index %d out of [0,%d) at entry %d", j, cols, k)
+	for i := 0; i < rows; i++ {
+		prev := -1
+		for k, j := range colIdx[rowPtr[i]:rowPtr[i+1]] {
+			if j < 0 || j >= cols {
+				return nil, fmt.Errorf("matrix: CSR column index %d out of [0,%d) at entry %d", j, cols, rowPtr[i]+k)
+			}
+			if j <= prev {
+				return nil, fmt.Errorf("matrix: CSR row %d columns not increasing: %d then %d", i, prev, j)
+			}
+			prev = j
 		}
 	}
 	return &CSR{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, vals: vals}, nil
@@ -142,11 +151,17 @@ func NewCSR(rows, cols int, rowPtr, colIdx []int, vals []float64) (*CSR, error) 
 // hybridsim use. Each row holds the diagonal plus round(density·(n-1))
 // distinct off-diagonal entries at rng-chosen columns; the result is
 // deterministic for a given seed.
+//
+// Each row's columns are drawn by rejection into a bitset and emitted
+// in ascending order by walking the set bits of the words the row
+// touched, so no per-row sort runs and the rng stream is the same as a
+// sort-based build's. The walk costs O(n/64) per row at worst, which
+// dominates only for huge, very sparse operators.
 func RandomSparse(n int, density float64, rng *rand.Rand) *CSR {
 	if n < 1 {
 		panic(fmt.Sprintf("matrix: sparse operator needs n >= 1, got %d", n))
 	}
-	if density < 0 || density > 1 {
+	if !(density >= 0 && density <= 1) { // NaN fails both comparisons
 		panic(fmt.Sprintf("matrix: density %g out of [0,1]", density))
 	}
 	perRow := int(density*float64(n-1) + 0.5)
@@ -154,23 +169,36 @@ func RandomSparse(n int, density float64, rng *rand.Rand) *CSR {
 	colIdx := make([]int, 0, n*(perRow+1))
 	vals := make([]float64, 0, n*(perRow+1))
 	cols := make([]int, 0, perRow)
-	taken := make([]bool, n)
+	taken := make([]uint64, (n+63)/64)
 	for i := 0; i < n; i++ {
 		cols = cols[:0]
-		taken[i] = true // reserve the diagonal
+		dw, dbit := i>>6, uint64(1)<<(i&63)
+		lo, hi := dw, dw
+		taken[dw] |= dbit // reserve the diagonal
 		for len(cols) < perRow {
 			j := rng.Intn(n)
-			if !taken[j] {
-				taken[j] = true
+			w, bit := j>>6, uint64(1)<<(j&63)
+			if taken[w]&bit == 0 {
+				taken[w] |= bit
 				cols = append(cols, j)
+				lo, hi = min(lo, w), max(hi, w)
 			}
 		}
-		sort.Ints(cols)
+		// Collect the row's off-diagonal columns in order, clearing the
+		// bitset behind them for the next row.
+		taken[dw] &^= dbit
+		cols = cols[:0]
+		for w := lo; w <= hi; w++ {
+			for word := taken[w]; word != 0; word &= word - 1 {
+				cols = append(cols, w<<6|bits.TrailingZeros64(word))
+			}
+			taken[w] = 0
+		}
+		// Emit them with the diagonal placeholder in its slot.
 		var dom float64
-		k := len(vals)
 		diagAt := -1
 		for _, j := range cols {
-			for diagAt < 0 && j > i {
+			if diagAt < 0 && j > i {
 				diagAt = len(vals)
 				colIdx = append(colIdx, i)
 				vals = append(vals, 0)
@@ -187,10 +215,6 @@ func RandomSparse(n int, density float64, rng *rand.Rand) *CSR {
 		}
 		vals[diagAt] = dom + 1
 		rowPtr[i+1] = len(vals)
-		taken[i] = false
-		for _, j := range colIdx[k:] {
-			taken[j] = false
-		}
 	}
 	s, err := NewCSR(n, n, rowPtr, colIdx, vals)
 	if err != nil {

@@ -3,6 +3,8 @@ package matrix
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -23,6 +25,8 @@ func TestNewCSRValidates(t *testing.T) {
 		{"rowPtr end mismatch", 1, 2, []int{0, 2}, []int{0}, []float64{1}},
 		{"column out of range", 1, 2, []int{0, 1}, []int{2}, []float64{1}},
 		{"negative column", 1, 2, []int{0, 1}, []int{-1}, []float64{1}},
+		{"repeated column", 1, 3, []int{0, 2}, []int{2, 2}, []float64{1, 1}},
+		{"unsorted columns", 2, 3, []int{0, 1, 3}, []int{0, 2, 1}, []float64{1, 2, 3}},
 	}
 	for _, c := range cases {
 		if _, err := NewCSR(c.rows, c.cols, c.rowPtr, c.colIdx, c.vals); err == nil {
@@ -110,6 +114,95 @@ func TestRandomSparseApplyRangeProperty(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRandomSparseRejectsBadDensity pins the density guard, NaN
+// included: NaN fails every comparison, so a `< 0 || > 1` check would
+// let it through to a nonsensical row count.
+func TestRandomSparseRejectsBadDensity(t *testing.T) {
+	for _, d := range []float64{-0.1, 1.5, math.NaN()} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "density") || !strings.Contains(msg, "out of [0,1]") {
+					t.Errorf("density %g: panic %q, want the density range message", d, msg)
+				}
+			}()
+			RandomSparse(8, d, rand.New(rand.NewSource(1)))
+		}()
+	}
+}
+
+// FuzzNewCSR decodes dimensions and the three CSR arrays from the fuzz
+// input (one signed byte per entry) and requires NewCSR either to
+// reject them or to return a matrix whose every accessor agrees with
+// its dense expansion. Values decode to odd integers: never zero, so
+// each stored entry shows in ToDense, and every sum is exact whatever
+// the summation order.
+func FuzzNewCSR(f *testing.F) {
+	f.Add(int8(2), int8(3), []byte{0, 1, 3}, []byte{2, 0, 1}, []byte{5, 1, 2})
+	f.Add(int8(0), int8(0), []byte{0}, []byte{}, []byte{})
+	f.Add(int8(3), int8(1), []byte{0, 0, 1, 1}, []byte{0}, []byte{0xff})
+	f.Add(int8(-1), int8(2), []byte{0}, []byte{}, []byte{})
+	f.Add(int8(1), int8(2), []byte{0, 2}, []byte{1, 0}, []byte{3, 7})
+	f.Fuzz(func(t *testing.T, rows, cols int8, ptr, idx, val []byte) {
+		rowPtr := make([]int, len(ptr))
+		for i, b := range ptr {
+			rowPtr[i] = int(int8(b))
+		}
+		colIdx := make([]int, len(idx))
+		for i, b := range idx {
+			colIdx[i] = int(int8(b))
+		}
+		vals := make([]float64, len(val))
+		for i, b := range val {
+			vals[i] = float64(int8(b) | 1)
+		}
+		s, err := NewCSR(int(rows), int(cols), rowPtr, colIdx, vals)
+		if err != nil {
+			return
+		}
+		m, n := s.Dims()
+		d := s.ToDense()
+		x := make([]float64, n)
+		for j := range x {
+			x[j] = float64(j + 1)
+		}
+		want := make([]float64, m)
+		MatVec(d, x, want)
+		got := make([]float64, m)
+		s.Apply(x, got)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("Apply = %v, dense MatVec = %v", got, want)
+		}
+		for split := 0; split <= m; split++ {
+			part := make([]float64, m)
+			s.ApplyRange(x, part, 0, split)
+			s.ApplyRange(x, part, split, m)
+			if !reflect.DeepEqual(part, want) {
+				t.Fatalf("ApplyRange split at %d = %v, want %v", split, part, want)
+			}
+		}
+		total := 0
+		for i := 0; i < m; i++ {
+			nz := 0
+			for _, v := range d.Row(i) {
+				if v != 0 {
+					nz++
+				}
+			}
+			if s.RowNNZ(i) != nz {
+				t.Fatalf("RowNNZ(%d) = %d, dense row holds %d non-zeros", i, s.RowNNZ(i), nz)
+			}
+			total += nz
+			if s.RangeNNZ(0, i+1) != total {
+				t.Fatalf("RangeNNZ(0,%d) = %d, want %d", i+1, s.RangeNNZ(0, i+1), total)
+			}
+		}
+		if s.NNZ() != total {
+			t.Fatalf("NNZ = %d, dense expansion holds %d", s.NNZ(), total)
+		}
+	})
 }
 
 func TestRandomSparseDeterministic(t *testing.T) {

@@ -168,23 +168,23 @@ type evaluator struct {
 
 	mu    sync.Mutex
 	stats Stats
-
-	// recs recycles span recorders across MethodSim grid points so
-	// workers reuse warmed buffers instead of regrowing a span slice
-	// per simulation. Recorders are returned by measured.
-	recs sync.Pool
 }
+
+// recs recycles span recorders across MethodSim grid points, process
+// wide: every evaluator — a per-call Run's, the long-lived serving one,
+// a screened sweep's — checks recorders out with recorder and measured
+// returns them, so workers reuse warmed span buffers instead of
+// regrowing one per simulation or per sweep.
+var recs = sync.Pool{New: func() any { return trace.NewRecorder() }}
 
 // newEvaluator builds an evaluator whose memo caches hold at most
 // bound entries each (0 = unbounded, the per-sweep mode).
 func newEvaluator(bound int) *evaluator {
-	ev := &evaluator{
+	return &evaluator{
 		place: cache.NewLRU[placeKey, placeVal](bound),
 		part:  cache.NewLRU[partKey, partVal](bound),
 		maxk:  cache.NewLRU[resolveKey, int](bound),
 	}
-	ev.recs.New = func() any { return trace.NewRecorder() }
-	return ev
 }
 
 // statsDelta returns the evaluator's cumulative stats minus a prior
@@ -204,8 +204,8 @@ func (ev *evaluator) statsDelta(before Stats) Stats {
 }
 
 // recorder checks out a reset span recorder from the pool.
-func (ev *evaluator) recorder() *trace.Recorder {
-	rec := ev.recs.Get().(*trace.Recorder)
+func recorder() *trace.Recorder {
+	rec := recs.Get().(*trace.Recorder)
 	rec.Reset()
 	return rec
 }
@@ -457,13 +457,13 @@ func (ev *evaluator) evalLU(r resolved, method string) Outcome {
 		return out
 	}
 
-	rec := ev.recorder()
+	rec := recorder()
 	res, err := core.RunLU(core.LUConfig{
 		Machine: cfg, N: n, B: b, PEs: r.k, BF: r.pt.BF, L: r.pt.L,
 		Mode: r.mode, Observer: rec,
 	})
 	if err != nil {
-		ev.recs.Put(rec)
+		recs.Put(rec)
 		return fail(err)
 	}
 	expect, _ := res.Model.StripeBinding(res.BF)
@@ -528,13 +528,13 @@ func (ev *evaluator) evalFW(r resolved, method string) Outcome {
 	if r.mode != core.Hybrid {
 		gridL1 = -1 // RunFW derives baseline splits itself
 	}
-	rec := ev.recorder()
+	rec := recorder()
 	res, err := core.RunFW(core.FWConfig{
 		Machine: cfg, N: n, B: b, PEs: r.k, L1: gridL1,
 		Mode: r.mode, Observer: rec,
 	})
 	if err != nil {
-		ev.recs.Put(rec)
+		recs.Put(rec)
 		return fail(err)
 	}
 	expect, _ := res.Model.PhaseBinding(res.L1, res.L2)
@@ -592,13 +592,13 @@ func (ev *evaluator) evalMM(r resolved, method string) Outcome {
 		return out
 	}
 
-	rec := ev.recorder()
+	rec := recorder()
 	res, err := core.RunMM(core.MMConfig{
 		Machine: cfg, N: n, PEs: r.k, BF: r.pt.BF,
 		Mode: r.mode, Observer: rec,
 	})
 	if err != nil {
-		ev.recs.Put(rec)
+		recs.Put(rec)
 		return fail(err)
 	}
 	expect, _ := res.Model.StripeBinding(res.BF)
@@ -667,13 +667,13 @@ func (ev *evaluator) evalSpMV(r resolved, method string) Outcome {
 		return out
 	}
 
-	rec := ev.recorder()
+	rec := recorder()
 	res, err := core.RunSpMV(core.SpMVConfig{
 		Machine: cfg, N: n, Density: r.pt.Density, PEs: r.k, RowsFPGA: r.pt.BF,
 		Mode: r.mode, Observer: rec,
 	})
 	if err != nil {
-		ev.recs.Put(rec)
+		recs.Put(rec)
 		return fail(err)
 	}
 	expect, _ := res.Model.StripeBinding(res.RowsFPGA)
@@ -690,7 +690,7 @@ func (ev *evaluator) evalSpMV(r resolved, method string) Outcome {
 // callers must not touch rec afterwards.
 func (ev *evaluator) measured(out Outcome, res *core.Result, pred model.Prediction,
 	rec *trace.Recorder, expected map[string]model.Binding, fill func(*Outcome)) Outcome {
-	defer ev.recs.Put(rec)
+	defer recs.Put(rec)
 	out.GFLOPS, out.Seconds, out.PredictedGFLOPS = res.GFLOPS, res.Seconds, pred.GFLOPS
 	// Digest the sweep's own recorder instead of asking the run for a
 	// full telemetry summary: ComputeOverlap over the same span stream

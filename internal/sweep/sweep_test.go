@@ -6,6 +6,7 @@ import (
 	"math"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -226,6 +227,57 @@ func TestSimMethodSmallFWAndMM(t *testing.T) {
 		}
 		if o.GFLOPS <= 0 {
 			t.Errorf("point %d (%s): GFLOPS=%v", i, res.Points[i].App, o.GFLOPS)
+		}
+	}
+}
+
+// TestConcurrentSimRunsMatchSerial runs sim-method sweeps at once,
+// each on its own evaluator but both drawing span recorders from the
+// one process-wide pool, and requires each to encode byte for byte as
+// it does when run alone.
+func TestConcurrentSimRunsMatchSerial(t *testing.T) {
+	grids := []Grid{
+		{Apps: []string{"lu"}, N: []int{120}, B: []int{40}, PEs: []int{2, 4}, Method: MethodSim},
+		{Apps: []string{"fw", "mm"}, N: []int{96}, B: []int{16}, PEs: []int{2, 4}, Method: MethodSim},
+		{Apps: []string{"spmv"}, N: []int{256}, Density: []float64{0, 0.02, 0.1},
+			Modes: []string{"hybrid", "fpga-only"}, Method: MethodSim},
+	}
+	encode := func(g Grid) ([]byte, error) {
+		res, err := Run(context.Background(), g, Options{Workers: 2, Evaluator: NewEvaluator(0)})
+		if err != nil {
+			return nil, err
+		}
+		var buf bytes.Buffer
+		err = res.WriteJSON(&buf)
+		return buf.Bytes(), err
+	}
+	serial := make([][]byte, len(grids))
+	for i, g := range grids {
+		b, err := encode(g)
+		if err != nil {
+			t.Fatalf("serial grid %d: %v", i, err)
+		}
+		serial[i] = b
+	}
+	for round := 0; round < 3; round++ {
+		concurrent := make([][]byte, len(grids))
+		var wg sync.WaitGroup
+		for i, g := range grids {
+			wg.Add(1)
+			go func(i int, g Grid) {
+				defer wg.Done()
+				b, err := encode(g)
+				if err != nil {
+					t.Errorf("concurrent grid %d: %v", i, err)
+				}
+				concurrent[i] = b
+			}(i, g)
+		}
+		wg.Wait()
+		for i := range grids {
+			if !bytes.Equal(concurrent[i], serial[i]) {
+				t.Fatalf("round %d: grid %d encodes differently when run beside another sweep", round, i)
+			}
 		}
 	}
 }
