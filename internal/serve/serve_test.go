@@ -387,6 +387,37 @@ func TestDesignGridTooLarge(t *testing.T) {
 	}
 }
 
+// TestDesignGridOverflowRejected: a grid whose cross product is 2^64
+// points (256 values on eight axes, an ~8 KB body) must be refused
+// up front, not enumerated.
+func TestDesignGridOverflowRejected(t *testing.T) {
+	var g sweep.Grid
+	for i := 0; i < 256; i++ {
+		g.Apps = append(g.Apps, "lu")
+		g.Nodes = append(g.Nodes, i)
+		g.N = append(g.N, i)
+		g.B = append(g.B, i)
+		g.PEs = append(g.PEs, i)
+		g.BF = append(g.BF, i)
+		g.L = append(g.L, i)
+		g.Density = append(g.Density, float64(i)/256)
+	}
+	s := newTestServer(t, Config{})
+	for _, path := range []string{"/v1/design", "/v1/sweep"} {
+		var req any = DesignRequest{Grid: g}
+		if path == "/v1/sweep" {
+			req = SweepRequest{Grid: g}
+		}
+		code, body := s.post(t, path, req)
+		if code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400\n%.200s", path, code, body)
+		}
+		if e := decodeErr(t, body); !strings.Contains(e.Message, "more than") {
+			t.Fatalf("%s: message %q should report the point limit", path, e.Message)
+		}
+	}
+}
+
 func TestSweepJobLifecycle(t *testing.T) {
 	s := newTestServer(t, Config{})
 	code, body := s.post(t, "/v1/sweep", SweepRequest{

@@ -28,7 +28,7 @@ func ArchiveFrontierSpans(res *Result, dir string) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	ev := newEvaluator(0)
+	ev := &pointEval{evaluator: newEvaluator(0), tally: new(Stats)}
 	var paths []string
 	var firstErr error
 	for _, idx := range res.ParetoIndices {
@@ -69,7 +69,7 @@ func ArchiveFrontierSpans(res *Result, dir string) ([]string, error) {
 // record re-simulates one grid point with a recorder attached,
 // mirroring the MethodSim evaluation paths exactly (same sentinel
 // resolution, same core.Run* configuration).
-func (ev *evaluator) record(pt Point) (*trace.Recorder, float64, error) {
+func (ev *pointEval) record(pt Point) (*trace.Recorder, float64, error) {
 	r, err := ev.resolve(pt)
 	if err != nil {
 		return nil, 0, err
@@ -98,7 +98,7 @@ func (ev *evaluator) record(pt Point) (*trace.Recorder, float64, error) {
 			return nil, 0, err
 		}
 		return rec, res.Seconds, nil
-	default:
+	case "mm":
 		res, err := core.RunMM(core.MMConfig{
 			Machine: r.cfg, N: r.n, PEs: r.k, BF: pt.BF,
 			Mode: r.mode, Observer: rec,
@@ -107,6 +107,17 @@ func (ev *evaluator) record(pt Point) (*trace.Recorder, float64, error) {
 			return nil, 0, err
 		}
 		return rec, res.Seconds, nil
+	case "spmv":
+		res, err := core.RunSpMV(core.SpMVConfig{
+			Machine: r.cfg, N: r.n, Density: pt.Density, PEs: r.k, RowsFPGA: pt.BF,
+			Mode: r.mode, Observer: rec,
+		})
+		if err != nil {
+			return nil, 0, err
+		}
+		return rec, res.Seconds, nil
+	default:
+		return nil, 0, fmt.Errorf("unknown app %q", pt.App)
 	}
 }
 

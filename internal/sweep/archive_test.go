@@ -57,6 +57,48 @@ func TestArchiveFrontierSpans(t *testing.T) {
 	}
 }
 
+// TestArchiveFrontierSpansEveryApp re-simulates each app's frontier:
+// every archived trace must come from the point's own app, so its
+// makespan equals the swept latency exactly.
+func TestArchiveFrontierSpansEveryApp(t *testing.T) {
+	grids := []Grid{
+		{Apps: []string{"lu"}, N: []int{120}, B: []int{40}},
+		{Apps: []string{"fw"}, N: []int{96}, B: []int{16}},
+		{Apps: []string{"mm"}, N: []int{96}},
+		{Apps: []string{"spmv"}, N: []int{512}, Density: []float64{0, 0.05}, PEs: []int{4}},
+	}
+	for _, g := range grids {
+		g.Modes = []string{"hybrid", "processor-only"}
+		g.Method = MethodSim
+		res, err := Run(context.Background(), g, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		app := g.Apps[0]
+		paths, err := ArchiveFrontierSpans(res, t.TempDir())
+		if err != nil {
+			t.Fatalf("%s: %v", app, err)
+		}
+		if len(paths) == 0 || len(paths) != len(res.ParetoIndices) {
+			t.Fatalf("%s: archived %d files for %d frontier points", app, len(paths), len(res.ParetoIndices))
+		}
+		for i, idx := range res.ParetoIndices {
+			meta, _, err := trace.ReadSpansFile(paths[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if meta.App != app || meta.Makespan != res.Outcomes[idx].Seconds {
+				t.Errorf("%s: app %q makespan %g, want %q and the swept %g",
+					paths[i], meta.App, meta.Makespan, app, res.Outcomes[idx].Seconds)
+			}
+		}
+	}
+	ev := &pointEval{evaluator: newEvaluator(0), tally: new(Stats)}
+	if _, _, err := ev.record(Point{App: "qr", Machine: "xd1", Mode: "hybrid", BF: -1, L: -1}); err == nil {
+		t.Error("record simulated an unknown app")
+	}
+}
+
 func TestArchiveFrontierSpansModelMethod(t *testing.T) {
 	// A model-method sweep still archives measured traces: the archive
 	// re-simulates regardless of the sweep's evaluation method.

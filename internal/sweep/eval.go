@@ -170,6 +170,14 @@ type evaluator struct {
 	stats Stats
 }
 
+// pointEval is one point's evaluation in flight: the shared memo
+// caches plus the point's own memo-traffic tally, which evaluate
+// merges into the evaluator's stats once, when the point finishes.
+type pointEval struct {
+	*evaluator
+	tally *Stats
+}
+
 // recs recycles span recorders across MethodSim grid points, process
 // wide: every evaluator — a per-call Run's, the long-lived serving one,
 // a screened sweep's — checks recorders out with recorder and measured
@@ -203,6 +211,31 @@ func (ev *evaluator) statsDelta(before Stats) Stats {
 	return s
 }
 
+// add accumulates a point's memo traffic (lookups and solves; Points
+// and Errors are reduce's).
+func (s *Stats) add(t Stats) {
+	s.PlaceLookups += t.PlaceLookups
+	s.PlaceSolves += t.PlaceSolves
+	s.PartitionLookups += t.PartitionLookups
+	s.PartitionSolves += t.PartitionSolves
+	s.ResolveLookups += t.ResolveLookups
+	s.ResolveSolves += t.ResolveSolves
+}
+
+// lookups returns the tally's lookups alone: the traffic a point that
+// shares a representative's evaluation demands, without the solves it
+// did not compute.
+func (s Stats) lookups() Stats {
+	return Stats{PlaceLookups: s.PlaceLookups, PartitionLookups: s.PartitionLookups, ResolveLookups: s.ResolveLookups}
+}
+
+// charge merges one point's tally into the evaluator's stats.
+func (ev *evaluator) charge(t Stats) {
+	ev.mu.Lock()
+	ev.stats.add(t)
+	ev.mu.Unlock()
+}
+
 // recorder checks out a reset span recorder from the pool.
 func recorder() *trace.Recorder {
 	rec := recs.Get().(*trace.Recorder)
@@ -214,7 +247,7 @@ func recorder() *trace.Recorder {
 // design on the device. The compute happens under the cache lock
 // (cache.LRU.GetOrCompute), so each distinct placement is solved
 // exactly once per evaluator no matter how many workers race for it.
-func (ev *evaluator) placed(d fpga.Design, dev fpga.Device) (placeVal, error) {
+func (ev *pointEval) placed(d fpga.Design, dev fpga.Device) (placeVal, error) {
 	key := placeKey{design: d.Name(), k: d.PEs(), device: dev.Name}
 	v, computed := ev.place.GetOrCompute(key, func() placeVal {
 		p, err := fpga.Place(d, dev)
@@ -223,12 +256,10 @@ func (ev *evaluator) placed(d fpga.Design, dev fpga.Device) (placeVal, error) {
 		}
 		return placeVal{usage: d.Resources(), freqHz: p.FreqHz}
 	})
-	ev.mu.Lock()
-	ev.stats.PlaceLookups++
+	ev.tally.PlaceLookups++
 	if computed {
-		ev.stats.PlaceSolves++
+		ev.tally.PlaceSolves++
 	}
-	ev.mu.Unlock()
 	if v.err != "" {
 		return v, fmt.Errorf("%s", v.err)
 	}
@@ -237,34 +268,71 @@ func (ev *evaluator) placed(d fpga.Design, dev fpga.Device) (placeVal, error) {
 
 // partition returns the memoized solution of one closed-form solve,
 // computing it via solve under the cache lock on first use.
-func (ev *evaluator) partition(key partKey, solve func() (int, int)) (int, int) {
+func (ev *pointEval) partition(key partKey, solve func() (int, int)) (int, int) {
 	v, computed := ev.part.GetOrCompute(key, func() partVal {
 		a, b := solve()
 		return partVal{a: a, b: b}
 	})
-	ev.mu.Lock()
-	ev.stats.PartitionLookups++
+	ev.tally.PartitionLookups++
 	if computed {
-		ev.stats.PartitionSolves++
+		ev.tally.PartitionSolves++
 	}
-	ev.mu.Unlock()
 	return v.a, v.b
 }
 
-// paper-default problem sizes per app (Section 6.1; spmv has no paper
-// size — its default keeps a dense-operator point affordable under
-// MethodSim).
-func appDefaults(app string) (n, b int) {
+// axis names a grid axis that an application may leave unread.
+type axis uint8
+
+const (
+	axisB axis = 1 << iota
+	axisBF
+	axisL
+	axisDensity
+)
+
+// appDef is the sweep's definition of one application: its
+// paper-default problem and block sizes (Section 6.1; spmv has no
+// paper size — its default keeps a dense-operator point affordable
+// under MethodSim) and the grid axes its evaluation never reads. Two
+// points that differ only in unread axes have the same Outcome, so a
+// sweep evaluates one of them (see effective).
+type appDef struct {
+	n, b   int
+	unread axis
+}
+
+func appDefOf(app string) appDef {
 	switch app {
 	case "lu":
-		return 30000, 3000
+		return appDef{n: 30000, b: 3000, unread: axisDensity}
 	case "fw":
-		return 18432, 256
+		return appDef{n: 18432, b: 256, unread: axisBF | axisDensity}
 	case "spmv":
-		return 2048, 0
+		return appDef{n: 2048, unread: axisB | axisL}
 	default: // mm
-		return 6144, 0
+		return appDef{n: 6144, unread: axisB | axisL | axisDensity}
 	}
+}
+
+// effective returns pt's effective coordinate: pt with its Index and
+// every axis its app never reads zeroed. Points with equal effective
+// coordinates evaluate to equal Outcomes.
+func effective(pt Point) Point {
+	unread := appDefOf(pt.App).unread
+	pt.Index = 0
+	if unread&axisB != 0 {
+		pt.B = 0
+	}
+	if unread&axisBF != 0 {
+		pt.BF = 0
+	}
+	if unread&axisL != 0 {
+		pt.L = 0
+	}
+	if unread&axisDensity != 0 {
+		pt.Density = 0
+	}
+	return pt
 }
 
 func modeByName(name string) core.Mode {
@@ -296,19 +364,19 @@ func fail(err error) Outcome { return Outcome{Err: err.Error()} }
 // + node override), app-default sizes, and the PE count (largest
 // fitting array when 0, shrunk to divide the FW block size as the
 // paper does).
-func (ev *evaluator) resolve(pt Point) (resolved, error) {
+func (ev *pointEval) resolve(pt Point) (resolved, error) {
 	cfg, err := machine.Preset(pt.Machine)
 	if err != nil {
 		return resolved{}, err
 	}
 	cfg = cfg.WithNodes(pt.Nodes)
 	r := resolved{pt: pt, cfg: cfg, mode: modeByName(pt.Mode), n: pt.N, b: pt.B}
-	dn, db := appDefaults(pt.App)
+	def := appDefOf(pt.App)
 	if r.n == 0 {
-		r.n = dn
+		r.n = def.n
 	}
 	if r.b == 0 {
-		r.b = db
+		r.b = def.b
 	}
 	mk := func(k int) fpga.Design { return fpga.NewMatMul(k) }
 	switch pt.App {
@@ -341,12 +409,10 @@ func (ev *evaluator) resolve(pt Point) (resolved, error) {
 			}
 			return k
 		})
-		ev.mu.Lock()
-		ev.stats.ResolveLookups++
+		ev.tally.ResolveLookups++
 		if computed {
-			ev.stats.ResolveSolves++
+			ev.tally.ResolveSolves++
 		}
-		ev.mu.Unlock()
 		r.k = k
 	}
 	if r.k < 1 {
@@ -356,27 +422,32 @@ func (ev *evaluator) resolve(pt Point) (resolved, error) {
 	return r, nil
 }
 
-// evaluate runs one grid point under the given method.
-func (ev *evaluator) evaluate(pt Point, method string) Outcome {
-	r, err := ev.resolve(pt)
+// evaluate runs one grid point under the given method. The point's
+// memo lookups and solves accumulate in tally, which is merged into
+// ev.stats under one lock when the evaluation ends — also when it
+// panics, for safeEvaluate to recover above.
+func (ev *evaluator) evaluate(pt Point, method string, tally *Stats) Outcome {
+	defer func() { ev.charge(*tally) }()
+	pe := &pointEval{evaluator: ev, tally: tally}
+	r, err := pe.resolve(pt)
 	if err != nil {
 		return fail(err)
 	}
 	switch pt.App {
 	case "lu":
-		return ev.evalLU(r, method)
+		return pe.evalLU(r, method)
 	case "fw":
-		return ev.evalFW(r, method)
+		return pe.evalFW(r, method)
 	case "spmv":
-		return ev.evalSpMV(r, method)
+		return pe.evalSpMV(r, method)
 	default:
-		return ev.evalMM(r, method)
+		return pe.evalMM(r, method)
 	}
 }
 
 // design returns the placed design's outcome skeleton: PE geometry,
 // clock, resource usage and effective DRAM bandwidth.
-func (ev *evaluator) design(r resolved, d fpga.Design) (Outcome, float64, error) {
+func (ev *pointEval) design(r resolved, d fpga.Design) (Outcome, float64, error) {
 	pv, err := ev.placed(d, r.cfg.Device)
 	if err != nil {
 		return Outcome{}, 0, err
@@ -395,7 +466,7 @@ func sramBytes(cfg machine.Config) int64 {
 	return int64(cfg.SRAMBanks) * cfg.SRAMBankBytes / 2
 }
 
-func (ev *evaluator) evalLU(r resolved, method string) Outcome {
+func (ev *pointEval) evalLU(r resolved, method string) Outcome {
 	cfg, n, b := r.cfg, r.n, r.b
 	p := cfg.Nodes
 	switch {
@@ -472,7 +543,7 @@ func (ev *evaluator) evalLU(r resolved, method string) Outcome {
 		func(o *Outcome) { o.BF, o.BP, o.L = res.BF, res.BP, res.L })
 }
 
-func (ev *evaluator) evalFW(r resolved, method string) Outcome {
+func (ev *pointEval) evalFW(r resolved, method string) Outcome {
 	cfg, n, b := r.cfg, r.n, r.b
 	p := cfg.Nodes
 	switch {
@@ -543,7 +614,7 @@ func (ev *evaluator) evalFW(r resolved, method string) Outcome {
 		func(o *Outcome) { o.L1, o.L2 = res.L1, res.L2 })
 }
 
-func (ev *evaluator) evalMM(r resolved, method string) Outcome {
+func (ev *pointEval) evalMM(r resolved, method string) Outcome {
 	cfg, n := r.cfg, r.n
 	p := cfg.Nodes
 	switch {
@@ -607,7 +678,7 @@ func (ev *evaluator) evalMM(r resolved, method string) Outcome {
 		func(o *Outcome) { o.BF, o.BP = res.BF, res.BP })
 }
 
-func (ev *evaluator) evalSpMV(r resolved, method string) Outcome {
+func (ev *pointEval) evalSpMV(r resolved, method string) Outcome {
 	cfg, n := r.cfg, r.n
 	out, bd, err := ev.design(r, fpga.NewMV(r.k))
 	if err != nil {

@@ -43,7 +43,7 @@ func (e *Evaluator) Evaluate(pt Point, method string) Outcome {
 	if !contains(knownModes, pt.Mode) {
 		return fail(fmt.Errorf("unknown mode %q (want one of hybrid, processor-only, fpga-only)", pt.Mode))
 	}
-	return safeEvaluate(func() Outcome { return e.ev.evaluate(pt, method) })
+	return safeEvaluate(func() Outcome { return e.ev.evaluate(pt, method, new(Stats)) })
 }
 
 // Stats returns the evaluator's cumulative memo-cache traffic since

@@ -46,20 +46,23 @@ type Grid struct {
 	Nodes []int `json:"nodes,omitempty"`
 	// N is the problem size axis (0 = the app's paper size).
 	N []int `json:"n,omitempty"`
-	// Density is the operator nonzero-density axis for spmv (0 = dense
-	// operator, the DGEMV regime; ignored by the dense apps).
+	// Density is the operator nonzero-density axis (0 = dense operator,
+	// the DGEMV regime). Read by spmv only; lu, fw and mm ignore it.
 	Density []float64 `json:"density,omitempty"`
-	// B is the block size axis (0 = the app's paper block size;
-	// ignored by mm, which has no block structure).
+	// B is the block size axis (0 = the app's paper block size). Read
+	// by lu and fw; mm and spmv, which have no block structure, ignore
+	// it.
 	B []int `json:"b,omitempty"`
 	// PEs is the FPGA PE-array size axis (0 = largest that fits the
 	// device, the paper's choice).
 	PEs []int `json:"pes,omitempty"`
-	// BF is the FPGA row-share axis for LU/MM stripes (-1 = solve
-	// Equation 4 / Equation 1; ignored by fw).
+	// BF is the FPGA row-share axis: lu's and mm's stripe rows, spmv's
+	// operator rows (-1 = solve Equation 4 / Equation 1 / the SpMV
+	// split). Read by lu, mm and spmv; fw ignores it.
 	BF []int `json:"bf,omitempty"`
-	// L is the pipeline-depth axis: LU's Equation 5 panel pipeline
-	// depth, or FW's per-phase processor share l1 (-1 = solve).
+	// L is the pipeline-depth axis: lu's Equation 5 panel pipeline
+	// depth, or fw's per-phase processor share l1 (-1 = solve). Read
+	// by lu and fw; mm and spmv ignore it.
 	L []int `json:"l,omitempty"`
 	// Modes selects design variants: "hybrid", "processor-only",
 	// "fpga-only".
@@ -92,7 +95,7 @@ type Point struct {
 	B int `json:"b"`
 	// PEs is the PE-array size (0 = largest that fits).
 	PEs int `json:"pes"`
-	// BF is the LU/MM FPGA row share (-1 = solve).
+	// BF is the lu/mm/spmv FPGA row share (-1 = solve).
 	BF int `json:"bf"`
 	// L is the LU pipeline depth or FW l1 (-1 = solve).
 	L int `json:"l"`
@@ -155,8 +158,8 @@ func (g Grid) normalized() (Grid, error) {
 			return g, fmt.Errorf("sweep: unknown mode %q (want one of %s)", m, strings.Join(knownModes, ", "))
 		}
 	}
-	if n := g.NumPoints(); n > MaxPoints {
-		return g, fmt.Errorf("sweep: grid has %d points, limit is %d", n, MaxPoints)
+	if g.NumPoints() > MaxPoints {
+		return g, fmt.Errorf("sweep: grid has more than %d points", MaxPoints)
 	}
 	return g, nil
 }
@@ -168,21 +171,22 @@ func (g Grid) Validate() error {
 }
 
 // NumPoints returns the size of the cross product (after defaulting
-// empty axes to one value each).
+// empty axes to one value each), saturated at MaxPoints+1: any larger
+// grid reports MaxPoints+1, so the product cannot overflow and every
+// caller's "too many points" check sees it.
 func (g Grid) NumPoints() int {
 	n := 1
+	mul := func(k int) {
+		if k > 0 {
+			n = min(n*k, MaxPoints+1)
+		}
+	}
 	for _, axis := range [][]int{g.Nodes, g.N, g.B, g.PEs, g.BF, g.L} {
-		if len(axis) > 0 {
-			n *= len(axis)
-		}
+		mul(len(axis))
 	}
-	if len(g.Density) > 0 {
-		n *= len(g.Density)
-	}
+	mul(len(g.Density))
 	for _, axis := range [][]string{g.Apps, g.Machines, g.Modes} {
-		if len(axis) > 0 {
-			n *= len(axis)
-		}
+		mul(len(axis))
 	}
 	return n
 }

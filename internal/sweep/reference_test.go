@@ -4,10 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"testing"
 )
 
-// The straightforward implementations the production reduce and encode
-// stages replaced. Tests compare against them; nothing else runs them.
+// The straightforward implementations the production evaluate, reduce
+// and encode stages replaced. Tests compare against them; nothing else runs them.
 
 // referenceJSON encodes r the way WriteJSON's contract is defined: a
 // json.Encoder with two-space indentation.
@@ -98,4 +99,46 @@ func referenceSensitivity(points []Point, outcomes []Outcome) []SensitivityTable
 		tables = append(tables, t)
 	}
 	return tables
+}
+
+// referenceEvaluate is the every-point engine: one evaluation per
+// point, duplicates included, one worker, in Index order.
+func referenceEvaluate(method string, points []Point, ev *evaluator) []Outcome {
+	outcomes := make([]Outcome, len(points))
+	for i := range points {
+		outcomes[i] = safeEvaluate(func() Outcome {
+			return ev.evaluate(points[i], method, new(Stats))
+		})
+	}
+	return outcomes
+}
+
+// referenceRun is Run over referenceEvaluate on a fresh evaluator.
+func referenceRun(norm Grid, points []Point) *Result {
+	ev := newEvaluator(0)
+	outcomes := referenceEvaluate(norm.Method, points, ev)
+	return reduce(norm, points, outcomes, ev.statsDelta(Stats{}))
+}
+
+// referenceRunScreened is RunScreened over referenceEvaluate on a
+// fresh evaluator: the model screen of the full grid, then the refined
+// candidates under the grid's method.
+func referenceRunScreened(t *testing.T, g Grid, margin float64) *Result {
+	t.Helper()
+	norm, err := g.normalized()
+	if err != nil {
+		t.Fatal(err)
+	}
+	points := norm.Points()
+	ev := newEvaluator(0)
+	screened := referenceEvaluate(MethodModel, points, ev)
+	markPareto(screened)
+	cand, summary := selectCandidates(norm, screened, margin)
+	sub := make([]Point, len(cand))
+	for i, idx := range cand {
+		sub[i] = points[idx]
+	}
+	res := reduce(norm, sub, referenceEvaluate(norm.Method, sub, ev), ev.statsDelta(Stats{}))
+	res.Screen = &summary
+	return res
 }

@@ -3,6 +3,7 @@ package sweep
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -127,17 +128,25 @@ func Run(ctx context.Context, g Grid, opts Options) (*Result, error) {
 // candidate subset). before is the evaluator's stats snapshot at the
 // run's start, so live Progress reports the run's own memo traffic
 // even on a shared evaluator.
+//
+// Only one representative per effective coordinate is evaluated (see
+// effective): its Outcome is copied into every point that differs from
+// it only in axes the app never reads. Such a duplicate completes when
+// its representative does, with zero evaluation time, and is charged
+// the representative's memo lookups but none of its solves, so Stats
+// counts per-point demand exactly as if every point had been evaluated.
 func evaluatePoints(ctx context.Context, method string, points []Point, opts Options, ev *evaluator, before Stats) ([]Outcome, error) {
+	reps, next := groupEffective(points)
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(points) {
-		workers = len(points)
+	if workers > len(reps) {
+		workers = len(reps)
 	}
 	outcomes := make([]Outcome, len(points))
-	jobs := make(chan int, len(points))
-	for i := range points {
+	jobs := make(chan int, len(reps))
+	for _, i := range reps {
 		jobs <- i
 	}
 	close(jobs)
@@ -151,6 +160,19 @@ func evaluatePoints(ctx context.Context, method string, points []Point, opts Opt
 		tracker = newProgressTracker(len(points), workers)
 		tracker.phase = opts.phase
 	}
+	notify := func(i, worker int, elapsed time.Duration) {
+		if opts.OnResult == nil && tracker == nil {
+			return
+		}
+		notifyMu.Lock()
+		if opts.OnResult != nil {
+			opts.OnResult(points[i], outcomes[i])
+		}
+		if tracker != nil {
+			opts.OnProgress(tracker.completed(&outcomes[i], ev.statsDelta(before), worker, elapsed))
+		}
+		notifyMu.Unlock()
+	}
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(worker int) {
@@ -160,25 +182,66 @@ func evaluatePoints(ctx context.Context, method string, points []Point, opts Opt
 					return
 				}
 				start := time.Now()
+				var tally Stats
 				outcomes[i] = safeEvaluate(func() Outcome {
-					return ev.evaluate(points[i], method)
+					return ev.evaluate(points[i], method, &tally)
 				})
-				elapsed := time.Since(start)
-				if opts.OnResult != nil || tracker != nil {
-					notifyMu.Lock()
-					if opts.OnResult != nil {
-						opts.OnResult(points[i], outcomes[i])
-					}
-					if tracker != nil {
-						opts.OnProgress(tracker.completed(&outcomes[i], ev.statsDelta(before), worker, elapsed))
-					}
-					notifyMu.Unlock()
+				notify(i, worker, time.Since(start))
+				for d := next[i]; d != 0; d = next[d] {
+					outcomes[d] = outcomes[i]
+					ev.charge(tally.lookups())
+					notify(d, worker, 0)
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
 	return outcomes, ctx.Err()
+}
+
+// groupEffective partitions points by effective coordinate. reps lists
+// the first point of each group, in order; next chains each group from
+// its representative through its duplicates in order, with 0 ending a
+// chain (points[0] is always a representative, so it is never a
+// successor).
+//
+// Grid enumeration keeps app, machine and mode outermost, so the
+// string-keyed level changes rarely and the per-point lookup hashes
+// only the numeric axes. Density is keyed by its bits: -0 and 0 then
+// form two groups, which costs one extra evaluation and never merges
+// points that differ.
+func groupEffective(points []Point) (reps, next []int) {
+	type names struct{ app, machine, mode string }
+	type coord struct {
+		nodes, n, b, pes, bf, l int
+		density                 uint64
+	}
+	next = make([]int, len(points))
+	var tails []int // tails[g] is the last point of group g so far
+	byNames := make(map[names]map[coord]int)
+	var cur map[coord]int
+	var curNames names
+	for i := range points {
+		pt := &points[i]
+		if nm := (names{pt.App, pt.Machine, pt.Mode}); cur == nil || nm != curNames {
+			if cur = byNames[nm]; cur == nil {
+				cur = make(map[coord]int)
+				byNames[nm] = cur
+			}
+			curNames = nm
+		}
+		e := effective(*pt)
+		c := coord{e.Nodes, e.N, e.B, e.PEs, e.BF, e.L, math.Float64bits(e.Density)}
+		if g, ok := cur[c]; ok {
+			next[tails[g]] = i
+			tails[g] = i
+			continue
+		}
+		cur[c] = len(reps)
+		reps = append(reps, i)
+		tails = append(tails, i)
+	}
+	return reps, next
 }
 
 // reduce folds evaluated outcomes into a Result: error counts, the

@@ -3,6 +3,7 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"math"
 	"runtime"
 	"strings"
@@ -312,15 +313,36 @@ func TestGridValidation(t *testing.T) {
 		{Grid{Density: []float64{math.NaN()}}, "density NaN out of [0,1]"},
 		{Grid{Density: []float64{0.1, math.Inf(1)}}, "density +Inf out of [0,1]"},
 		{Grid{Density: []float64{math.Inf(-1)}}, "density -Inf out of [0,1]"},
+		{overflowGrid(), "more than 250000 points"},
 	}
-	for _, c := range cases {
+	for i, c := range cases {
 		if err := c.g.Validate(); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("Validate(%+v) = %v, want %q", c.g, err, c.want)
+			t.Errorf("case %d: Validate = %v, want %q", i, err, c.want)
 		}
+	}
+	if n := overflowGrid().NumPoints(); n != MaxPoints+1 {
+		t.Errorf("2^64-point grid: NumPoints = %d, want the saturated %d", n, MaxPoints+1)
 	}
 	if err := (Grid{}).Validate(); err != nil {
 		t.Errorf("zero grid invalid: %v", err)
 	}
+}
+
+// overflowGrid has 256 values on each of eight axes: 2^64 points, a
+// product that wraps int64 to 0 unless NumPoints saturates.
+func overflowGrid() Grid {
+	var g Grid
+	for i := 0; i < 256; i++ {
+		g.Apps = append(g.Apps, "lu")
+		g.Nodes = append(g.Nodes, i)
+		g.N = append(g.N, i)
+		g.B = append(g.B, i)
+		g.PEs = append(g.PEs, i)
+		g.BF = append(g.BF, i)
+		g.L = append(g.L, i)
+		g.Density = append(g.Density, float64(i)/256)
+	}
+	return g
 }
 
 func TestReadGridRejectsUnknownFields(t *testing.T) {
@@ -335,6 +357,59 @@ func TestReadGridRejectsUnknownFields(t *testing.T) {
 	if g.NumPoints() != 2 {
 		t.Errorf("NumPoints = %d, want 2", g.NumPoints())
 	}
+}
+
+// FuzzReadGrid: the grid decoder must never panic; a rejected grid
+// comes back as one of the package's own errors, and an accepted grid
+// has an exact, bounded size that enumeration agrees with and survives
+// an encode/decode round trip unchanged.
+func FuzzReadGrid(f *testing.F) {
+	overflow, err := json.Marshal(overflowGrid())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(overflow)
+	for _, seed := range []string{
+		`{}`, `null`, `[]`, `{"apps": ["mm"], "pes": [4, 8]}`,
+		`{"apps": ["lu", "fw", "mm", "spmv"], "machines": ["xd1", "xt3"], "density": [0, 0.05], "b": [0, 256], "bf": [-1, 512], "l": [-1, 2]}`,
+		`{"density": [1e400]}`, `{"density": [-0]}`, `{"modes": ["fpga-only"], "method": "sim", "nodes": [-3]}`,
+		`{"apps": ["qr"]}`, `{"block_sizes": [100]}`, `{"n": [1, 2] `,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g, err := ReadGrid(bytes.NewReader(data))
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "sweep: ") {
+				t.Fatalf("rejection %q is not a sweep error", err)
+			}
+			return
+		}
+		n := g.NumPoints()
+		if n < 1 || n > MaxPoints {
+			t.Fatalf("accepted grid has NumPoints %d, want within [1, %d]", n, MaxPoints)
+		}
+		if n <= 4096 {
+			if got := len(g.Points()); got != n {
+				t.Fatalf("Points() enumerated %d points, NumPoints says %d", got, n)
+			}
+		}
+		enc, err := json.Marshal(g)
+		if err != nil {
+			t.Fatalf("encoding an accepted grid: %v", err)
+		}
+		again, err := ReadGrid(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("re-reading %s: %v", enc, err)
+		}
+		enc2, err := json.Marshal(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, enc2) {
+			t.Fatalf("round trip unstable:\n%s\n%s", enc, enc2)
+		}
+	})
 }
 
 func TestPointsEnumerationOrder(t *testing.T) {
