@@ -27,7 +27,6 @@ import (
 	"codesign/internal/core"
 	"codesign/internal/fault"
 	"codesign/internal/machine"
-	"codesign/internal/model"
 	"codesign/internal/obs"
 	"codesign/internal/sim"
 	"codesign/internal/trace"
@@ -38,20 +37,20 @@ var log = cli.NewLogger("hybridsim", os.Stderr)
 
 func main() {
 	var o options
-	flag.StringVar(&o.App, "app", "lu", "application: lu, fw, mm, spmv, chol, qr or cg")
+	flag.StringVar(&o.App, "app", "lu", "application: "+core.AppNames("or", false))
 	flag.StringVar(&o.Machine, "machine", "xd1", "machine preset (xd1, xt3, src6, rasc) or a machine JSON `file`")
 	flag.IntVar(&o.N, "n", 30000, "problem size")
 	flag.IntVar(&o.B, "b", 3000, "block size")
 	flag.IntVar(&o.PEs, "pes", 0, "FPGA PE count (0 = largest that fits)")
 	flag.StringVar(&o.Mode, "mode", "hybrid", "design: hybrid, processor-only, fpga-only")
-	flag.IntVar(&o.BF, "bf", -1, "LU: FPGA row share per stripe (-1 = solve Eq. 4)")
-	flag.IntVar(&o.L, "l", -1, "LU: panel pipeline depth (-1 = solve Eq. 5)")
+	flag.IntVar(&o.BF, "bf", -1, "FPGA share: stripe rows, or operator rows for spmv and cg (-1 = solve the model)")
+	flag.IntVar(&o.L, "l", -1, "lu and chol: panel pipeline depth (-1 = solve Eq. 5)")
 	flag.IntVar(&o.L1, "l1", -1, "FW: processor ops per phase (-1 = solve Eq. 6)")
-	flag.Float64Var(&o.Density, "density", 0, "spmv: operator nonzero density in [0,1] (0 = dense operator)")
+	flag.Float64Var(&o.Density, "density", 0, "spmv and cg: operator nonzero density in [0,1] (0 = dense operator)")
 	flag.IntVar(&o.RHS, "rhs", 0, "spmv: right-hand sides; >1 runs SpMM as repeated applies (0 = single apply)")
 	flag.BoolVar(&o.Functional, "functional", false, "carry real matrices and verify the result")
 	flag.Int64Var(&o.Seed, "seed", 1, "functional input seed, or the fault spec seed with -faults")
-	flag.StringVar(&o.Faults, "faults", "", "inject faults from spec JSON `file` (lu, fw and spmv) and print the resilience report")
+	flag.StringVar(&o.Faults, "faults", "", "inject faults from spec JSON `file` ("+core.AppNames("and", true)+") and print the resilience report")
 	flag.BoolVar(&o.Timeline, "timeline", false, "print a per-process activity timeline (small runs only)")
 	flag.BoolVar(&o.Metrics, "metrics", false, "print per-run utilization and the Tp/Tf/Tmem/Tcomm overlap report")
 	flag.BoolVar(&o.Analyze, "analyze", false, "print the critical path, per-phase bottleneck attribution and resource timelines")
@@ -84,8 +83,8 @@ type options struct {
 	N, B, PEs int
 	Mode      string
 	BF, L, L1 int
-	// Density and RHS parameterize -app spmv: the operator's nonzero
-	// density and the number of repeated applies (SpMM).
+	// Density is the spmv and cg operator's nonzero density; RHS the
+	// number of repeated spmv applies (SpMM).
 	Density    float64
 	RHS        int
 	Functional bool
@@ -112,29 +111,20 @@ func machineByName(name string) (machine.Config, error) {
 	return machine.Resolve(name)
 }
 
-func modeByName(name string) (core.Mode, error) {
-	switch name {
-	case "hybrid":
-		return core.Hybrid, nil
-	case "processor-only", "cpu":
-		return core.ProcessorOnly, nil
-	case "fpga-only", "fpga":
-		return core.FPGAOnly, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q", name)
-	}
-}
-
 func run(o options) error {
 	mc, err := machineByName(o.Machine)
 	if err != nil {
 		return err
 	}
-	md, err := modeByName(o.Mode)
+	md, err := core.ParseMode(o.Mode)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("machine: %s (%d nodes)\n", mc.Name, mc.Nodes)
+	app, err := core.LookupApp(o.App)
+	if err != nil {
+		return err
+	}
 
 	// -faults runs the app three ways: nominal (the baseline), with the
 	// spec's faults under observed-telemetry detection (the run that is
@@ -143,8 +133,8 @@ func run(o options) error {
 	var spec *fault.Spec
 	var inj *fault.Injector
 	if o.Faults != "" {
-		if o.App != "lu" && o.App != "fw" && o.App != "spmv" {
-			return fmt.Errorf("-faults supports lu, fw and spmv, not %q", o.App)
+		if !app.Faults {
+			return fmt.Errorf("-faults supports %s, not %q", core.AppNames("and", true), o.App)
 		}
 		spec, err = fault.Load(o.Faults)
 		if err != nil {
@@ -220,116 +210,23 @@ func run(o options) error {
 	// summarization even without the printed -metrics report.
 	telemetry := o.Metrics || o.MetricsOut != ""
 
-	// res and expected feed the post-run exports: the generic result
-	// for telemetry, and the analytic model's predicted binding per
-	// phase for -analyze's agreement column.
-	var res *core.Result
-	var expected map[string]model.Binding
-
-	switch o.App {
-	case "lu":
-		r, err := core.RunLU(core.LUConfig{
-			Machine: mc, N: o.N, B: o.B, PEs: o.PEs, BF: o.BF, L: o.L,
-			Mode: md, Functional: o.Functional, Seed: o.Seed, Trace: hook,
-			Observer: spanObs, Telemetry: telemetry, Faults: inj, Metrics: reg,
-		})
-		if err != nil {
-			return err
-		}
-		printLU(r)
-		res = &r.Result
-		bind, _ := r.Model.StripeBinding(r.BF)
-		expected = map[string]model.Binding{"opmm": bind}
-	case "fw":
-		r, err := core.RunFW(core.FWConfig{
-			Machine: mc, N: o.N, B: o.B, PEs: o.PEs, L1: o.L1,
-			Mode: md, Functional: o.Functional, Seed: o.Seed, Trace: hook,
-			Observer: spanObs, Telemetry: telemetry, Faults: inj, Metrics: reg,
-		})
-		if err != nil {
-			return err
-		}
-		printFW(r)
-		res = &r.Result
-		bind, _ := r.Model.PhaseBinding(r.L1, r.L2)
-		expected = map[string]model.Binding{"op": bind}
-	case "mm":
-		r, err := core.RunMM(core.MMConfig{
-			Machine: mc, N: o.N, PEs: o.PEs, BF: o.BF,
-			Mode: md, Functional: o.Functional, Seed: o.Seed,
-			Observer: spanObs, Telemetry: telemetry,
-		})
-		if err != nil {
-			return err
-		}
-		printMM(r)
-		res = &r.Result
-		bind, _ := r.Model.StripeBinding(r.BF)
-		expected = map[string]model.Binding{"stripe": bind}
-	case "spmv":
-		runner := core.RunSpMV
-		if o.RHS > 1 {
-			runner = core.RunSpMM
-		}
-		r, err := runner(core.SpMVConfig{
-			Machine: mc, N: o.N, Density: o.Density, RHS: o.RHS,
-			PEs: o.PEs, RowsFPGA: o.BF, Mode: md, Seed: o.Seed,
-			Observer: spanObs, Telemetry: telemetry, Faults: inj,
-		})
-		if err != nil {
-			return err
-		}
-		printSpMV(r)
-		res = &r.Result
-		bind, _ := r.Model.StripeBinding(r.RowsFPGA)
-		phase := "stream"
-		if r.Resident {
-			phase = "apply"
-		}
-		expected = map[string]model.Binding{phase: bind}
-	case "qr":
-		r, err := core.RunQR(core.QRConfig{
-			Machine: mc, N: o.N, B: o.B, PEs: o.PEs, BF: o.BF,
-			Mode: md, Functional: o.Functional, Seed: o.Seed,
-			Observer: spanObs, Telemetry: telemetry,
-		})
-		if err != nil {
-			return err
-		}
-		printQR(r)
-		res = &r.Result
-		bind, _ := r.Model.StripeBinding(r.BF)
-		expected = map[string]model.Binding{"update": bind}
-	case "cg":
-		r, err := core.RunCG(core.CGConfig{
-			Machine: mc, N: o.N, PEs: o.PEs, RowsFPGA: o.BF,
-			Mode: md, Seed: o.Seed,
-			Observer: spanObs, Telemetry: telemetry,
-		})
-		if err != nil {
-			return err
-		}
-		printCG(r)
-		res = &r.Result
-	case "chol":
-		r, err := core.RunCholesky(core.CholConfig{
-			Machine: mc, N: o.N, B: o.B, PEs: o.PEs, BF: o.BF, L: o.L,
-			Mode: md, Functional: o.Functional, Seed: o.Seed,
-			Observer: spanObs, Telemetry: telemetry,
-		})
-		if err != nil {
-			return err
-		}
-		printChol(r)
-		res = &r.Result
-		bind, _ := r.Model.StripeBinding(r.BF)
-		expected = map[string]model.Binding{"opmm": bind}
-	default:
-		return fmt.Errorf("unknown app %q (want lu, fw, mm, spmv, chol, qr or cg)", o.App)
+	s := core.Spec{
+		Machine: mc, N: o.N, B: o.B, PEs: o.PEs, BF: o.BF, L: o.L, L1: o.L1, Mode: md,
+		Density: o.Density, RHS: o.RHS, Functional: o.Functional, Seed: o.Seed, Trace: hook,
+		Observer: spanObs, Telemetry: telemetry, Faults: inj, Metrics: reg,
 	}
-
+	r, err := app.Run(s)
+	if err != nil {
+		return err
+	}
+	title, details := r.Describe()
+	fmt.Println("application:       " + title)
+	printCommon(r.Result)
+	for _, d := range details {
+		fmt.Printf("%-19s%s\n", d.Label+":", d.Text)
+	}
 	if inj != nil {
-		if err := printResilience(o, mc, md, spec, res, rec, len(inj.Events())); err != nil {
+		if err := printResilience(app, s, spec, r.Result, rec, len(inj.Events())); err != nil {
 			return fmt.Errorf("resilience: %w", err)
 		}
 	}
@@ -344,7 +241,7 @@ func run(o options) error {
 		}
 		cmp := analysis.Compare(
 			analysis.Run{Label: baseLabel, Makespan: meta.Makespan, Spans: baseSpans},
-			analysis.Run{Label: "this run", Makespan: res.Seconds, Spans: rec.SpansView(), Expected: expected},
+			analysis.Run{Label: "this run", Makespan: r.Seconds, Spans: rec.SpansView(), Expected: r.Expected()},
 		)
 		fmt.Println()
 		if err := cmp.WriteReport(os.Stdout); err != nil {
@@ -352,7 +249,7 @@ func run(o options) error {
 		}
 	}
 	if o.Analyze {
-		rep := analysis.Analyze(rec.Spans(), res.Seconds, analysis.Options{Expected: expected})
+		rep := analysis.Analyze(rec.Spans(), r.Seconds, analysis.Options{Expected: r.Expected()})
 		fmt.Println()
 		if err := rep.WriteReport(os.Stdout); err != nil {
 			return fmt.Errorf("analyze: %w", err)
@@ -360,7 +257,7 @@ func run(o options) error {
 	}
 	if o.MetricsOut != "" {
 		m := trace.NewMetrics()
-		res.Telemetry.Fill(m)
+		r.Telemetry.Fill(m)
 		if err := writeTo(o.MetricsOut, m.WriteCSV); err != nil {
 			return fmt.Errorf("metrics-out: %w", err)
 		}
@@ -373,7 +270,7 @@ func run(o options) error {
 		fmt.Printf("spans:             %d spans -> %s\n", len(rec.Spans()), o.SpansOut)
 	}
 	if o.SpansJSON != "" {
-		meta := trace.Meta{App: o.App, Machine: mc.Name, Label: o.App, Makespan: res.Seconds}
+		meta := trace.Meta{App: o.App, Machine: mc.Name, Label: o.App, Makespan: r.Seconds}
 		if err := writeTo(o.SpansJSON, func(w io.Writer) error {
 			return rec.WriteSpans(w, meta)
 		}); err != nil {
@@ -396,31 +293,13 @@ func run(o options) error {
 // already in res. The nominal reference records its spans so the
 // report can attribute the dilation to phases (rec holds the faulted
 // run's spans).
-func printResilience(o options, mc machine.Config, md core.Mode, spec *fault.Spec, res *core.Result, rec *trace.Recorder, events int) error {
+func printResilience(app core.App, s core.Spec, spec *fault.Spec, res *core.Result, rec *trace.Recorder, events int) error {
+	// The references rerun the printed run's configuration without its
+	// timeline hook, telemetry digest and live metrics.
+	s.Trace, s.Telemetry, s.Metrics = nil, false, nil
 	ref := func(in *fault.Injector, obs sim.Observer) (float64, error) {
-		if o.App == "spmv" {
-			runner := core.RunSpMV
-			if o.RHS > 1 {
-				runner = core.RunSpMM
-			}
-			r, err := runner(core.SpMVConfig{Machine: mc, N: o.N, Density: o.Density,
-				RHS: o.RHS, PEs: o.PEs, RowsFPGA: o.BF, Mode: md, Seed: o.Seed,
-				Faults: in, Observer: obs})
-			if err != nil {
-				return 0, err
-			}
-			return r.Seconds, nil
-		}
-		if o.App == "lu" {
-			r, err := core.RunLU(core.LUConfig{Machine: mc, N: o.N, B: o.B,
-				PEs: o.PEs, BF: o.BF, L: o.L, Mode: md, Faults: in, Observer: obs})
-			if err != nil {
-				return 0, err
-			}
-			return r.Seconds, nil
-		}
-		r, err := core.RunFW(core.FWConfig{Machine: mc, N: o.N, B: o.B,
-			PEs: o.PEs, L1: o.L1, Mode: md, Faults: in, Observer: obs})
+		s.Faults, s.Observer = in, obs
+		r, err := app.Run(s)
 		if err != nil {
 			return 0, err
 		}
@@ -431,7 +310,7 @@ func printResilience(o options, mc machine.Config, md core.Mode, spec *fault.Spe
 	if err != nil {
 		return fmt.Errorf("nominal reference: %w", err)
 	}
-	oinj, err := fault.New(spec.WithOracle(), mc.Nodes)
+	oinj, err := fault.New(spec.WithOracle(), s.Machine.Nodes)
 	if err != nil {
 		return err
 	}
@@ -472,58 +351,6 @@ func writeTo(path string, write func(w io.Writer) error) error {
 	return f.Close()
 }
 
-func printMM(r *core.MMResult) {
-	fmt.Println("application:       hybrid matrix multiplication (Eq. 1)")
-	printCommon(&r.Result)
-	fmt.Printf("partition:         bf=%d bp=%d result rows per stripe (k=%d PEs)\n", r.BF, r.BP, r.K)
-	fmt.Printf("model prediction:  %.3f GFLOPS (measured/predicted = %.1f%%)\n",
-		r.Prediction.GFLOPS, 100*r.GFLOPS/r.Prediction.GFLOPS)
-}
-
-func printSpMV(r *core.SpMVResult) {
-	if r.Applies > 1 {
-		fmt.Println("application:       sparse matrix-multi-vector product (SpMM, Eq. 1 per apply)")
-	} else {
-		fmt.Println("application:       sparse matrix-vector product (Eq. 1 row split)")
-	}
-	printCommon(&r.Result)
-	arrangement := "streamed per apply"
-	if r.Resident {
-		arrangement = fmt.Sprintf("SRAM-resident, load %.3gs", r.LoadSeconds)
-	}
-	fmt.Printf("operator:          n=%d nnz=%d (%.4g words/row CSR), %s\n",
-		r.N, r.NNZ, float64(r.Words)/float64(r.N), arrangement)
-	fmt.Printf("row split:         %d rows to FPGA, %d to processor (k=%d MACs), %d applies\n",
-		r.RowsFPGA, r.RowsCPU, r.K, r.Applies)
-	fmt.Printf("model prediction:  %.3f GFLOPS (measured/predicted = %.1f%%)\n",
-		r.Prediction.GFLOPS, 100*r.GFLOPS/r.Prediction.GFLOPS)
-}
-
-func printQR(r *core.QRResult) {
-	fmt.Println("application:       block Householder QR factorization (extension)")
-	printCommon(&r.Result)
-	fmt.Printf("partition:         bf=%d bp=%d (k=%d PEs)\n", r.BF, r.BP, r.K)
-	fmt.Printf("model prediction:  %.3f GFLOPS (measured/predicted = %.1f%%)\n",
-		r.Prediction.GFLOPS, 100*r.GFLOPS/r.Prediction.GFLOPS)
-}
-
-func printCG(r *core.CGRunResult) {
-	fmt.Println("application:       conjugate gradient (extension, after [9])")
-	printCommon(&r.Result)
-	fmt.Printf("row split:         %d rows to FPGA (SRAM-resident), %d to processor (k=%d MACs)\n",
-		r.RowsFPGA, r.RowsCPU, r.K)
-	fmt.Printf("solve:             %d iterations, converged=%v, SRAM load %.4fs\n",
-		r.Iterations, r.Converged, r.LoadSeconds)
-}
-
-func printChol(r *core.CholResult) {
-	fmt.Println("application:       block Cholesky factorization (extension)")
-	printCommon(&r.Result)
-	fmt.Printf("partition:         bf=%d bp=%d (k=%d PEs), pipeline l=%d\n", r.BF, r.BP, r.K, r.L)
-	fmt.Printf("model prediction:  %.3f GFLOPS (measured/predicted = %.1f%%)\n",
-		r.Prediction.GFLOPS, 100*r.GFLOPS/r.Prediction.GFLOPS)
-}
-
 func printCommon(r *core.Result) {
 	fmt.Printf("design:            %s\n", r.Mode)
 	fmt.Printf("problem:           n=%d b=%d\n", r.N, r.B)
@@ -553,20 +380,4 @@ func printCommon(r *core.Result) {
 			log.Errorf("metrics: %v", err)
 		}
 	}
-}
-
-func printLU(r *core.LUResult) {
-	fmt.Println("application:       block LU decomposition")
-	printCommon(&r.Result)
-	fmt.Printf("partition:         bf=%d bp=%d (k=%d PEs), pipeline l=%d\n", r.BF, r.BP, r.K, r.L)
-	fmt.Printf("model prediction:  %.3f GFLOPS (measured/predicted = %.1f%%)\n",
-		r.Prediction.GFLOPS, 100*r.GFLOPS/r.Prediction.GFLOPS)
-}
-
-func printFW(r *core.FWResult) {
-	fmt.Println("application:       blocked Floyd-Warshall (all-pairs shortest paths)")
-	printCommon(&r.Result)
-	fmt.Printf("partition:         l1=%d processor ops, l2=%d FPGA ops per phase (k=%d PEs)\n", r.L1, r.L2, r.K)
-	fmt.Printf("model prediction:  %.3f GFLOPS (measured/predicted = %.1f%%)\n",
-		r.Prediction.GFLOPS, 100*r.GFLOPS/r.Prediction.GFLOPS)
 }

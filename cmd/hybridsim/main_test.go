@@ -31,39 +31,36 @@ func TestModeByName(t *testing.T) {
 		"cpu": core.ProcessorOnly, "fpga-only": core.FPGAOnly, "fpga": core.FPGAOnly,
 	}
 	for name, want := range cases {
-		got, err := modeByName(name)
+		got, err := core.ParseMode(name)
 		if err != nil || got != want {
 			t.Fatalf("%s -> %v, %v", name, got, err)
 		}
 	}
-	if _, err := modeByName("turbo"); err == nil {
+	if _, err := core.ParseMode("turbo"); err == nil {
 		t.Fatal("unknown mode accepted")
 	}
 }
 
-// small returns a fast end-to-end configuration for the given app.
+// small returns a fast end-to-end configuration for the given app: the
+// registry's small run, functionally checked, with the metrics report.
 func small(app string) options {
-	o := options{App: app, Machine: "xd1", N: 120, B: 20, PEs: 4, Mode: "hybrid",
-		BF: -1, L: -1, L1: -1, Functional: true, Seed: 1, Metrics: true}
-	switch app {
-	case "fw":
-		o.N, o.B = 96, 8
-	case "mm":
-		o.N, o.B = 96, 0
-	case "cg":
-		o.N, o.B, o.PEs, o.Functional = 128, 0, 0, false
+	a, err := core.LookupApp(app)
+	if err != nil {
+		panic(err)
 	}
-	return o
+	s := a.Small()
+	return options{App: app, Machine: "xd1", N: s.N, B: s.B, PEs: s.PEs, Mode: "hybrid",
+		BF: s.BF, L: s.L, L1: s.L1, Functional: true, Seed: s.Seed, Metrics: true}
 }
 
 func TestRunAllApps(t *testing.T) {
 	// End-to-end through the CLI's run path at small sizes, with the
 	// analysis report on to exercise every app's expected-binding path.
-	for _, app := range []string{"lu", "fw", "mm", "chol", "qr", "cg"} {
-		o := small(app)
+	for _, app := range core.Apps() {
+		o := small(app.Name)
 		o.Analyze = true
 		if err := run(o); err != nil {
-			t.Fatalf("%s: %v", app, err)
+			t.Fatalf("%s: %v", app.Name, err)
 		}
 	}
 	if err := run(options{App: "fft", Machine: "xd1", N: 10, B: 2, Mode: "hybrid", BF: -1, L: -1, L1: -1, Seed: 1}); err == nil {

@@ -41,7 +41,7 @@ import (
 func main() {
 	var o options
 	flag.StringVar(&o.GridFile, "grid", "", "JSON grid description `file` (\"-\" = stdin); overrides the axis flags")
-	flag.StringVar(&o.Apps, "apps", "lu", "comma list of applications: lu, fw, mm, spmv")
+	flag.StringVar(&o.Apps, "apps", "lu", "comma list of applications: "+strings.Join(sweep.Apps(), ", "))
 	flag.StringVar(&o.Machines, "machines", "xd1", "comma list of machine presets: xd1, xt3, src6, rasc")
 	flag.StringVar(&o.Modes, "modes", "hybrid", "comma list of designs: hybrid, processor-only, fpga-only")
 	flag.StringVar(&o.Nodes, "nodes", "0", "comma list of node counts (0 = preset default)")

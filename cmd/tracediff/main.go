@@ -31,7 +31,6 @@ import (
 	"codesign/internal/core"
 	"codesign/internal/fault"
 	"codesign/internal/machine"
-	"codesign/internal/model"
 	"codesign/internal/trace"
 )
 
@@ -40,14 +39,14 @@ var log = cli.NewLogger("tracediff", os.Stderr)
 
 func main() {
 	var o options
-	flag.StringVar(&o.App, "app", "lu", "inline mode: application (lu, fw or mm)")
+	flag.StringVar(&o.App, "app", "lu", "inline mode: application ("+core.AppNames("or", false)+")")
 	flag.StringVar(&o.Machine, "machine", "xd1", "inline mode: machine preset or machine JSON `file`")
 	flag.IntVar(&o.N, "n", 30000, "inline mode: problem size")
 	flag.IntVar(&o.B, "b", 3000, "inline mode: block size")
 	flag.IntVar(&o.PEs, "pes", 0, "inline mode: FPGA PE count (0 = largest that fits)")
 	flag.StringVar(&o.Mode, "mode", "hybrid", "inline mode: hybrid, processor-only, fpga-only")
-	flag.IntVar(&o.BF, "bf", -1, "inline mode, lu/mm: FPGA row share (-1 = solve Eq. 4)")
-	flag.IntVar(&o.L, "l", -1, "inline mode, lu: panel pipeline depth (-1 = solve Eq. 5)")
+	flag.IntVar(&o.BF, "bf", -1, "inline mode: FPGA row share (-1 = solve the model)")
+	flag.IntVar(&o.L, "l", -1, "inline mode, lu and chol: panel pipeline depth (-1 = solve Eq. 5)")
 	flag.IntVar(&o.L1, "l1", -1, "inline mode, fw: processor ops per phase (-1 = solve Eq. 6)")
 	flag.Int64Var(&o.Seed, "seed", 0, "override both fault specs' seeds")
 	flag.StringVar(&o.BaseFaults, "base-faults", "", "inline mode: fault spec JSON `file` for the base run")
@@ -188,20 +187,6 @@ func candConfig(o options) options {
 	return c
 }
 
-// modeByName maps a -mode string to the core constant.
-func modeByName(name string) (core.Mode, error) {
-	switch name {
-	case "hybrid":
-		return core.Hybrid, nil
-	case "processor-only", "cpu":
-		return core.ProcessorOnly, nil
-	case "fpga-only", "fpga":
-		return core.FPGAOnly, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q", name)
-	}
-}
-
 // runInline simulates one side of the comparison with a recorder
 // attached and returns its span stream, makespan, and the analytic
 // model's expected bindings.
@@ -216,14 +201,18 @@ func runInline(o options, isCand bool) (analysis.Run, error) {
 	if err != nil {
 		return analysis.Run{}, err
 	}
-	md, err := modeByName(cfg.Mode)
+	md, err := core.ParseMode(cfg.Mode)
+	if err != nil {
+		return analysis.Run{}, err
+	}
+	app, err := core.LookupApp(cfg.App)
 	if err != nil {
 		return analysis.Run{}, err
 	}
 	var inj *fault.Injector
 	if faults != "" {
-		if cfg.App != "lu" && cfg.App != "fw" {
-			return analysis.Run{}, fmt.Errorf("fault injection supports lu and fw, not %q", cfg.App)
+		if !app.Faults {
+			return analysis.Run{}, fmt.Errorf("fault injection supports %s, not %q", core.AppNames("and", true), cfg.App)
 		}
 		spec, err := fault.Load(faults)
 		if err != nil {
@@ -239,49 +228,14 @@ func runInline(o options, isCand bool) (analysis.Run, error) {
 	}
 
 	rec := trace.NewRecorder()
-	run := analysis.Run{Label: inlineLabel(cfg, faults)}
-	switch cfg.App {
-	case "lu":
-		r, err := core.RunLU(core.LUConfig{
-			Machine: mc, N: cfg.N, B: cfg.B, PEs: cfg.PEs, BF: cfg.BF, L: cfg.L,
-			Mode: md, Observer: rec, Faults: inj,
-		})
-		if err != nil {
-			return analysis.Run{}, err
-		}
-		run.Makespan = r.Seconds
-		bind, _ := r.Model.StripeBinding(r.BF)
-		run.Expected = map[string]model.Binding{"opmm": bind}
-	case "fw":
-		r, err := core.RunFW(core.FWConfig{
-			Machine: mc, N: cfg.N, B: cfg.B, PEs: cfg.PEs, L1: cfg.L1,
-			Mode: md, Observer: rec, Faults: inj,
-		})
-		if err != nil {
-			return analysis.Run{}, err
-		}
-		run.Makespan = r.Seconds
-		bind, _ := r.Model.PhaseBinding(r.L1, r.L2)
-		run.Expected = map[string]model.Binding{"op": bind}
-	case "mm":
-		if inj != nil {
-			return analysis.Run{}, fmt.Errorf("fault injection supports lu and fw, not %q", cfg.App)
-		}
-		r, err := core.RunMM(core.MMConfig{
-			Machine: mc, N: cfg.N, PEs: cfg.PEs, BF: cfg.BF,
-			Mode: md, Observer: rec,
-		})
-		if err != nil {
-			return analysis.Run{}, err
-		}
-		run.Makespan = r.Seconds
-		bind, _ := r.Model.StripeBinding(r.BF)
-		run.Expected = map[string]model.Binding{"stripe": bind}
-	default:
-		return analysis.Run{}, fmt.Errorf("unknown app %q (inline mode supports lu, fw, mm)", cfg.App)
+	r, err := app.Run(core.Spec{
+		Machine: mc, N: cfg.N, B: cfg.B, PEs: cfg.PEs, BF: cfg.BF, L: cfg.L, L1: cfg.L1,
+		Mode: md, Observer: rec, Faults: inj,
+	})
+	if err != nil {
+		return analysis.Run{}, err
 	}
-	run.Spans = rec.Spans()
-	return run, nil
+	return analysis.Run{Label: inlineLabel(cfg, faults), Makespan: r.Seconds, Spans: rec.Spans(), Expected: r.Expected()}, nil
 }
 
 // inlineLabel names an inline run deterministically from its effective

@@ -158,8 +158,25 @@ func TestCandOverridesAndErrors(t *testing.T) {
 		t.Fatal("mm with faults should fail")
 	}
 	// Unknown app.
-	o = options{App: "qr", Machine: "xd1", Mode: "hybrid", CandPEs: -1}
+	o = options{App: "fft", Machine: "xd1", Mode: "hybrid", CandPEs: -1}
 	if err := run(o, &bytes.Buffer{}); err == nil {
 		t.Fatal("unknown inline app should fail")
+	}
+}
+
+// TestInlineEveryApp diffs every registered app inline against a
+// smaller PE array: the registry is the only app wiring tracediff has.
+func TestInlineEveryApp(t *testing.T) {
+	for _, app := range core.Apps() {
+		s := app.Small()
+		o := options{App: app.Name, Machine: "xd1", N: s.N, B: s.B, PEs: s.PEs, Mode: "hybrid",
+			BF: s.BF, L: s.L, L1: s.L1, CandPEs: 2}
+		var report bytes.Buffer
+		if err := run(o, &report); err != nil {
+			t.Fatalf("%s: %v", app.Name, err)
+		}
+		if !strings.Contains(report.String(), "differential analysis") {
+			t.Fatalf("%s: report missing its header:\n%s", app.Name, report.String())
+		}
 	}
 }

@@ -55,10 +55,15 @@ type CGConfig struct {
 // CGRunResult reports a hybrid CG solve.
 type CGRunResult struct {
 	Result
+	// RowsFPGA and RowsCPU are the row split; K is the MV design's MAC
+	// lane count.
 	RowsFPGA, RowsCPU, K int
-	Iterations           int
-	Converged            bool
-	Residual             float64
+	// Iterations is the number of CG iterations run.
+	Iterations int
+	// Converged reports whether the residual reached the tolerance.
+	Converged bool
+	// Residual is the final relative residual.
+	Residual float64
 	// LoadSeconds is the one-time cost of staging the FPGA's matrix
 	// share into SRAM over the DRAM path.
 	LoadSeconds float64
@@ -87,7 +92,7 @@ func RunCG(cfg CGConfig) (*CGRunResult, error) {
 	rec := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
 	k := cfg.PEs
 	if k == 0 {
-		k = fpga.MaxPEs(func(k int) fpga.Design { return fpga.NewMV(k) }, cfg.Machine.Device)
+		k = fpga.MaxPEs(mvDesign, cfg.Machine.Device)
 	}
 	design := fpga.NewMV(k)
 	if err := sys.InstallDesign(design); err != nil {
@@ -147,19 +152,9 @@ func RunCG(cfg CGConfig) (*CGRunResult, error) {
 	fpgaPerWord := mvp.FPGAPerWord()
 	cpuPerWord := mvp.CPUPerWord()
 
-	rf := cfg.RowsFPGA
-	switch cfg.Mode {
-	case ProcessorOnly:
-		rf = 0
-	case FPGAOnly:
-		rf = cfg.N
-	default:
-		if rf < 0 {
-			rf, _ = mvp.SolvePartition()
-		}
-	}
-	if rf < 0 || rf > cfg.N {
-		return nil, fmt.Errorf("core: rowsFPGA=%d out of [0,%d]", rf, cfg.N)
+	rf, err := SolveShare(cfg.Mode, "rowsFPGA", cfg.RowsFPGA, cfg.N, mvp.SolvePartition)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	// SRAM capacity clamp on the resident share.
 	capWords := int(float64(sys.Nodes[0].SRAM.TotalBytes()) / machine.WordBytes)

@@ -23,6 +23,43 @@ const (
 	FPGAOnly
 )
 
+// ParseMode maps a mode name (String's output, or the "cpu" and
+// "fpga" aliases) to its Mode.
+func ParseMode(name string) (Mode, error) {
+	switch name {
+	case "hybrid":
+		return Hybrid, nil
+	case "processor-only", "cpu":
+		return ProcessorOnly, nil
+	case "fpga-only", "fpga":
+		return FPGAOnly, nil
+	default:
+		return 0, fmt.Errorf("unknown mode %q", name)
+	}
+}
+
+// SolveShare resolves the FPGA's share of total work units under a
+// design mode: none under ProcessorOnly, all under FPGAOnly, and under
+// Hybrid the configured share, or solve's first result when it is
+// negative. A share outside [0, total] is an error naming it.
+func SolveShare(mode Mode, name string, share, total int, solve func() (int, int)) (int, error) {
+	switch mode {
+	case ProcessorOnly:
+		share = 0
+	case FPGAOnly:
+		share = total
+	default:
+		if share < 0 {
+			share, _ = solve()
+		}
+	}
+	if share < 0 || share > total {
+		return 0, fmt.Errorf("%s=%d out of [0,%d]", name, share, total)
+	}
+	return share, nil
+}
+
+// String names the mode as ParseMode accepts it.
 func (m Mode) String() string {
 	switch m {
 	case Hybrid:
@@ -38,7 +75,8 @@ func (m Mode) String() string {
 
 // Result is the outcome of one simulated run.
 type Result struct {
-	// App is "lu" or "fw".
+	// App names the application: a registered app name (see Apps),
+	// "spmm" for a multi-apply spmv run, or "opmm".
 	App string
 	// Mode is the design variant.
 	Mode Mode

@@ -36,12 +36,15 @@ type Repartition struct {
 	Reason string `json:"reason"`
 	// Live is the number of nodes participating from here on.
 	Live int `json:"live"`
-	// BF, BP and L are the re-solved Equation (4)/(5) partition (LU).
+	// BF is the re-solved Equation (4) FPGA stripe share (LU).
 	BF int `json:"bf,omitempty"`
+	// BP is the processor's stripe share.
 	BP int `json:"bp,omitempty"`
-	L  int `json:"l,omitempty"`
-	// L1 and L2 are the re-solved Equation (6) split (FW).
+	// L is the re-solved Equation (5) pipeline depth.
+	L int `json:"l,omitempty"`
+	// L1 is the re-solved Equation (6) processor ops per phase (FW).
 	L1 int `json:"l1,omitempty"`
+	// L2 is the FPGA's ops per phase.
 	L2 int `json:"l2,omitempty"`
 	// Factors is the degradation the equations were re-solved against.
 	Factors model.Degradation `json:"factors"`

@@ -42,8 +42,9 @@ type FWConfig struct {
 	// Telemetry attaches a span digest — utilization, bytes moved, and
 	// the Tp/Tf/Tmem/Tcomm overlap decomposition — to the result.
 	Telemetry bool
-	// Seed and Density drive functional graph generation.
-	Seed    int64
+	// Seed drives functional graph generation.
+	Seed int64
+	// Density is the functional graph's edge density (0 = 0.3).
 	Density float64
 	// Faults, when non-nil, enables fault injection and degraded mode:
 	// the pivot-column owner re-solves Equation (6) at iteration
@@ -60,10 +61,15 @@ type FWConfig struct {
 // FWResult extends Result with the FW-specific configuration.
 type FWResult struct {
 	Result
-	L1, L2, K        int
+	// L1 and L2 are the processor and FPGA ops per phase, K the PE
+	// count.
+	L1, L2, K int
+	// IterationSeconds is each outer iteration's latency.
 	IterationSeconds []float64
-	Model            model.FWParams
-	Prediction       model.Prediction
+	// Model is the cost-model instance behind the partition.
+	Model model.FWParams
+	// Prediction is the Section 4.5 closed-form forecast at the split.
+	Prediction model.Prediction
 }
 
 // fwBcast is a broadcast token: the diagonal block (phase 0) or an op22
@@ -121,7 +127,7 @@ func RunFW(cfg FWConfig) (*FWResult, error) {
 	rec := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
 	k := cfg.PEs
 	if k == 0 {
-		k = fpga.MaxPEs(func(k int) fpga.Design { return fpga.NewFW(k) }, cfg.Machine.Device)
+		k = fpga.MaxPEs(fwDesign, cfg.Machine.Device)
 	}
 	if cfg.B%k != 0 {
 		return nil, fmt.Errorf("core: block size %d must be a multiple of k=%d", cfg.B, k)
@@ -144,15 +150,7 @@ func RunFW(cfg FWConfig) (*FWResult, error) {
 	accel := sys.Nodes[0].Accel
 	proc := sys.Nodes[0].Proc
 
-	fp := model.FWParams{
-		P: p, B: cfg.B, K: k,
-		Ff:        accel.Placed.FreqHz,
-		FWRate:    proc.Rate(cpu.FWKernel),
-		Bd:        accel.DRAM.BandwidthBytes,
-		Bn:        cfg.Machine.Fabric.LinkBandwidth,
-		Bw:        machine.WordBytes,
-		SRAMBytes: sys.Nodes[0].SRAM.TotalBytes() / 2,
-	}
+	fp := FWModel(cfg.Machine, proc, cfg.B, k, accel.Placed.FreqHz, accel.DRAM.BandwidthBytes)
 	if err := fp.Validate(); err != nil {
 		return nil, err
 	}

@@ -80,10 +80,15 @@ type LUConfig struct {
 // per-iteration latencies (Figure 6 reads iteration 0).
 type LUResult struct {
 	Result
-	BF, BP, L, K     int
+	// BF and BP are the stripe row split, L the panel pipeline depth,
+	// K the PE count.
+	BF, BP, L, K int
+	// IterationSeconds is each outer iteration's latency.
 	IterationSeconds []float64
-	Model            model.LUParams
-	Prediction       model.Prediction
+	// Model is the cost-model instance behind the partition.
+	Model model.LUParams
+	// Prediction is the Section 4.5 closed-form forecast at the split.
+	Prediction model.Prediction
 }
 
 // luJob is one b×b block multiplication A'_uv = L10_u × U01_v
@@ -234,7 +239,7 @@ func RunLU(cfg LUConfig) (*LUResult, error) {
 	rec := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
 	k := cfg.PEs
 	if k == 0 {
-		k = fpga.MaxPEs(func(k int) fpga.Design { return fpga.NewMatMul(k) }, cfg.Machine.Device)
+		k = fpga.MaxPEs(matmulDesign, cfg.Machine.Device)
 	}
 	if cfg.B%k != 0 {
 		return nil, fmt.Errorf("core: block size %d must be a multiple of k=%d", cfg.B, k)
@@ -253,35 +258,15 @@ func RunLU(cfg LUConfig) (*LUResult, error) {
 	accel := sys.Nodes[0].Accel
 	proc := sys.Nodes[0].Proc
 
-	lp := model.LUParams{
-		P: p, B: cfg.B, K: k,
-		Ff:         accel.Placed.FreqHz,
-		StripeRate: proc.Rate(cpu.DGEMMStripe),
-		LURate:     proc.Rate(cpu.DGETRF),
-		TrsmRate:   proc.Rate(cpu.DTRSM),
-		Bd:         accel.DRAM.BandwidthBytes,
-		Bn:         cfg.Machine.Fabric.LinkBandwidth,
-		Bw:         machine.WordBytes,
-		SRAMBytes:  sys.Nodes[0].SRAM.TotalBytes() / 2,
-	}
+	lp := LUModel(cfg.Machine, proc, cfg.B, k, accel.Placed.FreqHz, accel.DRAM.BandwidthBytes)
 	if err := lp.Validate(); err != nil {
 		return nil, err
 	}
 
 	// Resolve the partition.
-	bf := cfg.BF
-	switch cfg.Mode {
-	case ProcessorOnly:
-		bf = 0
-	case FPGAOnly:
-		bf = cfg.B
-	default:
-		if bf < 0 {
-			bf, _ = lp.SolvePartition()
-		}
-	}
-	if bf < 0 || bf > cfg.B {
-		return nil, fmt.Errorf("core: bf=%d out of [0,%d]", bf, cfg.B)
+	bf, err := SolveShare(cfg.Mode, "bf", cfg.BF, cfg.B, lp.SolvePartition)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	l := cfg.L
 	if l < 0 {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 
-	"codesign/internal/cpu"
 	"codesign/internal/fault"
 	"codesign/internal/fpga"
 	"codesign/internal/machine"
@@ -51,8 +50,11 @@ type MMConfig struct {
 // MMResult extends Result with the multiply-specific configuration.
 type MMResult struct {
 	Result
-	BF, BP, K  int
-	Model      model.MMParams
+	// BF and BP are the result-row split per stripe, K the PE count.
+	BF, BP, K int
+	// Model is the cost-model instance behind the partition.
+	Model model.MMParams
+	// Prediction is the Section 4.5 closed-form forecast at the split.
 	Prediction model.Prediction
 }
 
@@ -69,7 +71,7 @@ func RunMM(cfg MMConfig) (*MMResult, error) {
 	rec := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
 	k := cfg.PEs
 	if k == 0 {
-		k = fpga.MaxPEs(func(k int) fpga.Design { return fpga.NewMatMul(k) }, cfg.Machine.Device)
+		k = fpga.MaxPEs(matmulDesign, cfg.Machine.Device)
 	}
 	if cfg.N <= 0 || cfg.N%k != 0 || cfg.N%p != 0 {
 		return nil, fmt.Errorf("core: n=%d must be a positive multiple of k=%d and p=%d", cfg.N, k, p)
@@ -91,30 +93,13 @@ func RunMM(cfg MMConfig) (*MMResult, error) {
 	accel := sys.Nodes[0].Accel
 	proc := sys.Nodes[0].Proc
 
-	mp := model.MMParams{
-		P: p, N: cfg.N, K: k,
-		Ff:         accel.Placed.FreqHz,
-		StripeRate: proc.Rate(cpu.DGEMMStripe),
-		Bd:         accel.DRAM.BandwidthBytes,
-		Bw:         machine.WordBytes,
-		SRAMBytes:  sys.Nodes[0].SRAM.TotalBytes() / 2,
-	}
+	mp := MMModel(cfg.Machine, proc, cfg.N, k, accel.Placed.FreqHz, accel.DRAM.BandwidthBytes)
 	if err := mp.Validate(); err != nil {
 		return nil, err
 	}
-	bf := cfg.BF
-	switch cfg.Mode {
-	case ProcessorOnly:
-		bf = 0
-	case FPGAOnly:
-		bf = cfg.N
-	default:
-		if bf < 0 {
-			bf, _ = mp.SolvePartition()
-		}
-	}
-	if bf < 0 || bf > cfg.N {
-		return nil, fmt.Errorf("core: bf=%d out of [0,%d]", bf, cfg.N)
+	bf, err := SolveShare(cfg.Mode, "bf", cfg.BF, cfg.N, mp.SolvePartition)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 
 	tf, tp, tmem := mp.StripeTimes(bf)

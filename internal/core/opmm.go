@@ -14,6 +14,8 @@ import (
 // matrix multiplication on the p-1 compute nodes while node 0 streams
 // the operand stripes — the experiment of Figure 5.
 type OpMMResult struct {
+	// BF and BP are the stripe row split, B the block size, K the PE
+	// count.
 	BF, BP, B, K int
 	// Seconds is the makespan of the whole block multiplication.
 	Seconds float64

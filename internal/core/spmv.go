@@ -119,7 +119,7 @@ func runMV(cfg SpMVConfig, applies int) (*SpMVResult, error) {
 	rec := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
 	k := cfg.PEs
 	if k == 0 {
-		k = fpga.MaxPEs(func(k int) fpga.Design { return fpga.NewMV(k) }, cfg.Machine.Device)
+		k = fpga.MaxPEs(mvDesign, cfg.Machine.Device)
 	}
 	if err := sys.InstallDesign(fpga.NewMV(k)); err != nil {
 		return nil, err
@@ -181,19 +181,9 @@ func runMV(cfg SpMVConfig, applies int) (*SpMVResult, error) {
 		return nil, err
 	}
 
-	rf := cfg.RowsFPGA
-	switch cfg.Mode {
-	case ProcessorOnly:
-		rf = 0
-	case FPGAOnly:
-		rf = cfg.N
-	default:
-		if rf < 0 {
-			rf, _ = mvp.SolvePartition()
-		}
-	}
-	if rf < 0 || rf > cfg.N {
-		return nil, fmt.Errorf("core: rowsFPGA=%d out of [0,%d]", rf, cfg.N)
+	rf, err := SolveShare(cfg.Mode, "rowsFPGA", cfg.RowsFPGA, cfg.N, mvp.SolvePartition)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 	if resident {
 		// SRAM capacity clamp on the resident share, exact per row.

@@ -10,7 +10,7 @@ import (
 // degradedScenario is one fault-injection configuration of the
 // degraded-mode study.
 type degradedScenario struct {
-	app  string // "lu" or "fw"
+	app  string // a registered app that accepts faults
 	name string
 	spec *fault.Spec
 }
@@ -60,19 +60,14 @@ func Degraded() (*Table, error) {
 		},
 	}
 	base := map[string]float64{}
-	lu, err := core.RunLU(core.LUConfig{N: 30000, B: 3000, BF: -1, L: -1, Mode: core.Hybrid})
-	if err != nil {
-		return nil, err
+	for _, app := range []string{"lu", "fw"} {
+		seconds, _, _, err := runDegraded(app, nil)
+		if err != nil {
+			return nil, err
+		}
+		base[app] = seconds
+		t.Rows = append(t.Rows, []string{app, "nominal", "-", f2(seconds), "-", "0", "-"})
 	}
-	base["lu"] = lu.Seconds
-	fw, err := core.RunFW(core.FWConfig{N: 18432, B: 256, L1: -1, Mode: core.Hybrid})
-	if err != nil {
-		return nil, err
-	}
-	base["fw"] = fw.Seconds
-	t.Rows = append(t.Rows,
-		[]string{"lu", "nominal", "-", f2(lu.Seconds), "-", "0", "-"},
-		[]string{"fw", "nominal", "-", f2(fw.Seconds), "-", "0", "-"})
 
 	for _, sc := range degradedScenarios() {
 		for _, det := range []string{"observed", "oracle"} {
@@ -96,28 +91,23 @@ func Degraded() (*Table, error) {
 	return t, nil
 }
 
-// runDegraded simulates one app under one fault spec. Injectors are
-// stateful, so a fresh one is built per run.
+// runDegraded simulates one app at its paper size under one fault spec
+// (nil = fault-free). Injectors are stateful, so a fresh one is built
+// per run.
 func runDegraded(app string, spec *fault.Spec) (seconds float64, reparts int, dead []int, err error) {
-	inj, err := fault.New(spec, 6)
+	a, err := core.LookupApp(app)
 	if err != nil {
 		return 0, 0, nil, err
 	}
-	switch app {
-	case "lu":
-		r, err := core.RunLU(core.LUConfig{N: 30000, B: 3000, BF: -1, L: -1,
-			Mode: core.Hybrid, Faults: inj})
-		if err != nil {
+	s := core.Spec{N: a.N, B: a.B, BF: -1, L: -1, L1: -1, Mode: core.Hybrid}
+	if spec != nil {
+		if s.Faults, err = fault.New(spec, 6); err != nil {
 			return 0, 0, nil, err
 		}
-		return r.Seconds, len(r.Repartitions), r.DeadNodes, nil
-	case "fw":
-		r, err := core.RunFW(core.FWConfig{N: 18432, B: 256, L1: -1,
-			Mode: core.Hybrid, Faults: inj})
-		if err != nil {
-			return 0, 0, nil, err
-		}
-		return r.Seconds, len(r.Repartitions), nil, nil
 	}
-	return 0, 0, nil, fmt.Errorf("exper: unknown degraded app %q", app)
+	r, err := a.Run(s)
+	if err != nil {
+		return 0, 0, nil, err
+	}
+	return r.Seconds, len(r.Repartitions), r.DeadNodes, nil
 }

@@ -1,8 +1,11 @@
 package fault
 
 import (
+	"bytes"
+	"encoding/json"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -268,4 +271,70 @@ func TestDefaultsApplied(t *testing.T) {
 	if in.Threshold() != DefaultThreshold || in.Window() != DefaultWindow {
 		t.Fatalf("defaults not applied: threshold=%g window=%g", in.Threshold(), in.Window())
 	}
+}
+
+// oomSpec asks for 9e18 generated events; expansion used to append
+// until the process ran out of memory.
+const oomSpec = `{"random":[{"kind":"cpu-slow","count":9000000000000000000,"node":-1,"horizon":1,"min_factor":0.5,"max_factor":1}]}`
+
+func TestHugeRandomCountRejected(t *testing.T) {
+	spec, err := Parse([]byte(oomSpec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(spec, 6); err == nil || !strings.HasPrefix(err.Error(), "fault: ") {
+		t.Fatalf("oversized spec: got %v, want a fault: error", err)
+	}
+	at := &Spec{Random: []Random{{Kind: NodeKill, Count: MaxEvents, Node: -1, Horizon: 1}}}
+	if _, err := New(at, 6); err != nil {
+		t.Fatalf("spec of exactly MaxEvents events rejected: %v", err)
+	}
+	at.Events = []Event{{Kind: NodeKill, Node: 0}}
+	if _, err := New(at, 6); err == nil {
+		t.Fatal("spec of MaxEvents+1 events accepted")
+	}
+}
+
+// FuzzParseSpec feeds arbitrary bytes through Parse and New: neither
+// may panic, every rejection is a fault: error, and an accepted spec's
+// decode -> encode -> decode round trip is stable.
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		oomSpec, `{}`, `null`, `[]`, `{"seed": 7, "threshold": 0.1, "window": 2, "oracle": true}`,
+		`{"events": [{"kind": "cpu-slow", "node": 2, "start": 0.3, "duration": 0.8, "factor": 0.4}]}`,
+		`{"events": [{"kind": "node-kill", "node": 3, "start": 300}, {"kind": "fpga-stall", "node": 0, "start": 1, "duration": 2}]}`,
+		`{"random": [{"kind": "throttle-bn", "count": 5, "node": -1, "horizon": 10, "mean_duration": 2, "min_factor": 0.2, "max_factor": 0.8}]}`,
+		`{"random": [{"kind": "melted", "count": 1, "horizon": 1}]}`, `{"evnets": []}`, `{"seed": 1e400}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := Parse(data)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "fault: ") {
+				t.Fatalf("rejection %q is not a fault error", err)
+			}
+			return
+		}
+		for nodes := 1; nodes <= 8; nodes++ {
+			if _, err := New(spec, nodes); err != nil && !strings.HasPrefix(err.Error(), "fault: ") {
+				t.Fatalf("nodes=%d: rejection %q is not a fault error", nodes, err)
+			}
+		}
+		enc, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("encoding an accepted spec: %v", err)
+		}
+		again, err := Parse(enc)
+		if err != nil {
+			t.Fatalf("re-reading %s: %v", enc, err)
+		}
+		enc2, err := json.Marshal(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc, enc2) {
+			t.Fatalf("round trip unstable:\n%s\n%s", enc, enc2)
+		}
+	})
 }

@@ -109,6 +109,12 @@ type Spec struct {
 	Random []Random `json:"random,omitempty"`
 }
 
+// MaxEvents bounds the events a spec may expand to, its scheduled
+// events plus every Random batch. Real scenarios use a handful; the
+// bound keeps a mistyped Count from exhausting memory, and keeps New's
+// overlap flattening, quadratic in one node's windows, to milliseconds.
+const MaxEvents = 1000
+
 // DefaultThreshold and DefaultWindow are the detection tuning used when
 // the spec leaves Threshold/Window at zero.
 const (
@@ -149,27 +155,27 @@ func (s *Spec) WithOracle() *Spec {
 // count.
 func validateEvent(e Event, nodes int) error {
 	if e.Node < 0 || e.Node >= nodes {
-		return fmt.Errorf("fault: event %s: node %d out of range [0,%d)", e.Kind, e.Node, nodes)
+		return fmt.Errorf("event %s: node %d out of range [0,%d)", e.Kind, e.Node, nodes)
 	}
 	if e.Start < 0 {
-		return fmt.Errorf("fault: event %s on node %d: negative start %g", e.Kind, e.Node, e.Start)
+		return fmt.Errorf("event %s on node %d: negative start %g", e.Kind, e.Node, e.Start)
 	}
 	if e.Duration < 0 {
-		return fmt.Errorf("fault: event %s on node %d: negative duration %g", e.Kind, e.Node, e.Duration)
+		return fmt.Errorf("event %s on node %d: negative duration %g", e.Kind, e.Node, e.Duration)
 	}
 	switch e.Kind {
 	case ThrottleBd, ThrottleBn, CPUSlow:
 		if e.Factor <= 0 || e.Factor > 1 {
-			return fmt.Errorf("fault: event %s on node %d: factor %g outside (0,1]", e.Kind, e.Node, e.Factor)
+			return fmt.Errorf("event %s on node %d: factor %g outside (0,1]", e.Kind, e.Node, e.Factor)
 		}
 	case FPGAStall:
 		if e.Duration <= 0 {
-			return fmt.Errorf("fault: fpga-stall on node %d needs a positive duration", e.Node)
+			return fmt.Errorf("fpga-stall on node %d needs a positive duration", e.Node)
 		}
 	case NodeKill:
 		// Start alone matters.
 	default:
-		return fmt.Errorf("fault: unknown event kind %q", e.Kind)
+		return fmt.Errorf("unknown event kind %q", e.Kind)
 	}
 	return nil
 }
@@ -190,7 +196,7 @@ func (s *Spec) expand(nodes int) ([]Event, error) {
 	events := make([]Event, 0, len(s.Events))
 	for i, e := range s.Events {
 		if err := validateEvent(e, nodes); err != nil {
-			return nil, fmt.Errorf("events[%d]: %w", i, err)
+			return nil, fmt.Errorf("fault: events[%d]: %w", i, err)
 		}
 		events = append(events, e)
 	}
@@ -201,6 +207,9 @@ func (s *Spec) expand(nodes int) ([]Event, error) {
 		}
 		if r.Count > 0 && r.Horizon <= 0 {
 			return nil, fmt.Errorf("fault: random[%d]: non-positive horizon %g", i, r.Horizon)
+		}
+		if r.Count > MaxEvents-len(events) {
+			return nil, fmt.Errorf("fault: random[%d]: count %d takes the spec past %d events", i, r.Count, MaxEvents)
 		}
 		for j := 0; j < r.Count; j++ {
 			e := Event{Kind: r.Kind, Node: r.Node, Start: rng.Float64() * r.Horizon}
@@ -214,7 +223,7 @@ func (s *Spec) expand(nodes int) ([]Event, error) {
 				e.Factor = r.MinFactor + rng.Float64()*(r.MaxFactor-r.MinFactor)
 			}
 			if err := validateEvent(e, nodes); err != nil {
-				return nil, fmt.Errorf("random[%d] event %d: %w", i, j, err)
+				return nil, fmt.Errorf("fault: random[%d] event %d: %w", i, j, err)
 			}
 			events = append(events, e)
 		}

@@ -5,7 +5,6 @@ import (
 	"os"
 	"path/filepath"
 
-	"codesign/internal/core"
 	"codesign/internal/trace"
 )
 
@@ -66,59 +65,19 @@ func ArchiveFrontierSpans(res *Result, dir string) ([]string, error) {
 	return paths, nil
 }
 
-// record re-simulates one grid point with a recorder attached,
-// mirroring the MethodSim evaluation paths exactly (same sentinel
-// resolution, same core.Run* configuration).
+// record re-simulates one grid point with a recorder attached, on the
+// MethodSim evaluation path (same sentinel resolution, same run).
 func (ev *pointEval) record(pt Point) (*trace.Recorder, float64, error) {
 	r, err := ev.resolve(pt)
 	if err != nil {
 		return nil, 0, err
 	}
 	rec := trace.NewRecorder()
-	switch pt.App {
-	case "lu":
-		res, err := core.RunLU(core.LUConfig{
-			Machine: r.cfg, N: r.n, B: r.b, PEs: r.k, BF: pt.BF, L: pt.L,
-			Mode: r.mode, Observer: rec,
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		return rec, res.Seconds, nil
-	case "fw":
-		gridL1 := pt.L
-		if r.mode != core.Hybrid {
-			gridL1 = -1 // RunFW derives baseline splits itself
-		}
-		res, err := core.RunFW(core.FWConfig{
-			Machine: r.cfg, N: r.n, B: r.b, PEs: r.k, L1: gridL1,
-			Mode: r.mode, Observer: rec,
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		return rec, res.Seconds, nil
-	case "mm":
-		res, err := core.RunMM(core.MMConfig{
-			Machine: r.cfg, N: r.n, PEs: r.k, BF: pt.BF,
-			Mode: r.mode, Observer: rec,
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		return rec, res.Seconds, nil
-	case "spmv":
-		res, err := core.RunSpMV(core.SpMVConfig{
-			Machine: r.cfg, N: r.n, Density: pt.Density, PEs: r.k, RowsFPGA: pt.BF,
-			Mode: r.mode, Observer: rec,
-		})
-		if err != nil {
-			return nil, 0, err
-		}
-		return rec, res.Seconds, nil
-	default:
-		return nil, 0, fmt.Errorf("unknown app %q", pt.App)
+	res, err := r.simulate(rec)
+	if err != nil {
+		return nil, 0, err
 	}
+	return rec, res.Seconds, nil
 }
 
 // pointLabel names an archived point deterministically from its

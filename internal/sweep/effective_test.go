@@ -6,18 +6,20 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+
+	"codesign/internal/core"
 )
 
 // unreadSetters assign a new value to each axis an app may leave
-// unread, one per appDef bit.
+// unread, one per core.Axis bit.
 var unreadSetters = []struct {
-	bit axis
+	bit core.Axis
 	set func(*Point, *rand.Rand)
 }{
-	{axisB, func(p *Point, r *rand.Rand) { p.B = []int{0, 16, 40, 120, 256, 3000}[r.Intn(6)] }},
-	{axisBF, func(p *Point, r *rand.Rand) { p.BF = r.Intn(4000) - 1 }},
-	{axisL, func(p *Point, r *rand.Rand) { p.L = r.Intn(12) - 1 }},
-	{axisDensity, func(p *Point, r *rand.Rand) { p.Density = []float64{0, 1e-4, 0.05, 0.5, 1}[r.Intn(5)] }},
+	{core.AxisB, func(p *Point, r *rand.Rand) { p.B = []int{0, 16, 40, 120, 256, 3000}[r.Intn(6)] }},
+	{core.AxisBF, func(p *Point, r *rand.Rand) { p.BF = r.Intn(4000) - 1 }},
+	{core.AxisL, func(p *Point, r *rand.Rand) { p.L = r.Intn(12) - 1 }},
+	{core.AxisDensity, func(p *Point, r *rand.Rand) { p.Density = []float64{0, 1e-4, 0.05, 0.5, 1}[r.Intn(5)] }},
 }
 
 // randomPoint draws a model-method point from a space wide enough to
@@ -44,7 +46,7 @@ func randomPoint(r *rand.Rand, app string) Point {
 func checkUnreadAxes(t *testing.T, r *rand.Rand, pt Point, method string) {
 	t.Helper()
 	want := fmt.Sprintf("%+v", NewEvaluator(0).Evaluate(pt, method))
-	unread := appDefOf(pt.App).unread
+	unread := lookupApp(pt.App).Unread
 	for _, ax := range unreadSetters {
 		if unread&ax.bit == 0 {
 			continue
@@ -59,8 +61,8 @@ func checkUnreadAxes(t *testing.T, r *rand.Rand, pt Point, method string) {
 
 func TestUnreadAxesLeaveOutcomeUnchanged(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
-	for _, app := range knownApps {
-		if appDefOf(app).unread == 0 {
+	for _, app := range Apps() {
+		if lookupApp(app).Unread == 0 {
 			continue
 		}
 		for i := 0; i < 400; i++ {
@@ -184,4 +186,29 @@ func encode(t *testing.T, r *Result) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// TestSimHonorsFixedSplits pins the MethodSim path's wiring: a point's
+// fixed bf and l (fw's l1) must reach the simulation, which reports the
+// split it ran.
+func TestSimHonorsFixedSplits(t *testing.T) {
+	ev := NewEvaluator(0)
+	for _, c := range []struct {
+		pt        Point
+		bf, l, l1 int
+	}{
+		{pt: Point{App: "lu", N: 120, B: 40, BF: 8, L: 2}, bf: 8, l: 2},
+		{pt: Point{App: "fw", N: 192, B: 16, BF: -1, L: 0}},
+		{pt: Point{App: "fw", N: 192, B: 16, BF: -1, L: 1}, l1: 1},
+		{pt: Point{App: "fw", N: 192, B: 16, BF: -1, L: 2}, l1: 2},
+		{pt: Point{App: "mm", N: 96, BF: 8, L: -1}, bf: 8},
+		{pt: Point{App: "spmv", N: 512, PEs: 4, BF: 8, L: -1}, bf: 8},
+	} {
+		c.pt.Machine, c.pt.Mode = "xd1", "hybrid"
+		out := ev.Evaluate(c.pt, MethodSim)
+		if !out.OK || out.BF != c.bf || out.L != c.l || out.L1 != c.l1 {
+			t.Errorf("%+v: got ok=%v bf=%d l=%d l1=%d (%s), want bf=%d l=%d l1=%d",
+				c.pt, out.OK, out.BF, out.L, out.L1, out.Err, c.bf, c.l, c.l1)
+		}
+	}
 }

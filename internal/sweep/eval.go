@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 
@@ -11,6 +12,7 @@ import (
 	"codesign/internal/fpga"
 	"codesign/internal/machine"
 	"codesign/internal/model"
+	"codesign/internal/sim"
 	"codesign/internal/trace"
 )
 
@@ -280,81 +282,94 @@ func (ev *pointEval) partition(key partKey, solve func() (int, int)) (int, int) 
 	return v.a, v.b
 }
 
-// axis names a grid axis that an application may leave unread.
-type axis uint8
-
-const (
-	axisB axis = 1 << iota
-	axisBF
-	axisL
-	axisDensity
-)
-
-// appDef is the sweep's definition of one application: its
-// paper-default problem and block sizes (Section 6.1; spmv has no
-// paper size — its default keeps a dense-operator point affordable
-// under MethodSim) and the grid axes its evaluation never reads. Two
-// points that differ only in unread axes have the same Outcome, so a
-// sweep evaluates one of them (see effective).
-type appDef struct {
-	n, b   int
-	unread axis
+// sweepApp is an app a Grid can sweep: its core registry entry plus
+// the sweep's model half.
+type sweepApp struct {
+	core.App
+	// family names the app's design family, the key of the PE-array
+	// search memo (lu and mm share the matmul array).
+	family string
+	// blockPEs shrinks a searched PE count until it divides the block
+	// size (mkmachine's convention for fw's non-power-of-two blocks).
+	blockPEs bool
+	// price evaluates a resolved point with the closed-form model: the
+	// placed design, the solved split, and the Section 4.5 prediction
+	// and analytic binding at that split. It returns its memo traffic
+	// by value: a tally pointer passed through this indirect call would
+	// escape to the heap, one allocation per point.
+	price func(*evaluator, resolved) (Outcome, Stats, error)
 }
 
-func appDefOf(app string) appDef {
-	switch app {
-	case "lu":
-		return appDef{n: 30000, b: 3000, unread: axisDensity}
-	case "fw":
-		return appDef{n: 18432, b: 256, unread: axisBF | axisDensity}
-	case "spmv":
-		return appDef{n: 2048, unread: axisB | axisL}
-	default: // mm
-		return appDef{n: 6144, unread: axisB | axisL | axisDensity}
+// sweepApps are the apps with a model half, in the order errors name
+// them.
+var sweepApps = []sweepApp{
+	newSweepApp("lu", false, (*evaluator).priceLU),
+	newSweepApp("fw", true, (*evaluator).priceFW),
+	newSweepApp("mm", false, (*evaluator).priceMM),
+	newSweepApp("spmv", false, (*evaluator).priceSpMV),
+}
+
+func newSweepApp(name string, blockPEs bool, price func(*evaluator, resolved) (Outcome, Stats, error)) sweepApp {
+	app, err := core.LookupApp(name)
+	if err != nil {
+		panic(err)
 	}
+	return sweepApp{App: app, family: app.Design(1).Name(), blockPEs: blockPEs, price: price}
+}
+
+// lookupApp returns the named sweep app, or nil.
+func lookupApp(name string) *sweepApp {
+	for i := range sweepApps {
+		if sweepApps[i].Name == name {
+			return &sweepApps[i]
+		}
+	}
+	return nil
+}
+
+// Apps returns the names of the applications a Grid can sweep.
+func Apps() []string {
+	var names []string
+	for _, a := range sweepApps {
+		names = append(names, a.Name)
+	}
+	return names
 }
 
 // effective returns pt's effective coordinate: pt with its Index and
-// every axis its app never reads zeroed. Points with equal effective
-// coordinates evaluate to equal Outcomes.
+// every axis its app never reads (core.App.Unread) zeroed. Points with
+// equal effective coordinates evaluate to equal Outcomes, so a sweep
+// evaluates one of them.
 func effective(pt Point) Point {
-	unread := appDefOf(pt.App).unread
+	var unread core.Axis
+	if app := lookupApp(pt.App); app != nil {
+		unread = app.Unread
+	}
 	pt.Index = 0
-	if unread&axisB != 0 {
+	if unread&core.AxisB != 0 {
 		pt.B = 0
 	}
-	if unread&axisBF != 0 {
+	if unread&core.AxisBF != 0 {
 		pt.BF = 0
 	}
-	if unread&axisL != 0 {
+	if unread&core.AxisL != 0 {
 		pt.L = 0
 	}
-	if unread&axisDensity != 0 {
+	if unread&core.AxisDensity != 0 {
 		pt.Density = 0
 	}
 	return pt
 }
 
-func modeByName(name string) core.Mode {
-	switch name {
-	case "processor-only":
-		return core.ProcessorOnly
-	case "fpga-only":
-		return core.FPGAOnly
-	default:
-		return core.Hybrid
-	}
-}
-
 // resolved is a Point with sentinels replaced: concrete machine
 // config, problem/block sizes and PE count.
 type resolved struct {
+	app  *sweepApp
 	pt   Point
 	cfg  machine.Config
 	mode core.Mode
 	n, b int
 	k    int
-	of   int
 }
 
 // fail builds an infeasible outcome.
@@ -365,44 +380,30 @@ func fail(err error) Outcome { return Outcome{Err: err.Error()} }
 // fitting array when 0, shrunk to divide the FW block size as the
 // paper does).
 func (ev *pointEval) resolve(pt Point) (resolved, error) {
+	app := lookupApp(pt.App)
+	if app == nil {
+		return resolved{}, fmt.Errorf("unknown app %q", pt.App)
+	}
 	cfg, err := machine.Preset(pt.Machine)
 	if err != nil {
 		return resolved{}, err
 	}
 	cfg = cfg.WithNodes(pt.Nodes)
-	r := resolved{pt: pt, cfg: cfg, mode: modeByName(pt.Mode), n: pt.N, b: pt.B}
-	def := appDefOf(pt.App)
-	if r.n == 0 {
-		r.n = def.n
-	}
-	if r.b == 0 {
-		r.b = def.b
-	}
-	mk := func(k int) fpga.Design { return fpga.NewMatMul(k) }
-	switch pt.App {
-	case "fw":
-		mk = func(k int) fpga.Design { return fpga.NewFW(k) }
-	case "spmv":
-		mk = func(k int) fpga.Design { return fpga.NewMV(k) }
-	}
+	mode, _ := core.ParseMode(pt.Mode)
+	r := resolved{app: app, pt: pt, cfg: cfg, mode: mode, n: cmp.Or(pt.N, app.N), b: cmp.Or(pt.B, app.B)}
 	r.k = pt.PEs
 	if r.k == 0 {
-		// Memoized by (family, device, b-for-FW): every grid point that
-		// leaves PEs unset shares the same search unless it changes one
-		// of those axes, so a million-point sweep pays for a handful of
-		// MaxPEs searches instead of one per point.
-		key := resolveKey{family: "matmul", device: cfg.Device.Name}
-		switch pt.App {
-		case "fw":
-			key.family, key.b = "fw", r.b
-		case "spmv":
-			key.family = "mv"
+		// Memoized by (family, device, b when blockPEs): every grid
+		// point that leaves PEs unset shares the same search unless it
+		// changes one of those axes, so a million-point sweep pays for
+		// a handful of MaxPEs searches instead of one per point.
+		key := resolveKey{family: app.family, device: cfg.Device.Name}
+		if app.blockPEs {
+			key.b = r.b
 		}
 		k, computed := ev.maxk.GetOrCompute(key, func() int {
-			k := fpga.MaxPEs(mk, cfg.Device)
-			if pt.App == "fw" {
-				// Largest PE count dividing the block size (mkmachine's
-				// convention for non-power-of-two blocks).
+			k := fpga.MaxPEs(app.Design, cfg.Device)
+			if app.blockPEs {
 				for k > 1 && r.b%k != 0 {
 					k--
 				}
@@ -418,8 +419,17 @@ func (ev *pointEval) resolve(pt Point) (resolved, error) {
 	if r.k < 1 {
 		return r, fmt.Errorf("no %s PE array fits %s", pt.App, cfg.Device.Name)
 	}
-	r.of = 2 * r.k // both PE arrays do two flops per PE per cycle
 	return r, nil
+}
+
+// simulate runs the resolved point through the app registry with obs
+// attached: the one MethodSim path, shared by evaluate and the span
+// archive. The grid's L axis is both lu's depth L and fw's split L1.
+func (r resolved) simulate(obs sim.Observer) (core.AppResult, error) {
+	return r.app.Run(core.Spec{
+		Machine: r.cfg, N: r.n, B: r.b, PEs: r.k, BF: r.pt.BF, L: r.pt.L, L1: r.pt.L,
+		Density: r.pt.Density, Mode: r.mode, Observer: obs,
+	})
 }
 
 // evaluate runs one grid point under the given method. The point's
@@ -433,141 +443,106 @@ func (ev *evaluator) evaluate(pt Point, method string, tally *Stats) Outcome {
 	if err != nil {
 		return fail(err)
 	}
-	switch pt.App {
-	case "lu":
-		return pe.evalLU(r, method)
-	case "fw":
-		return pe.evalFW(r, method)
-	case "spmv":
-		return pe.evalSpMV(r, method)
-	default:
-		return pe.evalMM(r, method)
+	out, t, err := r.app.price(ev, r)
+	tally.add(t)
+	if err != nil {
+		return fail(err)
 	}
+	if method == MethodModel {
+		return out
+	}
+	rec := recorder()
+	res, err := r.simulate(rec)
+	if err != nil {
+		recs.Put(rec)
+		return fail(err)
+	}
+	return measured(out, res, rec)
 }
 
 // design returns the placed design's outcome skeleton: PE geometry,
 // clock, resource usage and effective DRAM bandwidth.
-func (ev *pointEval) design(r resolved, d fpga.Design) (Outcome, float64, error) {
+func (ev *pointEval) design(r resolved) (Outcome, float64, error) {
+	d := r.app.Design(r.k)
 	pv, err := ev.placed(d, r.cfg.Device)
 	if err != nil {
 		return Outcome{}, 0, err
 	}
 	bd := machine.EffectiveBd(r.cfg.RawFPGADRAMBandwidth, pv.freqHz)
 	return Outcome{
-		OK: true, K: r.k, Of: r.of, FfMHz: pv.freqHz / 1e6,
+		OK: true, K: r.k, Of: 2 * r.k, FfMHz: pv.freqHz / 1e6, // two flops per PE per cycle
 		Slices: pv.usage.Slices, BlockRAMs: pv.usage.BlockRAMs, Multipliers: pv.usage.Multipliers,
 		BdGBps: bd / 1e9,
 	}, bd, nil
 }
 
-// sramBytes is the on-board memory budget the designs allocate: half
-// of the node's QDR-II capacity, matching internal/core's runs.
-func sramBytes(cfg machine.Config) int64 {
-	return int64(cfg.SRAMBanks) * cfg.SRAMBankBytes / 2
+// predicted completes a priced outcome with the closed-form prediction
+// and the analytic binding at its split.
+func predicted(out Outcome, pred model.Prediction, bind model.Binding, margin float64) Outcome {
+	out.GFLOPS, out.Seconds, out.PredictedGFLOPS = pred.GFLOPS, pred.Seconds, pred.GFLOPS
+	out.Binding, out.Margin = bind.String(), margin
+	return out
 }
 
-func (ev *pointEval) evalLU(r resolved, method string) Outcome {
+// The model halves below price the point with Ff taken from the
+// placed clock in MHz (FfMHz·1e6) but Bd from the unrounded clock,
+// exactly as the sweep always has (DESIGN.md §15).
+
+func (ev *evaluator) priceLU(r resolved) (out Outcome, tally Stats, err error) {
+	pe := &pointEval{evaluator: ev, tally: &tally}
 	cfg, n, b := r.cfg, r.n, r.b
 	p := cfg.Nodes
 	switch {
 	case p < 2:
-		return fail(fmt.Errorf("lu needs p >= 2, got %d", p))
+		return out, tally, fmt.Errorf("lu needs p >= 2, got %d", p)
 	case n%b != 0:
-		return fail(fmt.Errorf("block size %d must divide n=%d", b, n))
+		return out, tally, fmt.Errorf("block size %d must divide n=%d", b, n)
 	case b%(p-1) != 0:
-		return fail(fmt.Errorf("block size %d must be a multiple of p-1=%d", b, p-1))
+		return out, tally, fmt.Errorf("block size %d must be a multiple of p-1=%d", b, p-1)
 	case b%r.k != 0:
-		return fail(fmt.Errorf("block size %d must be a multiple of k=%d", b, r.k))
+		return out, tally, fmt.Errorf("block size %d must be a multiple of k=%d", b, r.k)
 	}
-	out, bd, err := ev.design(r, fpga.NewMatMul(r.k))
+	out, bd, err := pe.design(r)
 	if err != nil {
-		return fail(err)
+		return out, tally, err
 	}
-	proc := cfg.Processor()
-	lp := model.LUParams{
-		P: p, B: b, K: r.k,
-		Ff:         out.FfMHz * 1e6,
-		StripeRate: proc.Rate(cpu.DGEMMStripe),
-		LURate:     proc.Rate(cpu.DGETRF),
-		TrsmRate:   proc.Rate(cpu.DTRSM),
-		Bd:         bd,
-		Bn:         cfg.Fabric.LinkBandwidth,
-		Bw:         machine.WordBytes,
-		SRAMBytes:  sramBytes(cfg),
-	}
+	lp := core.LUModel(cfg, cfg.Processor(), b, r.k, out.FfMHz*1e6, bd)
 	if err := lp.Validate(); err != nil {
-		return fail(err)
+		return out, tally, err
 	}
-	// Resolve the partition exactly as core.RunLU does.
-	bf := r.pt.BF
-	switch r.mode {
-	case core.ProcessorOnly:
-		bf = 0
-	case core.FPGAOnly:
-		bf = b
-	default:
-		if bf < 0 {
-			bf, _ = ev.partition(partKey{kind: "lu.bf", params: lp}, lp.SolvePartition)
-		}
-	}
-	if bf < 0 || bf > b {
-		return fail(fmt.Errorf("bf=%d out of [0,%d]", bf, b))
+	bf, err := core.SolveShare(r.mode, "bf", r.pt.BF, b, func() (int, int) {
+		return pe.partition(partKey{kind: "lu.bf", params: lp}, lp.SolvePartition)
+	})
+	if err != nil {
+		return out, tally, err
 	}
 	l := r.pt.L
 	if l < 0 {
-		l, _ = ev.partition(partKey{kind: "lu.l", params: lp, arg: bf},
+		l, _ = pe.partition(partKey{kind: "lu.l", params: lp, arg: bf},
 			func() (int, int) { return lp.SolveL(bf), 0 })
 	}
 	out.BF, out.BP, out.L = bf, b-bf, l
-
-	if method == MethodModel {
-		pred := lp.PredictLU(n, bf)
-		out.GFLOPS, out.Seconds, out.PredictedGFLOPS = pred.GFLOPS, pred.Seconds, pred.GFLOPS
-		bind, margin := lp.StripeBinding(bf)
-		out.Binding, out.Margin = bind.String(), margin
-		return out
-	}
-
-	rec := recorder()
-	res, err := core.RunLU(core.LUConfig{
-		Machine: cfg, N: n, B: b, PEs: r.k, BF: r.pt.BF, L: r.pt.L,
-		Mode: r.mode, Observer: rec,
-	})
-	if err != nil {
-		recs.Put(rec)
-		return fail(err)
-	}
-	expect, _ := res.Model.StripeBinding(res.BF)
-	return ev.measured(out, &res.Result, res.Prediction, rec,
-		map[string]model.Binding{"opmm": expect},
-		func(o *Outcome) { o.BF, o.BP, o.L = res.BF, res.BP, res.L })
+	bind, margin := lp.StripeBinding(bf)
+	return predicted(out, lp.PredictLU(n, bf), bind, margin), tally, nil
 }
 
-func (ev *pointEval) evalFW(r resolved, method string) Outcome {
+func (ev *evaluator) priceFW(r resolved) (out Outcome, tally Stats, err error) {
+	pe := &pointEval{evaluator: ev, tally: &tally}
 	cfg, n, b := r.cfg, r.n, r.b
 	p := cfg.Nodes
 	switch {
 	case b*p == 0 || n%(b*p) != 0:
-		return fail(fmt.Errorf("b*p=%d must divide n=%d", b*p, n))
+		return out, tally, fmt.Errorf("b*p=%d must divide n=%d", b*p, n)
 	case b%r.k != 0:
-		return fail(fmt.Errorf("block size %d must be a multiple of k=%d", b, r.k))
+		return out, tally, fmt.Errorf("block size %d must be a multiple of k=%d", b, r.k)
 	}
-	out, bd, err := ev.design(r, fpga.NewFW(r.k))
+	out, bd, err := pe.design(r)
 	if err != nil {
-		return fail(err)
+		return out, tally, err
 	}
-	proc := cfg.Processor()
-	fp := model.FWParams{
-		P: p, B: b, K: r.k,
-		Ff:        out.FfMHz * 1e6,
-		FWRate:    proc.Rate(cpu.FWKernel),
-		Bd:        bd,
-		Bn:        cfg.Fabric.LinkBandwidth,
-		Bw:        machine.WordBytes,
-		SRAMBytes: sramBytes(cfg),
-	}
+	fp := core.FWModel(cfg, cfg.Processor(), b, r.k, out.FfMHz*1e6, bd)
 	if err := fp.Validate(); err != nil {
-		return fail(err)
+		return out, tally, err
 	}
 	total := fp.OpsPerPhase(n)
 	l1 := r.pt.L
@@ -578,111 +553,53 @@ func (ev *pointEval) evalFW(r resolved, method string) Outcome {
 		l1 = 0
 	default:
 		if l1 < 0 {
-			l1, _ = ev.partition(partKey{kind: "fw.l1", params: fp, arg: n},
+			l1, _ = pe.partition(partKey{kind: "fw.l1", params: fp, arg: n},
 				func() (int, int) { return fp.SolveSplit(n) })
 		}
 	}
 	if l1 < 0 || l1 > total {
-		return fail(fmt.Errorf("l1=%d out of [0,%d]", l1, total))
+		return out, tally, fmt.Errorf("l1=%d out of [0,%d]", l1, total)
 	}
 	out.L1, out.L2 = l1, total-l1
-
-	if method == MethodModel {
-		pred := fp.PredictFW(n, l1, total-l1)
-		out.GFLOPS, out.Seconds, out.PredictedGFLOPS = pred.GFLOPS, pred.Seconds, pred.GFLOPS
-		bind, margin := fp.PhaseBinding(l1, total-l1)
-		out.Binding, out.Margin = bind.String(), margin
-		return out
-	}
-
-	gridL1 := r.pt.L
-	if r.mode != core.Hybrid {
-		gridL1 = -1 // RunFW derives baseline splits itself
-	}
-	rec := recorder()
-	res, err := core.RunFW(core.FWConfig{
-		Machine: cfg, N: n, B: b, PEs: r.k, L1: gridL1,
-		Mode: r.mode, Observer: rec,
-	})
-	if err != nil {
-		recs.Put(rec)
-		return fail(err)
-	}
-	expect, _ := res.Model.PhaseBinding(res.L1, res.L2)
-	return ev.measured(out, &res.Result, res.Prediction, rec,
-		map[string]model.Binding{"op": expect},
-		func(o *Outcome) { o.L1, o.L2 = res.L1, res.L2 })
+	bind, margin := fp.PhaseBinding(l1, total-l1)
+	return predicted(out, fp.PredictFW(n, l1, total-l1), bind, margin), tally, nil
 }
 
-func (ev *pointEval) evalMM(r resolved, method string) Outcome {
+func (ev *evaluator) priceMM(r resolved) (out Outcome, tally Stats, err error) {
+	pe := &pointEval{evaluator: ev, tally: &tally}
 	cfg, n := r.cfg, r.n
 	p := cfg.Nodes
 	switch {
 	case n%r.k != 0:
-		return fail(fmt.Errorf("n=%d must be a multiple of k=%d", n, r.k))
+		return out, tally, fmt.Errorf("n=%d must be a multiple of k=%d", n, r.k)
 	case n%p != 0:
-		return fail(fmt.Errorf("n=%d must be a multiple of p=%d", n, p))
+		return out, tally, fmt.Errorf("n=%d must be a multiple of p=%d", n, p)
 	}
-	out, bd, err := ev.design(r, fpga.NewMatMul(r.k))
+	out, bd, err := pe.design(r)
 	if err != nil {
-		return fail(err)
+		return out, tally, err
 	}
-	proc := cfg.Processor()
-	mp := model.MMParams{
-		P: p, N: n, K: r.k,
-		Ff:         out.FfMHz * 1e6,
-		StripeRate: proc.Rate(cpu.DGEMMStripe),
-		Bd:         bd,
-		Bw:         machine.WordBytes,
-		SRAMBytes:  sramBytes(cfg),
-	}
+	mp := core.MMModel(cfg, cfg.Processor(), n, r.k, out.FfMHz*1e6, bd)
 	if err := mp.Validate(); err != nil {
-		return fail(err)
+		return out, tally, err
 	}
-	bf := r.pt.BF
-	switch r.mode {
-	case core.ProcessorOnly:
-		bf = 0
-	case core.FPGAOnly:
-		bf = n
-	default:
-		if bf < 0 {
-			bf, _ = ev.partition(partKey{kind: "mm.bf", params: mp}, mp.SolvePartition)
-		}
-	}
-	if bf < 0 || bf > n {
-		return fail(fmt.Errorf("bf=%d out of [0,%d]", bf, n))
-	}
-	out.BF, out.BP = bf, n-bf
-
-	if method == MethodModel {
-		pred := mp.PredictMM(bf)
-		out.GFLOPS, out.Seconds, out.PredictedGFLOPS = pred.GFLOPS, pred.Seconds, pred.GFLOPS
-		bind, margin := mp.StripeBinding(bf)
-		out.Binding, out.Margin = bind.String(), margin
-		return out
-	}
-
-	rec := recorder()
-	res, err := core.RunMM(core.MMConfig{
-		Machine: cfg, N: n, PEs: r.k, BF: r.pt.BF,
-		Mode: r.mode, Observer: rec,
+	bf, err := core.SolveShare(r.mode, "bf", r.pt.BF, n, func() (int, int) {
+		return pe.partition(partKey{kind: "mm.bf", params: mp}, mp.SolvePartition)
 	})
 	if err != nil {
-		recs.Put(rec)
-		return fail(err)
+		return out, tally, err
 	}
-	expect, _ := res.Model.StripeBinding(res.BF)
-	return ev.measured(out, &res.Result, res.Prediction, rec,
-		map[string]model.Binding{"stripe": expect},
-		func(o *Outcome) { o.BF, o.BP = res.BF, res.BP })
+	out.BF, out.BP = bf, n-bf
+	bind, margin := mp.StripeBinding(bf)
+	return predicted(out, mp.PredictMM(bf), bind, margin), tally, nil
 }
 
-func (ev *pointEval) evalSpMV(r resolved, method string) Outcome {
+func (ev *evaluator) priceSpMV(r resolved) (out Outcome, tally Stats, err error) {
+	pe := &pointEval{evaluator: ev, tally: &tally}
 	cfg, n := r.cfg, r.n
-	out, bd, err := ev.design(r, fpga.NewMV(r.k))
+	out, bd, err := pe.design(r)
 	if err != nil {
-		return fail(err)
+		return out, tally, err
 	}
 	proc := cfg.Processor()
 	// The operator's stream footprint mirrors matrix.RandomSparse
@@ -707,69 +624,43 @@ func (ev *pointEval) evalSpMV(r resolved, method string) Outcome {
 		Bd:        bd,
 		Bs:        cfg.SRAMBandwidth,
 		Bw:        machine.WordBytes,
-		SRAMBytes: sramBytes(cfg),
+		SRAMBytes: int64(cfg.SRAMBanks) * cfg.SRAMBankBytes / 2,
 		Applies:   1,
 		Flops:     2 * float64(nnz),
 	}
 	if err := sp.Validate(); err != nil {
-		return fail(err)
+		return out, tally, err
 	}
-	rf := r.pt.BF
-	switch r.mode {
-	case core.ProcessorOnly:
-		rf = 0
-	case core.FPGAOnly:
-		rf = n
-	default:
-		if rf < 0 {
-			rf, _ = ev.partition(partKey{kind: "spmv.rf", params: sp}, sp.SolvePartition)
-		}
-	}
-	if rf < 0 || rf > n {
-		return fail(fmt.Errorf("rowsFPGA=%d out of [0,%d]", rf, n))
-	}
-	out.BF, out.BP = rf, n-rf
-
-	if method == MethodModel {
-		pred := sp.PredictSpMV(rf)
-		out.GFLOPS, out.Seconds, out.PredictedGFLOPS = pred.GFLOPS, pred.Seconds, pred.GFLOPS
-		bind, margin := sp.StripeBinding(rf)
-		out.Binding, out.Margin = bind.String(), margin
-		return out
-	}
-
-	rec := recorder()
-	res, err := core.RunSpMV(core.SpMVConfig{
-		Machine: cfg, N: n, Density: r.pt.Density, PEs: r.k, RowsFPGA: r.pt.BF,
-		Mode: r.mode, Observer: rec,
+	rf, err := core.SolveShare(r.mode, "rowsFPGA", r.pt.BF, n, func() (int, int) {
+		return pe.partition(partKey{kind: "spmv.rf", params: sp}, sp.SolvePartition)
 	})
 	if err != nil {
-		recs.Put(rec)
-		return fail(err)
+		return out, tally, err
 	}
-	expect, _ := res.Model.StripeBinding(res.RowsFPGA)
-	return ev.measured(out, &res.Result, res.Prediction, rec,
-		map[string]model.Binding{"stream": expect},
-		func(o *Outcome) { o.BF, o.BP = res.RowsFPGA, res.RowsCPU })
+	out.BF, out.BP = rf, n-rf
+	bind, margin := sp.StripeBinding(rf)
+	return predicted(out, sp.PredictSpMV(rf), bind, margin), tally, nil
 }
 
-// measured finishes a MethodSim outcome: measured throughput, the
-// Section 4.5 prediction, the telemetry overlap efficiency, and the
-// dominant phase's measured binding from the internal/analysis
-// bottleneck classifier. It consumes rec — the span digest runs on the
-// recorder's buffer in place and the recorder returns to the pool — so
-// callers must not touch rec afterwards.
-func (ev *evaluator) measured(out Outcome, res *core.Result, pred model.Prediction,
-	rec *trace.Recorder, expected map[string]model.Binding, fill func(*Outcome)) Outcome {
+// measured finishes a MethodSim outcome: the simulated split, measured
+// throughput, the Section 4.5 prediction, the telemetry overlap
+// efficiency, and the dominant phase's measured binding from the
+// internal/analysis bottleneck classifier (none when no phase ran). It
+// consumes rec — the span digest runs on the recorder's buffer in place
+// and the recorder returns to the pool — so callers must not touch rec
+// afterwards.
+func measured(out Outcome, res core.AppResult, rec *trace.Recorder) Outcome {
 	defer recs.Put(rec)
-	out.GFLOPS, out.Seconds, out.PredictedGFLOPS = res.GFLOPS, res.Seconds, pred.GFLOPS
+	s := res.Split
+	out.BF, out.BP, out.L, out.L1, out.L2 = s.BF, s.BP, s.L, s.L1, s.L2
+	out.GFLOPS, out.Seconds, out.PredictedGFLOPS = res.GFLOPS, res.Seconds, res.Prediction.GFLOPS
+	out.Binding, out.Margin = "", 0
 	// Digest the sweep's own recorder instead of asking the run for a
 	// full telemetry summary: ComputeOverlap over the same span stream
 	// and makespan yields the identical efficiency at a fraction of the
 	// cost (no per-process/per-resource digest per grid point).
 	out.OverlapEfficiency = trace.ComputeOverlap(rec.SpansView(), res.Seconds).Efficiency()
-	fill(&out)
-	phases := analysis.ClassifyPhases(rec.SpansView(), expected)
+	phases := analysis.ClassifyPhases(rec.SpansView(), map[string]model.Binding{res.Phase: res.Binding})
 	var busiest *analysis.PhaseStats
 	for i := range phases {
 		if phases[i].Phase == "" {

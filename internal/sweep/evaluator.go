@@ -37,8 +37,8 @@ func (e *Evaluator) Evaluate(pt Point, method string) Outcome {
 	if method != MethodModel && method != MethodSim {
 		return fail(fmt.Errorf("unknown method %q (want %q or %q)", method, MethodModel, MethodSim))
 	}
-	if !contains(knownApps, pt.App) {
-		return fail(fmt.Errorf("unknown app %q (want one of %s)", pt.App, strings.Join(knownApps, ", ")))
+	if lookupApp(pt.App) == nil {
+		return fail(fmt.Errorf("unknown app %q (want one of %s)", pt.App, strings.Join(Apps(), ", ")))
 	}
 	if !contains(knownModes, pt.Mode) {
 		return fail(fmt.Errorf("unknown mode %q (want one of hybrid, processor-only, fpga-only)", pt.Mode))

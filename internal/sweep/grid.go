@@ -22,9 +22,6 @@ const (
 	MethodSim = "sim"
 )
 
-// Applications a grid can sweep.
-var knownApps = []string{"lu", "fw", "mm", "spmv"}
-
 // Modes a grid can sweep.
 var knownModes = []string{"hybrid", "processor-only", "fpga-only"}
 
@@ -32,10 +29,10 @@ var knownModes = []string{"hybrid", "processor-only", "fpga-only"}
 // every axis is the point set. Empty axes take defaults (one XD1
 // chassis, hybrid LU at the paper's sizes, solved partitions), so the
 // zero Grid is the paper's headline configuration. A zero in N, B or
-// PEs means "the app's paper default" (LU n=30000/b=3000, FW
-// n=18432/b=256, MM n=6144; largest PE array that fits); -1 in BF or L
-// means "solve the model equation" (Eq. 4 / Eq. 5 for LU, Eq. 6 for
-// FW, Eq. 1 for MM).
+// PEs means "the app's default" (core.App.N and B: LU n=30000/b=3000,
+// FW n=18432/b=256, MM n=6144, SpMV n=2048; largest PE array that
+// fits); -1 in BF or L means "solve the model equation" (Eq. 4 / Eq. 5
+// for LU, Eq. 6 for FW, Eq. 1 for MM and SpMV).
 type Grid struct {
 	// Apps selects applications: "lu", "fw", "mm", "spmv".
 	Apps []string `json:"apps,omitempty"`
@@ -144,8 +141,8 @@ func (g Grid) normalized() (Grid, error) {
 		return g, fmt.Errorf("sweep: unknown method %q (want %q or %q)", g.Method, MethodModel, MethodSim)
 	}
 	for _, a := range g.Apps {
-		if !contains(knownApps, a) {
-			return g, fmt.Errorf("sweep: unknown app %q (want one of %s)", a, strings.Join(knownApps, ", "))
+		if lookupApp(a) == nil {
+			return g, fmt.Errorf("sweep: unknown app %q (want one of %s)", a, strings.Join(Apps(), ", "))
 		}
 	}
 	for _, m := range g.Machines {

@@ -109,7 +109,7 @@ func (r SpanRecord) Event() (sim.SpanEvent, error) {
 type Meta struct {
 	// Schema is the span schema version (SpanSchemaVersion on write).
 	Schema int `json:"schema"`
-	// App names the application kernel ("lu", "fw", "mm"), if known.
+	// App names the application, a registered core app name, if known.
 	App string `json:"app,omitempty"`
 	// Machine names the machine configuration, if known.
 	Machine string `json:"machine,omitempty"`
