@@ -1,10 +1,12 @@
 package machine
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 // validDoc is a machine file mirroring the XD1 preset's numbers.
@@ -77,6 +79,62 @@ func TestParseJSONRejectsBadFields(t *testing.T) {
 			t.Errorf("error for %s does not name field %q: %v", c.with, c.field, err)
 		}
 	}
+}
+
+// A node count past MaxNodes is rejected with an error naming the
+// field, before any build: ten million nodes once passed validation and
+// then ran New until the process was killed.
+func TestParseJSONRejectsHugeNodeCount(t *testing.T) {
+	for _, n := range []int{MaxNodes + 1, 10000000, 1 << 62} {
+		doc := strings.Replace(validDoc, `"nodes": 4`, fmt.Sprintf(`"nodes": %d`, n), 1)
+		_, err := ParseJSON([]byte(doc))
+		if err == nil || !strings.Contains(err.Error(), `"nodes"`) {
+			t.Errorf("nodes=%d: err %v, want a rejection naming the nodes field", n, err)
+		}
+	}
+	doc := strings.Replace(validDoc, `"nodes": 4`, fmt.Sprintf(`"nodes": %d`, MaxNodes), 1)
+	c, err := ParseJSON([]byte(doc))
+	if err != nil {
+		t.Fatalf("nodes=MaxNodes rejected: %v", err)
+	}
+	if s, err := New(c); err != nil || len(s.Nodes) != MaxNodes {
+		t.Fatalf("New at MaxNodes: %v", err)
+	}
+}
+
+// FuzzParseJSON feeds arbitrary machine files through ParseJSON and
+// New: both must reject with a machine: error or accept, never panic,
+// and an accepted file must build in bounded time.
+func FuzzParseJSON(f *testing.F) {
+	f.Add([]byte(validDoc))
+	for _, seed := range []string{
+		strings.Replace(validDoc, `"nodes": 4`, `"nodes": 10000000`, 1),
+		strings.Replace(validDoc, `"sram_banks": 4`, `"sram_banks": 9223372036854775807`, 1),
+		strings.Replace(validDoc, `"latency_seconds": 1.8e-6`, `"latency_seconds": 1e400`, 1),
+		`{}`, `null`, `[]`, `{"nodes": -1}`, `{"nodez": 4}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		c, err := ParseJSON(data)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "machine: ") {
+				t.Fatalf("rejection %q is not a machine error", err)
+			}
+			return
+		}
+		start := time.Now()
+		s, err := New(c)
+		if err != nil {
+			t.Fatalf("New rejected a parsed config: %v", err)
+		}
+		if len(s.Nodes) != c.Nodes || c.Nodes > MaxNodes {
+			t.Fatalf("built %d nodes for %d (max %d)", len(s.Nodes), c.Nodes, MaxNodes)
+		}
+		if d := time.Since(start); d > 2*time.Second {
+			t.Fatalf("New took %v for %d nodes", d, c.Nodes)
+		}
+	})
 }
 
 func TestParseJSONRejectsUnknownFields(t *testing.T) {

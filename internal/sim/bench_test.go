@@ -10,13 +10,14 @@ import (
 // scheduler hot paths that the application-level benchmarks in the
 // repository root (BenchmarkSimEngine, BenchmarkDesignSpaceSweep)
 // exercise in aggregate: the event loop's timed-wait turnaround, the
-// proc-to-proc baton handoff, resource contention queues, mailbox
+// proc-to-proc coroutine handoff, resource contention queues, mailbox
 // traffic, and the cost of an attached observer. CI compares their
 // ns/op and allocs/op against BENCH_speed.json via cmd/perfcheck.
 
 // BenchmarkEventLoopSelf measures the self-resume fast path: a single
-// process doing timed waits never hands the baton to another goroutine,
-// so this is the floor of the event loop (pop + clock advance).
+// process doing timed waits is always the next runnable process, so it
+// never switches coroutines and this is the floor of the event loop
+// (pop + clock advance): ~40 ns/event on a 2-vCPU x86-64 host.
 func BenchmarkEventLoopSelf(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -33,16 +34,17 @@ func BenchmarkEventLoopSelf(b *testing.B) {
 	b.ReportMetric(1000*float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }
 
-// BenchmarkEventLoopHandoff measures the baton handoff under the two
+// BenchmarkEventLoopHandoff measures the process handoff under the two
 // charging styles. "raw" issues 1000 independent timed waits per
-// process across eight interleaved processes, forcing a goroutine
-// switch on almost every event — the ~2.25 µs/event ceiling the
-// ROADMAP measured. "fused" issues the same 1000 charges per process
-// as 250 four-charge WaitSeq sequences: intermediate boundaries
-// advance in scheduler context without waking the process, so only
-// every fourth event pays a handoff. Identical event count, identical
-// simulated time; the gap between the two variants is the engine's
-// handoff-batching win, gated in BENCH_speed.json.
+// process across eight interleaved processes, forcing a handoff (two
+// coroutine switches through Engine.Run) on almost every event:
+// ~320 ns/event on a 2-vCPU x86-64 host. "fused" issues the same 1000
+// charges per process as 250 four-charge WaitSeq sequences:
+// intermediate boundaries advance in scheduler context without
+// resuming the process, so only every fourth event pays a handoff
+// (~140 ns/event). Identical event count, identical simulated time;
+// the gap between the two variants is the engine's handoff-batching
+// win, gated in BENCH_speed.json.
 func BenchmarkEventLoopHandoff(b *testing.B) {
 	loop := func(b *testing.B, body func(p *sim.Proc)) {
 		b.ReportAllocs()

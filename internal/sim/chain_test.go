@@ -263,7 +263,7 @@ func TestChainDeadlockReason(t *testing.T) {
 }
 
 // The horizon abort path must unwind a process parked mid-chain
-// without leaking its goroutine or panicking.
+// without leaking its coroutine or panicking.
 func TestChainHorizonAbort(t *testing.T) {
 	e := New()
 	r := NewResource(e, "cpu0", 1)

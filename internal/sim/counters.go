@@ -14,9 +14,9 @@ import "sync/atomic"
 // the cmd/perfcheck gate green. Install a sink per engine with
 // Engine.SetCounters or process-wide with InstallCounters.
 //
-// The handoff/self-resume split directly measures the scheduler cost
-// the ROADMAP's engine-speed item targets: a baton handoff is a real
-// goroutine switch (~µs), a self-resume is a function return (~ns), so
+// The handoff/self-resume split directly measures the scheduler cost:
+// a handoff resumes a different process, two coroutine switches
+// through Engine.Run, while a self-resume is a function return, so
 // Handoffs/(Handoffs+SelfResumes) is the fraction of events paying the
 // expensive path.
 type Counters struct {
@@ -24,11 +24,11 @@ type Counters struct {
 	EventsPopped atomic.Int64
 	// Callbacks counts scheduler-context callbacks run inline.
 	Callbacks atomic.Int64
-	// Handoffs counts baton handoffs that woke another process's
-	// goroutine (the ~2.25 µs path).
+	// Handoffs counts resumes of a process other than the one that
+	// parked (the coroutine-switch path).
 	Handoffs atomic.Int64
 	// SelfResumes counts self-resume fast-path hits: the parking
-	// process was the next runnable one, so no goroutine switched.
+	// process was the next runnable one, so nothing switched.
 	SelfResumes atomic.Int64
 	// FusedSteps counts intermediate fused-sequence boundaries the
 	// engine advanced in scheduler context (see Resource.UseSeq): each

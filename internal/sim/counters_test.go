@@ -4,7 +4,7 @@ import "testing"
 
 func TestCountersSelfResumeVsHandoff(t *testing.T) {
 	// One lone process always resumes itself; eight interleaved
-	// processes hand the baton on almost every event.
+	// processes hand off to each other on almost every event.
 	var solo Counters
 	e := New()
 	e.SetCounters(&solo)

@@ -1,6 +1,6 @@
 // Package sim is a deterministic process-based discrete-event simulation
 // engine. Simulated entities (a node's processor, its FPGA, a DMA
-// engine, a network link) are processes — goroutines that run one at a
+// engine, a network link) are processes — coroutines that run one at a
 // time under a scheduler and advance a shared virtual clock by waiting.
 //
 // The engine is the substrate on which the reconfigurable computing

@@ -9,14 +9,15 @@ import (
 
 // Engine owns the virtual clock and the event queue.
 //
-// Scheduling is cooperative and single-threaded in effect: although
-// every process runs on its own goroutine (so its body can block in
-// ordinary Go code), exactly one goroutine — the "baton holder" — is
-// ever runnable. The holder pops events and either executes scheduler
-// callbacks inline or hands the baton to the next process with a single
-// buffered-channel send. A process that blocks and immediately becomes
-// the next runnable process resumes itself without any goroutine
-// switch at all. See DESIGN.md "Engine internals".
+// Scheduling is cooperative and single-threaded: every process runs on
+// its own runtime coroutine (so its body can block in ordinary Go
+// code), and exactly one of them, or Run itself, runs at a time. A
+// parking process pops events itself, executing scheduler callbacks
+// inline; if it is the next runnable process it simply continues,
+// otherwise it yields that process to Run, which resumes it — two
+// coroutine switches, no channel and no scheduler pass. Coroutines
+// are pooled across processes and engines. See DESIGN.md "Engine
+// internals".
 type Engine struct {
 	now      float64
 	seq      int64
@@ -27,14 +28,6 @@ type Engine struct {
 	running  bool
 	until    float64
 	horizon  bool
-	aborting bool
-
-	// done is signaled (buffered, exactly once per Run) by whichever
-	// baton holder finds nothing left to run: queue empty, horizon
-	// reached, or a process panic.
-	done chan struct{}
-	// abortAck serializes the teardown handshake of abortBlocked.
-	abortAck chan struct{}
 
 	// Trace, if non-nil, receives one call per interesting engine
 	// action (process resume, wait, block). Useful for debugging and
@@ -75,11 +68,7 @@ type waitFrontEntry struct {
 // New returns an empty engine with the clock at 0. The engine
 // inherits the process-wide counter sink, if InstallCounters set one.
 func New() *Engine {
-	return &Engine{
-		done:     make(chan struct{}, 1),
-		abortAck: make(chan struct{}, 1),
-		ctr:      defaultCounters.Load(),
-	}
+	return &Engine{ctr: defaultCounters.Load()}
 }
 
 // Now returns the current virtual time in seconds.
@@ -186,7 +175,7 @@ func (e *Engine) scheduleProc(t float64, p *Proc) { e.schedule(t, p, nil) }
 // the past). fn runs in scheduler context and must not block.
 func (e *Engine) At(t float64, fn func()) { e.schedule(t, nil, fn) }
 
-// abortError unwinds a process goroutine when the engine shuts down.
+// abortError unwinds a parked process when the engine shuts down.
 type abortError struct{}
 
 // Park-reason kinds; see Proc.park.
@@ -256,7 +245,8 @@ func formatWaitReason(kind int, d float64) string {
 type Proc struct {
 	eng     *Engine
 	name    string
-	resume  chan bool // buffered(1): true = run, false = abort
+	fn      func(p *Proc) // the body; nil once it has returned
+	co      *coro         // the coroutine running fn, once started
 	done    bool
 	aborted bool
 	blocked bool
@@ -308,8 +298,8 @@ func (p *Proc) reason() string {
 }
 
 // Go spawns a process that starts at the current virtual time. The
-// function fn runs in its own goroutine but only while it holds the
-// scheduler's baton; it advances time via p.Wait and friends.
+// function fn runs on its own coroutine, only while the scheduler has
+// resumed it; it advances time via p.Wait and friends.
 func (e *Engine) Go(name string, fn func(p *Proc)) *Proc {
 	return e.spawn(e.now, name, fn)
 }
@@ -320,65 +310,54 @@ func (e *Engine) GoAt(t float64, name string, fn func(p *Proc)) *Proc {
 }
 
 func (e *Engine) spawn(t float64, name string, fn func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan bool, 1)}
+	p := &Proc{eng: e, name: name, fn: fn}
 	e.procs = append(e.procs, p)
 	if e.ctr != nil {
 		e.ctr.Spawns.Add(1)
 	}
-	go func() {
-		run := <-p.resume
-		defer func() {
-			r := recover()
-			if _, ok := r.(abortError); ok {
-				r = nil
-			}
-			p.pv = r
-			p.done = true
-			e.procExit(p)
-		}()
-		if run {
-			fn(p)
-		}
-	}()
 	e.scheduleProc(t, p)
 	return p
 }
 
-// procExit runs on a process goroutine as its final act: it either
-// acknowledges an engine teardown, stops the run on a panic, or passes
-// the baton onward.
-func (e *Engine) procExit(p *Proc) {
-	if e.aborting {
-		e.abortAck <- struct{}{}
-		return
+// switchTo resumes p on its coroutine and returns the process to run
+// next, or nil when the run is over. The process runs until it parks
+// without being the next runnable process (it then yields that
+// process) or its body returns (it then yields nil, and the exit is
+// handled here: a panic ends the run, otherwise dispatch continues).
+func (e *Engine) switchTo(p *Proc) *Proc {
+	if p.co == nil {
+		bindCoro(p)
 	}
+	c := p.co
+	next, _ := c.next()
+	if !p.done {
+		return next
+	}
+	releaseCoro(c)
 	if p.pv != nil {
 		if e.failure == nil {
 			e.failure = fmt.Errorf("sim: process %q panicked: %v", p.name, p.pv)
 		}
-		e.done <- struct{}{}
-		return
+		return nil
 	}
-	e.dispatch(nil)
+	return e.dispatch(nil)
 }
 
-// dispatch advances the event loop while holding the baton. It pops
-// events, runs scheduler callbacks inline, and on reaching a process
-// resume either reports it as self (the caller parks and resumes in
-// one step, no goroutine switch) or wakes the target and gives the
-// baton away. When nothing remains runnable — queue empty, horizon
-// reached, or failure — it signals Run and returns false.
-func (e *Engine) dispatch(self *Proc) (resumedSelf bool) {
+// dispatch advances the event loop on behalf of self, the parking
+// process (nil when called from Run). It pops events, runs scheduler
+// callbacks inline, and returns the next process to resume: self
+// means the caller just continues, anything else is a handoff. It
+// returns nil when nothing remains runnable: queue empty or horizon
+// reached.
+func (e *Engine) dispatch(self *Proc) *Proc {
 	for {
 		if e.queue.len() == 0 {
-			e.done <- struct{}{}
-			return false
+			return nil
 		}
 		if e.until > 0 && e.queue.ev[0].t > e.until {
 			e.now = e.until
 			e.horizon = true
-			e.done <- struct{}{}
-			return false
+			return nil
 		}
 		ev := e.queue.pop()
 		e.now = ev.t
@@ -404,22 +383,19 @@ func (e *Engine) dispatch(self *Proc) (resumedSelf bool) {
 			e.nblocked--
 		}
 		e.emitEvent(e.now, p.name, "resume")
-		if p == self {
-			if e.ctr != nil {
-				e.ctr.SelfResumes.Add(1)
-			}
-			return true
-		}
 		if e.ctr != nil {
-			e.ctr.Handoffs.Add(1)
+			if p == self {
+				e.ctr.SelfResumes.Add(1)
+			} else {
+				e.ctr.Handoffs.Add(1)
+			}
 		}
-		p.resume <- true
-		return false
+		return p
 	}
 }
 
-// park yields the baton back to the scheduler; the caller must have
-// already arranged for a future resume. The reason (recorded without
+// park suspends the process until its next resume; the caller must
+// have already arranged for one. The reason (recorded without
 // formatting for deadlock reports, and as a cached string for traces)
 // is given by kind/why/dur; see parkOn and friends.
 func (p *Proc) park(kind int, why *parkReason, dur float64) {
@@ -436,12 +412,9 @@ func (p *Proc) park(kind int, why *parkReason, dur float64) {
 		}
 		e.emitEvent(e.now, p.name, why.action)
 	}
-	if e.dispatch(p) {
-		return // next runnable process is this one: no switch needed
-	}
-	if run := <-p.resume; !run {
-		p.aborted = true
-		panic(abortError{})
+	// When the next runnable process is this one, it just continues.
+	if next := e.dispatch(p); next != p {
+		p.yieldTo(next)
 	}
 }
 
@@ -493,7 +466,7 @@ func (d *Deadlock) Error() string {
 // panics, or (if until > 0) virtual time reaches until. It returns a
 // *Deadlock error if processes remain blocked with no pending events,
 // or the first process panic. Run aborts and unwinds any still-blocked
-// processes before returning, so goroutines do not leak.
+// processes before returning, so their coroutines do not leak.
 func (e *Engine) Run(until float64) error {
 	if e.running {
 		return fmt.Errorf("sim: Run is not reentrant")
@@ -503,8 +476,9 @@ func (e *Engine) Run(until float64) error {
 
 	e.until = until
 	e.horizon = false
-	e.dispatch(nil) // hold the baton until the first process resume
-	<-e.done
+	for p := e.dispatch(nil); p != nil; {
+		p = e.switchTo(p)
+	}
 
 	var err error
 	if e.failure != nil {
@@ -523,18 +497,15 @@ func (e *Engine) Run(until float64) error {
 }
 
 // abortBlocked unwinds every live process — parked or never started —
-// so its goroutine exits, then recycles the event queue's scratch.
+// in spawn order, then recycles the event queue's scratch.
 func (e *Engine) abortBlocked() {
-	e.aborting = true
 	for _, p := range e.procs {
 		if p.done {
 			continue
 		}
 		p.blocked = false
-		p.resume <- false
-		<-e.abortAck
+		p.abort()
 	}
-	e.aborting = false
 	e.nblocked = 0
 	// Drop events referencing finished procs and return the cleared
 	// backing array to the pool for the next engine.

@@ -434,7 +434,7 @@ func TestTraceHook(t *testing.T) {
 }
 
 func TestNoGoroutineLeakAfterDeadlock(t *testing.T) {
-	// A deadlocked run must still unwind all process goroutines; the
+	// A deadlocked run must still unwind all process coroutines; the
 	// abort path is exercised by running many deadlocked engines.
 	for i := 0; i < 50; i++ {
 		e := New()

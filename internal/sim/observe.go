@@ -152,8 +152,9 @@ func (s SpanEvent) Duration() float64 { return s.End - s.Start }
 
 // Observer receives the engine's structured telemetry stream. Both
 // methods are called from scheduler or process context while the
-// simulation runs, always from the single scheduler goroutine and in a
-// deterministic order, so implementations need no locking.
+// simulation runs, one call at a time (from Run or the one running
+// process) and in a deterministic order, so implementations need no
+// locking.
 //
 // Event mirrors the legacy Engine.Trace hook (one call per process
 // resume/block); Span delivers completed typed spans. An observer that

@@ -14,9 +14,9 @@ func (c *Counters) Publish(r *obs.Registry) {
 		func() float64 { return float64(c.EventsPopped.Load()) })
 	r.Func("sim_callbacks_total", "scheduler-context callbacks run inline",
 		func() float64 { return float64(c.Callbacks.Load()) })
-	r.Func("sim_handoffs_total", "baton handoffs that woke another goroutine",
+	r.Func("sim_handoffs_total", "resumes of a process other than the one that parked",
 		func() float64 { return float64(c.Handoffs.Load()) })
-	r.Func("sim_self_resumes_total", "self-resume fast-path hits (no goroutine switch)",
+	r.Func("sim_self_resumes_total", "self-resume fast-path hits (no coroutine switch)",
 		func() float64 { return float64(c.SelfResumes.Load()) })
 	r.Func("sim_fused_steps_total", "fused charge-sequence boundaries advanced without a park",
 		func() float64 { return float64(c.FusedSteps.Load()) })
