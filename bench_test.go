@@ -18,7 +18,10 @@ import (
 	"codesign/internal/fpmath"
 	"codesign/internal/machine"
 	"codesign/internal/matrix"
+	"codesign/internal/obs"
+	"codesign/internal/serve"
 	"codesign/internal/sim"
+	"codesign/internal/sweep"
 )
 
 // BenchmarkBaselineDrift re-runs the headline suite and reports its
@@ -461,9 +464,9 @@ func BenchmarkExtensionCG(b *testing.B) {
 // duplicate-heavy serving workload.
 func BenchmarkSolveCached(b *testing.B) {
 	b.Run("hit", func(b *testing.B) {
-		svc := NewServeService(ServeConfig{}, NewObsRegistry())
+		svc := serve.NewService(serve.Config{}, obs.NewRegistry())
 		defer svc.Close()
-		req := SolveRequest{App: "lu"}
+		req := serve.SolveRequest{App: "lu"}
 		if _, err := svc.Solve(context.Background(), req); err != nil {
 			b.Fatal(err)
 		}
@@ -479,12 +482,12 @@ func BenchmarkSolveCached(b *testing.B) {
 		}
 	})
 	b.Run("miss", func(b *testing.B) {
-		svc := NewServeService(ServeConfig{CacheBound: -1}, NewObsRegistry())
+		svc := serve.NewService(serve.Config{CacheBound: -1}, obs.NewRegistry())
 		defer svc.Close()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			bf, l := 1+i%3000, 1+i/3000
-			resp, err := svc.Solve(context.Background(), SolveRequest{App: "lu", BF: &bf, L: &l})
+			resp, err := svc.Solve(context.Background(), serve.SolveRequest{App: "lu", BF: &bf, L: &l})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -506,11 +509,11 @@ func BenchmarkSolveCached(b *testing.B) {
 // simulations, so its wall-clock time is dominated by the sim engine's
 // event loop; it is the headline number tracked in BENCH_speed.json.
 func BenchmarkDesignSpaceSweep(b *testing.B) {
-	run := func(b *testing.B, g SweepGrid) {
+	run := func(b *testing.B, g sweep.Grid) {
 		var best float64
 		points := 0
 		for i := 0; i < b.N; i++ {
-			res, err := RunSweep(context.Background(), g, SweepOptions{})
+			res, err := sweep.Run(context.Background(), g, sweep.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -525,10 +528,10 @@ func BenchmarkDesignSpaceSweep(b *testing.B) {
 		for v := 0; v <= 3000; v += 150 {
 			bf = append(bf, v)
 		}
-		run(b, SweepGrid{Apps: []string{"lu"}, BF: bf, L: []int{-1, 1, 2, 3, 4, 6}})
+		run(b, sweep.Grid{Apps: []string{"lu"}, BF: bf, L: []int{-1, 1, 2, 3, 4, 6}})
 	})
 	b.Run("sim", func(b *testing.B) {
-		run(b, SweepGrid{
+		run(b, sweep.Grid{
 			Apps: []string{"lu"},
 			N:    []int{600}, B: []int{120},
 			BF:     []int{-1, 0, 30, 60, 90, 120},
@@ -547,7 +550,7 @@ func BenchmarkDesignSpaceSweep(b *testing.B) {
 // the number tracks the sparse pipeline end to end. Tracked in
 // BENCH_speed.json next to the DesignSpaceSweep sim headline.
 func BenchmarkSpMVSweep(b *testing.B) {
-	g := SweepGrid{
+	g := sweep.Grid{
 		Apps:    []string{"spmv"},
 		N:       []int{512},
 		Density: []float64{0, 0.02, 0.05, 0.1},
@@ -556,7 +559,7 @@ func BenchmarkSpMVSweep(b *testing.B) {
 	}
 	var dense, sparse float64
 	for i := 0; i < b.N; i++ {
-		res, err := RunSweep(context.Background(), g, SweepOptions{})
+		res, err := sweep.Run(context.Background(), g, sweep.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -585,13 +588,13 @@ func BenchmarkSpMVSweep(b *testing.B) {
 // millisecond discrete-event simulation each. (LU grids plateau across
 // bf at panel-dominated sizes and screening degrades to refining the
 // plateau; see DESIGN.md §13.)
-func screenedSweepGrid() SweepGrid {
+func screenedSweepGrid() sweep.Grid {
 	bf := make([]int, 0, 602)
 	bf = append(bf, -1)
 	for v := 0; v <= 600; v++ {
 		bf = append(bf, v)
 	}
-	return SweepGrid{
+	return sweep.Grid{
 		Apps:   []string{"mm"},
 		N:      []int{480, 600, 720, 840, 960},
 		PEs:    []int{2, 4, 6, 8},
@@ -615,7 +618,7 @@ func BenchmarkScreenedSweep(b *testing.B) {
 	if n := g.NumPoints(); n < 10000 {
 		b.Fatalf("reference grid has %d points, want >= 10000", n)
 	}
-	frontier := func(res *SweepResult) map[int]bool {
+	frontier := func(res *sweep.Result) map[int]bool {
 		set := make(map[int]bool, len(res.ParetoIndices))
 		for _, i := range res.ParetoIndices {
 			set[res.Points[i].Index] = true
@@ -625,7 +628,7 @@ func BenchmarkScreenedSweep(b *testing.B) {
 	var fullFrontier map[int]bool
 	b.Run("full", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := RunSweep(context.Background(), g, SweepOptions{})
+			res, err := sweep.Run(context.Background(), g, sweep.Options{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -635,10 +638,10 @@ func BenchmarkScreenedSweep(b *testing.B) {
 		b.ReportMetric(float64(len(fullFrontier)), "frontier")
 	})
 	b.Run("screened", func(b *testing.B) {
-		var sc SweepScreenSummary
+		var sc sweep.ScreenSummary
 		var got map[int]bool
 		for i := 0; i < b.N; i++ {
-			res, err := RunScreenedSweep(context.Background(), g, SweepScreenOptions{})
+			res, err := sweep.RunScreened(context.Background(), g, sweep.ScreenOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}

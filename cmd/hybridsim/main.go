@@ -55,7 +55,7 @@ func main() {
 	flag.BoolVar(&o.Metrics, "metrics", false, "print per-run utilization and the Tp/Tf/Tmem/Tcomm overlap report")
 	flag.BoolVar(&o.Analyze, "analyze", false, "print the critical path, per-phase bottleneck attribution and resource timelines")
 	flag.StringVar(&o.TraceOut, "trace-out", "", "write a Chrome/Perfetto trace_event JSON trace of the run to `file`")
-	flag.StringVar(&o.MetricsOut, "metrics-out", "", "write the run's metrics registry as CSV to `file`")
+	flag.StringVar(&o.MetricsOut, "metrics-out", "", "write the run's telemetry counters and gauges as CSV to `file`")
 	flag.StringVar(&o.SpansOut, "spans-out", "", "write the raw typed spans as CSV to `file`")
 	flag.StringVar(&o.SpansJSON, "spans-json", "", "write the typed spans with run metadata as JSONL to `file` (tracediff input)")
 	flag.StringVar(&o.DiffAgainst, "diff-against", "", "diff this run against a persisted span `file` (JSONL or CSV) and print the differential analysis")
@@ -256,9 +256,7 @@ func run(o options) error {
 		}
 	}
 	if o.MetricsOut != "" {
-		m := trace.NewMetrics()
-		r.Telemetry.Fill(m)
-		if err := writeTo(o.MetricsOut, m.WriteCSV); err != nil {
+		if err := writeTo(o.MetricsOut, r.Telemetry.WriteCSV); err != nil {
 			return fmt.Errorf("metrics-out: %w", err)
 		}
 		fmt.Printf("metrics:           -> %s\n", o.MetricsOut)

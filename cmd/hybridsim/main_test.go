@@ -1,7 +1,9 @@
 package main
 
 import (
+	"crypto/sha256"
 	"encoding/csv"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"testing"
@@ -87,7 +89,7 @@ func TestRunExportFiles(t *testing.T) {
 			t.Fatalf("%s is empty", p)
 		}
 	}
-	// The metrics CSV must parse as RFC 4180 with the registry header.
+	// The metrics CSV must parse as RFC 4180 with its kind,name,key,value header.
 	f, err := os.Open(o.MetricsOut)
 	if err != nil {
 		t.Fatal(err)
@@ -170,5 +172,41 @@ func TestRunWithFaults(t *testing.T) {
 	bad.Faults = path
 	if err := run(bad); err == nil {
 		t.Fatal("mm accepted -faults")
+	}
+}
+
+// TestMetricsOutReferenceDigests pins the exact bytes -metrics-out
+// writes for every registered app's small hybrid run. The digests were
+// recorded on the metrics exporter this one replaced; a change to row
+// order, value formatting or the set of names changes a digest.
+func TestMetricsOutReferenceDigests(t *testing.T) {
+	want := map[string]string{
+		"lu":   "23a73b2ce6053572",
+		"fw":   "c747320fdd30946a",
+		"mm":   "9840eefc5863ac1e",
+		"spmv": "4006bf3a4260fc5a",
+		"chol": "33fdd0943a0a164d",
+		"qr":   "5e3fb22ffb930d79",
+		"cg":   "9a8a3236d705b089",
+	}
+	dir := t.TempDir()
+	for _, app := range core.Apps() {
+		o := small(app.Name)
+		o.Metrics = false
+		o.MetricsOut = filepath.Join(dir, app.Name+".csv")
+		if err := run(o); err != nil {
+			t.Fatalf("%s: %v", app.Name, err)
+		}
+		b, err := os.ReadFile(o.MetricsOut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(b)
+		if got := hex.EncodeToString(sum[:])[:16]; got != want[app.Name] {
+			t.Errorf("%s: metrics CSV digest %s, want %s", app.Name, got, want[app.Name])
+		}
+	}
+	if len(want) != len(core.Apps()) {
+		t.Errorf("%d digests pinned, want one per app (%d)", len(want), len(core.Apps()))
 	}
 }

@@ -2,26 +2,19 @@
 // "Hardware/Software Co-Design for Matrix Computations on Reconfigurable
 // Computing Systems" (Zhuo & Prasanna, IPDPS 2007).
 //
-// It bundles three layers:
+// It exposes the paper's user-facing surface:
 //
-//   - The design model (Section 4): system parameters, the workload
-//     partition solvers of Equations (1)-(6) and the Section 4.5
-//     performance predictor. See LUModel / FWModel.
+//   - The design model (Section 4): the system parameters and the
+//     workload partition solvers of Equations (1)-(6). See LUModel,
+//     FWModel and ModelParams.
 //
-//   - A simulated reconfigurable computing system: p nodes of
-//     processor + FPGA + DRAM + SRAM on a crossbar fabric, driven by a
-//     deterministic discrete-event engine. See MachineXD1 and friends.
+//   - The simulated reconfigurable computing systems of Section 3. See
+//     MachineXD1 and MachineXT3DRC.
 //
-//   - The co-designed applications with their baselines: the paper's
-//     distributed block LU decomposition and blocked Floyd-Warshall
-//     (Section 5), plus the extensions its conclusion calls for —
-//     hybrid matrix multiplication, Cholesky, Householder QR,
-//     conjugate gradient and sparse matrix-vector products (SpMV and
-//     repeated-apply SpMM over CSR operators). All run timing-only at
-//     paper scale or carry real matrices (Functional) with results
-//     checked against sequential references. See RunLU / RunFW /
-//     RunOpMM / RunMM / RunCholesky / RunQR / RunCG / RunSpMV /
-//     RunSpMM.
+//   - The co-designed applications (Section 5): distributed block LU
+//     decomposition and blocked Floyd-Warshall, plus the Cholesky
+//     extension, each run in hybrid mode or as a processor-only or
+//     FPGA-only baseline. See RunLU, RunFW and RunCholesky.
 //
 // Quick start:
 //
@@ -30,26 +23,14 @@
 //	})
 //	// res.GFLOPS ≈ 18-20 on the simulated XD1 chassis; res.BF == 1280.
 //
-// Every table and figure of the paper's evaluation regenerates through
-// the Experiments facade (see also cmd/experiments).
+// The sweeps, the solve service, fault injection, trace analysis and
+// the paper's tables and figures live in the commands under cmd/.
 package codesign
 
 import (
-	"context"
-	"io"
-
-	"codesign/internal/analysis"
-	"codesign/internal/cache"
 	"codesign/internal/core"
-	"codesign/internal/exper"
-	"codesign/internal/fault"
 	"codesign/internal/machine"
 	"codesign/internal/model"
-	"codesign/internal/obs"
-	"codesign/internal/serve"
-	"codesign/internal/sim"
-	"codesign/internal/sweep"
-	"codesign/internal/trace"
 )
 
 // Design-variant modes (Figure 9).
@@ -59,7 +40,7 @@ const (
 	FPGAOnly      = core.FPGAOnly
 )
 
-// Re-exported configuration and result types.
+// Configuration, result and model types.
 type (
 	// Mode selects hybrid or a baseline design.
 	Mode = core.Mode
@@ -71,36 +52,11 @@ type (
 	FWConfig = core.FWConfig
 	// FWResult is the outcome of a Floyd-Warshall run.
 	FWResult = core.FWResult
-	// OpMMResult is the outcome of a stripe-granular single-block
-	// multiplication run (Figure 5).
-	OpMMResult = core.OpMMResult
-	// MMConfig configures a hybrid matrix multiplication run (the
-	// Equation (1) extension application).
-	MMConfig = core.MMConfig
-	// MMResult is the outcome of a hybrid multiplication run.
-	MMResult = core.MMResult
 	// CholConfig configures a hybrid Cholesky factorization run (the
 	// ScaLAPACK-trio extension application).
 	CholConfig = core.CholConfig
 	// CholResult is the outcome of a hybrid Cholesky run.
 	CholResult = core.CholResult
-	// QRConfig configures a hybrid Householder QR factorization run.
-	QRConfig = core.QRConfig
-	// QRResult is the outcome of a hybrid QR run.
-	QRResult = core.QRResult
-	// CGConfig configures a hybrid conjugate-gradient solve.
-	CGConfig = core.CGConfig
-	// CGRunResult is the outcome of a hybrid CG solve.
-	CGRunResult = core.CGRunResult
-	// SpMVConfig configures a hybrid sparse (or dense) matrix-vector
-	// product run; RHS > 1 turns it into repeated-apply SpMM.
-	SpMVConfig = core.SpMVConfig
-	// SpMVResult is the outcome of a hybrid SpMV/SpMM run.
-	SpMVResult = core.SpMVResult
-	// SpMVModel instantiates the design model for the Equation (1) row
-	// split of a CSR (or dense) operator apply, with nnz-proportional
-	// streaming or SRAM residency.
-	SpMVModel = model.SpMVParams
 	// MachineConfig describes a reconfigurable computing system.
 	MachineConfig = machine.Config
 	// LUModel instantiates the design model for block LU (Eqs. 4-5).
@@ -109,129 +65,7 @@ type (
 	FWModel = model.FWParams
 	// ModelParams are the raw Section 4.1 system parameters (Eqs. 1-2).
 	ModelParams = model.Params
-	// Prediction is the Section 4.5 performance prediction.
-	Prediction = model.Prediction
-	// ExperimentTable is one regenerated paper table or figure.
-	ExperimentTable = exper.Table
 )
-
-// Telemetry. Every Run* config accepts an Observer (streaming span sink)
-// and a Telemetry flag (attach a Telemetry digest to the result); the
-// Recorder buffers a run's spans for Perfetto/CSV export and
-// summarization. See the README's Observability section.
-type (
-	// Category classifies a simulation span: compute, DMA, network,
-	// synchronization or idle.
-	Category = sim.Category
-	// SpanEvent is one typed interval of simulated activity.
-	SpanEvent = sim.SpanEvent
-	// Observer receives the structured telemetry stream from the
-	// simulation engine.
-	Observer = sim.Observer
-	// Recorder buffers spans and events; it implements Observer and
-	// exports Perfetto JSON (WritePerfetto), RFC-4180 CSV
-	// (WriteSpansCSV) and summaries (Summarize).
-	Recorder = trace.Recorder
-	// Telemetry is the per-run span digest attached to results:
-	// utilization, bytes moved and the overlap decomposition.
-	Telemetry = trace.Summary
-	// Overlap decomposes a run's makespan into exposed Tp/Tf/Tmem/Tcomm
-	// components comparable to the Section 4.5 model terms.
-	Overlap = trace.Overlap
-	// Metrics is a per-run registry of named counters, gauges and
-	// histograms over virtual time.
-	Metrics = trace.Metrics
-)
-
-// Span categories.
-const (
-	CatCompute = sim.CatCompute
-	CatDMA     = sim.CatDMA
-	CatNetwork = sim.CatNetwork
-	CatSync    = sim.CatSync
-	CatIdle    = sim.CatIdle
-)
-
-// Device tags carried by spans (set where each resource is created).
-const (
-	DeviceUnknown = sim.DeviceUnknown
-	DeviceCPU     = sim.DeviceCPU
-	DeviceFPGA    = sim.DeviceFPGA
-	DeviceDRAM    = sim.DeviceDRAM
-	DeviceLink    = sim.DeviceLink
-)
-
-// Post-run analysis. The analysis layer consumes a Recorder's span
-// stream after a run and produces a critical path, per-phase bottleneck
-// attribution against the design model, resource utilization timelines,
-// and benchmark-regression baselines. See the README's "Analyzing a
-// run" section and cmd/hybridsim -analyze.
-type (
-	// Device tags which physical unit emitted a span.
-	Device = sim.Device
-	// AnalysisReport is the full post-run analysis of a span stream.
-	AnalysisReport = analysis.Report
-	// AnalysisOptions tunes Analyze (bin count, expected bindings).
-	AnalysisOptions = analysis.Options
-	// CriticalPathHop is one step of the critical path through a run.
-	CriticalPathHop = analysis.Hop
-	// PhaseStats is one phase's busy-time decomposition and its
-	// measured vs model-predicted binding parameter.
-	PhaseStats = analysis.PhaseStats
-	// ResourceTimeline is one resource's binned busy-fraction timeline.
-	ResourceTimeline = analysis.ResourceTimeline
-	// Binding names the model parameter that binds a phase: Of*Ff,
-	// Op*Fp, Bd or Bn.
-	Binding = model.Binding
-	// BenchBaseline is a named-metric map with stable JSON encoding,
-	// used by the benchmark-regression harness.
-	BenchBaseline = analysis.Baseline
-	// BenchDelta is one metric difference between two baselines.
-	BenchDelta = analysis.Delta
-)
-
-// Binding parameter values (Section 4.1).
-const (
-	BindNone = model.BindNone
-	BindOfFf = model.BindOfFf
-	BindOpFp = model.BindOpFp
-	BindBd   = model.BindBd
-	BindBn   = model.BindBn
-)
-
-// Analyze runs the full post-run analysis over a recorded span stream:
-// critical path, per-phase bottleneck attribution and utilization
-// timelines. Render it with (*AnalysisReport).WriteReport.
-func Analyze(spans []SpanEvent, makespan float64, opts AnalysisOptions) *AnalysisReport {
-	return analysis.Analyze(spans, makespan, opts)
-}
-
-// ExtractCriticalPath returns the dependency-weighted longest chain
-// through a span stream; hop durations partition [0, makespan] exactly.
-func ExtractCriticalPath(spans []SpanEvent, makespan float64) []CriticalPathHop {
-	return analysis.ExtractCriticalPath(spans, makespan)
-}
-
-// NewBenchBaseline returns an empty benchmark baseline.
-func NewBenchBaseline() *BenchBaseline { return analysis.NewBaseline() }
-
-// DiffBaselines compares two baselines at a relative tolerance and
-// returns the metrics that differ (plus missing/extra names).
-func DiffBaselines(old, fresh *BenchBaseline, tol float64) []BenchDelta {
-	return analysis.Diff(old, fresh, tol)
-}
-
-// HeadlineBaseline runs the headline benchmark suite (the metrics
-// gated by BENCH_baseline.json) and returns the fresh values.
-func HeadlineBaseline() (*BenchBaseline, error) { return exper.Headline() }
-
-// NewRecorder returns an empty span recorder ready to pass as a config
-// Observer.
-func NewRecorder() *Recorder { return trace.NewRecorder() }
-
-// NewMetrics returns an empty metrics registry; fill it from a
-// Telemetry digest with (*Telemetry).Fill.
-func NewMetrics() *Metrics { return trace.NewMetrics() }
 
 // RunLU simulates the distributed block LU decomposition of Section 5.1
 // on the configured machine and returns measured throughput, the
@@ -242,43 +76,10 @@ func RunLU(cfg LUConfig) (*LUResult, error) { return core.RunLU(cfg) }
 // Section 5.2.
 func RunFW(cfg FWConfig) (*FWResult, error) { return core.RunFW(cfg) }
 
-// RunOpMM simulates one b×b block matrix multiplication at stripe
-// granularity with the given FPGA row share (Figure 5's experiment).
-func RunOpMM(mc MachineConfig, b, pes, bf int) (*OpMMResult, error) {
-	return core.RunOpMM(mc, b, pes, bf)
-}
-
-// RunMM simulates hybrid matrix multiplication — the pure Equation (1)
-// case: per-node compute/DMA balance, no network communication.
-func RunMM(cfg MMConfig) (*MMResult, error) { return core.RunMM(cfg) }
-
 // RunCholesky simulates the distributed hybrid Cholesky factorization
 // extension (same co-design engine as LU, half the flops, square-root
 // unit on the panel datapath).
 func RunCholesky(cfg CholConfig) (*CholResult, error) { return core.RunCholesky(cfg) }
-
-// RunQR simulates the distributed hybrid Householder QR factorization
-// extension (panel reflectors broadcast, compact-WY trailing updates
-// split per Equation (4)).
-func RunQR(cfg QRConfig) (*QRResult, error) { return core.RunQR(cfg) }
-
-// RunCG simulates the hybrid conjugate-gradient extension (after the
-// FPGA-augmented CG the paper cites as related work [9]): the operator
-// apply splits row-wise per Equation (1), the FPGA share resident in
-// SRAM; iterates are verified bit-exact against the sequential solver.
-func RunCG(cfg CGConfig) (*CGRunResult, error) { return core.RunCG(cfg) }
-
-// RunSpMV simulates one hybrid sparse matrix-vector product y = Ax: the
-// CSR operator's rows split between FPGA stream and processor per
-// Equation (1) with nnz-proportional memory terms, and the result is
-// verified against the sequential CSR apply. Density 0 runs the dense
-// operator, where the solved split collapses to the processor side.
-func RunSpMV(cfg SpMVConfig) (*SpMVResult, error) { return core.RunSpMV(cfg) }
-
-// RunSpMM simulates a sparse matrix-multi-vector product as repeated
-// applies (RHS chained power-iteration style); when the FPGA share fits
-// SRAM the operator is loaded once and applied from residency.
-func RunSpMM(cfg SpMVConfig) (*SpMVResult, error) { return core.RunSpMM(cfg) }
 
 // Machine presets (Section 3).
 var (
@@ -286,307 +87,4 @@ var (
 	MachineXD1 = machine.XD1
 	// MachineXT3DRC is a Cray XT3 partition with DRC Virtex-4 modules.
 	MachineXT3DRC = machine.XT3DRC
-	// MachineSRC6 is an SRC-6 MAPstation cluster.
-	MachineSRC6 = machine.SRC6
-	// MachineRASC is an SGI RASC RC100 system.
-	MachineRASC = machine.RASC
 )
-
-// Experiments regenerates the paper's tables and figures.
-var (
-	// ExperimentTable1 regenerates Table 1 (panel routine latencies).
-	ExperimentTable1 = exper.Table1
-	// ExperimentFig5 regenerates Figure 5 (block-multiply latency vs bf).
-	ExperimentFig5 = exper.Fig5
-	// ExperimentFig6 regenerates Figure 6 (iteration latency vs l).
-	ExperimentFig6 = exper.Fig6
-	// ExperimentFig7 regenerates Figure 7 (FW iteration latency vs l1).
-	ExperimentFig7 = exper.Fig7
-	// ExperimentFig8 regenerates Figure 8 (LU GFLOPS vs n/b).
-	ExperimentFig8 = exper.Fig8
-	// ExperimentFig9 regenerates Figure 9 (hybrid vs baselines).
-	ExperimentFig9 = exper.Fig9
-	// ExperimentPrediction regenerates the Section 6.2 accuracy study.
-	ExperimentPrediction = exper.Prediction
-	// ExperimentAblations runs the DESIGN.md design-choice studies.
-	ExperimentAblations = exper.Ablations
-	// ExperimentExtensions runs the matmul/Cholesky extension study.
-	ExperimentExtensions = exper.Extensions
-	// ExperimentSparseRegimes contrasts the sparse and dense partition
-	// regimes of the Equation (1) row split (spmv/spmm).
-	ExperimentSparseRegimes = exper.SparseRegimes
-	// ExperimentSensitivity sweeps system parameters through the model.
-	ExperimentSensitivity = exper.Sensitivity
-	// ExperimentDesignSpace regenerates the Section 4.5 design
-	// selection by sweeping the LU PE-array width on the XD1.
-	ExperimentDesignSpace = exper.DesignSpace
-	// AllExperiments regenerates everything.
-	AllExperiments = exper.All
-)
-
-// Design-space exploration (internal/sweep). A SweepGrid declares axes
-// over applications, machines, sizes and partitions; RunSweep
-// evaluates its cross product on a bounded worker pool and reduces the
-// outcomes to a Pareto frontier plus sensitivity tables. See also
-// cmd/sweep.
-type (
-	// SweepGrid is a declarative design-space description whose cross
-	// product is the point set.
-	SweepGrid = sweep.Grid
-	// SweepPoint is one fully-specified design-space coordinate.
-	SweepPoint = sweep.Point
-	// SweepOutcome is the evaluation of one point.
-	SweepOutcome = sweep.Outcome
-	// SweepOptions tunes a sweep run (worker count, progress callback).
-	SweepOptions = sweep.Options
-	// SweepProgress is the live snapshot delivered to
-	// SweepOptions.OnProgress after each completed point.
-	SweepProgress = sweep.Progress
-	// SweepResult is a completed sweep: outcomes in deterministic
-	// order, the Pareto frontier and per-axis sensitivity tables.
-	SweepResult = sweep.Result
-	// SweepStats counts evaluations and memoization hits.
-	SweepStats = sweep.Stats
-	// SweepSensitivityTable aggregates throughput per value of one
-	// grid axis.
-	SweepSensitivityTable = sweep.SensitivityTable
-	// SweepScreenOptions tunes a two-stage RunScreenedSweep (worker
-	// count plus the screening dominance margin).
-	SweepScreenOptions = sweep.ScreenOptions
-	// SweepScreenSummary reports what a screening pass kept and why.
-	SweepScreenSummary = sweep.ScreenSummary
-)
-
-// Sweep evaluation methods.
-const (
-	// SweepMethodModel evaluates points with the closed-form model.
-	SweepMethodModel = sweep.MethodModel
-	// SweepMethodSim evaluates points with the full simulation.
-	SweepMethodSim = sweep.MethodSim
-)
-
-// RunSweep evaluates every point of the grid in parallel and returns
-// the deterministic, Pareto-annotated result set. The context cancels
-// the sweep between point evaluations.
-func RunSweep(ctx context.Context, g SweepGrid, opts SweepOptions) (*SweepResult, error) {
-	return sweep.Run(ctx, g, opts)
-}
-
-// RunScreenedSweep evaluates the grid in two stages: a closed-form
-// model screen over the full grid, then refinement of only the
-// Pareto-candidate subset (model frontier, dominance-margin band,
-// axis neighbors) under the grid's own method. The result covers the
-// refined subset and carries a SweepScreenSummary.
-func RunScreenedSweep(ctx context.Context, g SweepGrid, opts SweepScreenOptions) (*SweepResult, error) {
-	return sweep.RunScreened(ctx, g, opts)
-}
-
-// SweepDefaultRefineMargin is the screening dominance margin used when
-// SweepScreenOptions.RefineMargin is zero.
-const SweepDefaultRefineMargin = sweep.DefaultRefineMargin
-
-// MachinePreset returns a fresh copy of a named machine preset
-// ("xd1", "xt3", "src6", "rasc").
-func MachinePreset(name string) (MachineConfig, error) { return machine.Preset(name) }
-
-// Fault injection and degraded-mode resilience (internal/fault,
-// DESIGN.md §9). A FaultSpec describes deterministic seed-driven
-// faults; an injector built from it plugs into LUConfig.Faults or
-// FWConfig.Faults, dilating the affected subsystem's charges while the
-// design detects the divergence and re-solves its partition mid-run.
-// See also cmd/hybridsim -faults.
-type (
-	// FaultSpec is the JSON fault specification: scheduled events,
-	// seed-expanded random batches and detection tuning.
-	FaultSpec = fault.Spec
-	// FaultEvent is one scheduled fault.
-	FaultEvent = fault.Event
-	// FaultKind names one fault mechanism.
-	FaultKind = fault.Kind
-	// FaultInjector applies a spec's faults to a run as deterministic
-	// time dilation and collects the observed-rate telemetry that
-	// drives divergence detection.
-	FaultInjector = fault.Injector
-	// Resilience folds a nominal, a faulted and an oracle run into the
-	// degraded-mode report (makespan inflation, recovery lag,
-	// repartition history).
-	Resilience = analysis.Resilience
-)
-
-// Fault kinds.
-const (
-	// FaultThrottleBd throttles a node's FPGA-DRAM bandwidth (Bd).
-	FaultThrottleBd = fault.ThrottleBd
-	// FaultThrottleBn throttles a node's network bandwidth (Bn).
-	FaultThrottleBn = fault.ThrottleBn
-	// FaultCPUSlow slows a node's processor (Op·Fp) — a straggler.
-	FaultCPUSlow = fault.CPUSlow
-	// FaultFPGAStall stalls a node's FPGA for the window (Of·Ff).
-	FaultFPGAStall = fault.FPGAStall
-	// FaultNodeKill removes a node permanently (fail-stop).
-	FaultNodeKill = fault.NodeKill
-)
-
-// NewFaultInjector validates a spec against the node count, expands its
-// random batches from the spec seed and returns the injector to place
-// in a run config. The same spec and seed always produce the same
-// faults.
-func NewFaultInjector(spec *FaultSpec, nodes int) (*FaultInjector, error) {
-	return fault.New(spec, nodes)
-}
-
-// LoadFaultSpec reads and parses a fault spec JSON file, rejecting
-// unknown fields.
-func LoadFaultSpec(path string) (*FaultSpec, error) { return fault.Load(path) }
-
-// Differential run analysis (internal/trace persistence +
-// internal/analysis.Compare, DESIGN.md §11). Persist a run's span
-// stream with WriteSpans, reload it (or an old WriteSpansCSV dump)
-// with ReadSpansFile, and explain the difference between two runs with
-// CompareRuns: the makespan delta decomposes into per-phase and
-// per-resource contributions that sum exactly to the attributed total,
-// the critical paths are diffed, and bottleneck-binding transitions
-// are reported against the Eq. 4-6 predictions. See also
-// cmd/tracediff, hybridsim -spans-json/-diff-against and
-// cmd/sweep -archive-spans.
-type (
-	// SpanMeta is the run metadata header of a persisted span stream.
-	SpanMeta = trace.Meta
-	// SpanRecord is the serialized form of one SpanEvent — the single
-	// schema shared by the JSONL, CSV and Perfetto exporters.
-	SpanRecord = trace.SpanRecord
-	// ComparisonRun is one side of a differential comparison: a label,
-	// a makespan, the span stream, and optional expected bindings.
-	ComparisonRun = analysis.Run
-	// Comparison is the full differential analysis of two runs.
-	Comparison = analysis.Comparison
-	// ComparisonPhaseDelta is one phase's contribution to the makespan
-	// delta, split into busy/wait/idle movement.
-	ComparisonPhaseDelta = analysis.PhaseDelta
-	// ComparisonResourceDelta is one resource's contribution.
-	ComparisonResourceDelta = analysis.ResourceDelta
-	// ComparisonBindingShift reports one phase's bottleneck-binding
-	// transition between the two runs.
-	ComparisonBindingShift = analysis.BindingShift
-	// ComparisonCritPath diffs the two runs' critical paths.
-	ComparisonCritPath = analysis.CritPathDiff
-	// FaultPhaseOverhead is one phase's share of a faulted run's
-	// dilation (Resilience.Overheads).
-	FaultPhaseOverhead = analysis.PhaseOverhead
-)
-
-// CompareRuns runs the differential analysis engine over two runs.
-// Render the result with (*Comparison).WriteReport (human table) or
-// (*Comparison).WriteJSON (byte-deterministic JSON).
-func CompareRuns(base, cand ComparisonRun) *Comparison { return analysis.Compare(base, cand) }
-
-// WriteSpans persists a span stream as versioned JSONL: one metadata
-// header line followed by one SpanRecord per span.
-func WriteSpans(w io.Writer, meta SpanMeta, spans []SpanEvent) error {
-	return trace.WriteSpans(w, meta, spans)
-}
-
-// ReadSpans reads a JSONL span stream written by WriteSpans.
-func ReadSpans(r io.Reader) (SpanMeta, []SpanEvent, error) { return trace.ReadSpans(r) }
-
-// ReadSpansFile reads a persisted span file, sniffing the format: the
-// JSONL of WriteSpans or the CSV of (*Recorder).WriteSpansCSV (old or
-// new header).
-func ReadSpansFile(path string) (SpanMeta, []SpanEvent, error) { return trace.ReadSpansFile(path) }
-
-// ArchiveFrontierSpans re-simulates every Pareto-optimal point of a
-// completed sweep and persists each span stream as JSONL under dir,
-// returning the files written.
-func ArchiveFrontierSpans(res *SweepResult, dir string) ([]string, error) {
-	return sweep.ArchiveFrontierSpans(res, dir)
-}
-
-// Co-design as a service (internal/serve, cmd/codesignd, DESIGN.md
-// §12). The serve layer puts an HTTP/JSON API in front of the
-// Equation (1)-(6) partition solvers and the sweep engine: POST
-// /v1/solve answers one design query through a bounded LRU cache with
-// request coalescing, POST /v1/design ranks a small grid
-// synchronously, POST /v1/sweep + GET /v1/sweep/{id} run large grids
-// as asynchronous jobs, and the live observability surface (/metrics,
-// /statusz, pprof) is mounted on the same port. OPERATIONS.md is the
-// operator reference (API schemas, error codes, tuning flags, metrics
-// dictionary); cmd/loadgen is the matching load-generation harness.
-type (
-	// ServeConfig tunes the serve layer: cache and memo bounds,
-	// admission limits, deadlines, grid caps. The zero value takes the
-	// documented defaults.
-	ServeConfig = serve.Config
-	// ServeService is the transport-independent core of codesignd:
-	// shared memoized evaluator, canonical-key solve cache with
-	// coalescing, and the asynchronous sweep job store.
-	ServeService = serve.Service
-	// ServeServer is the HTTP front end: routing, admission control,
-	// per-request deadlines and the error envelope around a
-	// ServeService.
-	ServeServer = serve.Server
-	// ServeError is the typed API failure: HTTP status, machine-
-	// readable code and human-readable message.
-	ServeError = serve.Error
-	// SolveRequest is one design-space query (POST /v1/solve); the
-	// zero request is the paper's headline LU configuration.
-	SolveRequest = serve.SolveRequest
-	// SolveResponse is a solve answer: the normalized point, its
-	// outcome, and how the lookup was satisfied.
-	SolveResponse = serve.SolveResponse
-	// DesignRequest asks for the best designs on a small grid
-	// (POST /v1/design).
-	DesignRequest = serve.DesignRequest
-	// DesignResponse ranks the feasible designs by GFLOPS descending.
-	DesignResponse = serve.DesignResponse
-	// SweepJobRequest submits an asynchronous sweep job
-	// (POST /v1/sweep).
-	SweepJobRequest = serve.SweepRequest
-	// SweepJobResponse is a job snapshot: id, status, and the full
-	// sweep result once done.
-	SweepJobResponse = serve.JobResponse
-	// ObsRegistry is the process-wide metrics registry the serve layer
-	// exports on /metrics (counters, gauges, histograms; distinct from
-	// the per-run virtual-time Metrics).
-	ObsRegistry = obs.Registry
-)
-
-// Memoization substrate (internal/cache): the generic bounded LRU,
-// single-flight group and read-through loading cache behind both the
-// sweep evaluator's memos and the serve layer's solve cache. The
-// generic containers themselves stay internal; the observable pieces
-// are re-exported.
-type (
-	// CacheStats counts a cache's lookups, hits, misses and evictions;
-	// its HitRate method folds them to a ratio.
-	CacheStats = cache.Stats
-	// CacheSource says how a read-through lookup was satisfied.
-	CacheSource = cache.Source
-)
-
-// Cache lookup sources (CacheSource values).
-const (
-	// CacheSourceHit is an LRU hit: the value was already cached.
-	CacheSourceHit = cache.SourceHit
-	// CacheSourceShared joined a concurrent identical computation.
-	CacheSourceShared = cache.SourceShared
-	// CacheSourceComputed ran the computation itself.
-	CacheSourceComputed = cache.SourceComputed
-)
-
-// NewObsRegistry returns a fresh live-metrics registry to pass to
-// NewServeService or NewServeServer; export it over HTTP with
-// internal/obs-style mounts or let ServeServer mount it for you.
-func NewObsRegistry() *ObsRegistry { return obs.NewRegistry() }
-
-// NewServeService builds the transport-independent serve core with
-// its metric families registered on reg. Callers embed it directly
-// (Solve/Design/SubmitSweep/Job); Close cancels background jobs.
-func NewServeService(cfg ServeConfig, reg *ObsRegistry) *ServeService {
-	return serve.NewService(cfg, reg)
-}
-
-// NewServeServer builds the full codesignd HTTP server; serve its
-// Handler() with net/http. See cmd/codesignd for the CLI wrapper.
-func NewServeServer(cfg ServeConfig, reg *ObsRegistry) *ServeServer {
-	return serve.New(cfg, reg)
-}

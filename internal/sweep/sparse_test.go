@@ -37,33 +37,42 @@ func TestDensityRegimeFlipModel(t *testing.T) {
 	}
 }
 
-// TestDensityRegimeFlipSim repeats the flip under the full simulation:
-// the measured span classification must attribute the sparse point's
-// busiest phase to the DRAM path (Bd) and the dense point to the
-// processor.
+// TestDensityRegimeFlipSim repeats the flip under the full simulation
+// on the CI smoke grid (spmv, n 512, density 0/0.02/0.1 x pes 4/7): the
+// measured span classification must attribute every dense point to
+// the processor (Op*Fp, all-CPU split) and every sparse point to the
+// DRAM path (Bd, all-FPGA split).
 func TestDensityRegimeFlipSim(t *testing.T) {
 	g := Grid{
 		Apps:    []string{"spmv"},
 		N:       []int{512},
-		Density: []float64{0, 0.1},
+		Density: []float64{0, 0.02, 0.1},
+		PEs:     []int{4, 7},
 		Method:  MethodSim,
 	}
 	res, err := Run(context.Background(), g, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dense, sparse := res.Outcomes[0], res.Outcomes[1]
-	if !dense.OK || !sparse.OK {
-		t.Fatalf("infeasible points: %s / %s", dense.Err, sparse.Err)
+	if len(res.Outcomes) != 6 {
+		t.Fatalf("%d points, want 6", len(res.Outcomes))
 	}
-	if dense.BF != 0 || dense.Binding != "Op*Fp" {
-		t.Fatalf("dense sim point: bf=%d binding=%s, want 0/Op*Fp", dense.BF, dense.Binding)
-	}
-	if sparse.BF != 512 || sparse.Binding != "Bd" {
-		t.Fatalf("sparse sim point: bf=%d binding=%s, want 512/Bd", sparse.BF, sparse.Binding)
-	}
-	if sparse.Seconds <= 0 || sparse.GFLOPS <= 0 {
-		t.Fatalf("sparse sim point not measured: %+v", sparse)
+	for i, o := range res.Outcomes {
+		p := res.Points[i]
+		if !o.OK {
+			t.Fatalf("point %+v infeasible: %s", p, o.Err)
+		}
+		wantBF, wantBinding := p.N, "Bd"
+		if p.Density == 0 {
+			wantBF, wantBinding = 0, "Op*Fp"
+		}
+		if o.BF != wantBF || o.Binding != wantBinding {
+			t.Errorf("density %g pes %d: bf=%d binding=%s, want %d/%s",
+				p.Density, p.PEs, o.BF, o.Binding, wantBF, wantBinding)
+		}
+		if o.Seconds <= 0 || o.GFLOPS <= 0 {
+			t.Errorf("density %g pes %d: not measured: %+v", p.Density, p.PEs, o)
+		}
 	}
 }
 

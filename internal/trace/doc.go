@@ -2,8 +2,8 @@
 // consumers plug into the engine: the legacy Collector attaches to the
 // raw (time, proc, action) trace hook and renders a text timeline or
 // CSV, while the Recorder implements sim.Observer and captures typed
-// spans for the metrics registry, the overlap report, and the
-// Perfetto exporter.
+// spans for the run summary (and its metrics CSV), the overlap report,
+// span persistence and the Perfetto exporter.
 //
 // The overlap report decomposes a run's makespan into exposed
 // Tf/Tp/Tmem/Tcomm components — the measured counterparts of the

@@ -7,61 +7,6 @@ import (
 	"codesign/internal/sim"
 )
 
-func TestMetricsRegistry(t *testing.T) {
-	m := NewMetrics()
-	m.Counter("bytes").Add(100)
-	m.Counter("bytes").Add(50)
-	m.Counter("bytes").Add(-5) // ignored
-	if got := m.Counter("bytes").Value(); got != 150 {
-		t.Fatalf("counter = %v, want 150", got)
-	}
-	m.Gauge("util").Set(0.5)
-	m.Gauge("util").Set(0.75)
-	if got := m.Gauge("util").Value(); got != 0.75 {
-		t.Fatalf("gauge = %v, want 0.75", got)
-	}
-	h := m.Histogram("lat", []float64{1, 10})
-	h.Observe(0.5)
-	h.Observe(5)
-	h.Observe(50)
-	if h.Count() != 3 || h.Sum() != 55.5 {
-		t.Fatalf("histogram count=%d sum=%v", h.Count(), h.Sum())
-	}
-	_, counts := h.Buckets()
-	if counts[0] != 1 || counts[1] != 1 || counts[2] != 1 {
-		t.Fatalf("bucket counts = %v", counts)
-	}
-	// Re-registering with different bounds keeps the original.
-	if h2 := m.Histogram("lat", []float64{99}); h2 != h {
-		t.Fatal("histogram identity not stable across re-registration")
-	}
-}
-
-func TestMetricsWriteToDeterministic(t *testing.T) {
-	build := func() string {
-		m := NewMetrics()
-		m.Counter("z.last").Inc()
-		m.Counter("a.first").Add(2)
-		m.Gauge("mid").Set(3)
-		m.Histogram("h", []float64{1}).Observe(0.5)
-		var b strings.Builder
-		if _, err := m.WriteTo(&b); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
-	}
-	a, b := build(), build()
-	if a != b {
-		t.Fatalf("registry output not deterministic:\n%s\nvs\n%s", a, b)
-	}
-	if !strings.Contains(a, "counter a.first 2\n") || !strings.Contains(a, "gauge mid 3\n") {
-		t.Fatalf("unexpected output:\n%s", a)
-	}
-	if strings.Index(a, "a.first") > strings.Index(a, "z.last") {
-		t.Fatalf("counters not sorted:\n%s", a)
-	}
-}
-
 func TestComputeOverlapAttribution(t *testing.T) {
 	spans := []sim.SpanEvent{
 		// FPGA compute [0,4], CPU compute [2,6], DMA [0,8], network [5,9], sync [8,10].
@@ -124,10 +69,12 @@ func TestSummarizeBytesAndStats(t *testing.T) {
 	if !strings.Contains(b.String(), "overlap report") {
 		t.Fatalf("report missing header:\n%s", b.String())
 	}
-	m := NewMetrics()
-	s.Fill(m)
-	if m.Counter("bytes.dram").Value() != 1000 {
-		t.Fatal("Fill did not propagate bytes.dram")
+	b.Reset()
+	if err := s.WriteCSV(&b); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(b.String(), "kind,name,key,value\ncounter,bytes.dram,,1000\n") {
+		t.Fatalf("metrics CSV does not lead with bytes.dram:\n%s", b.String())
 	}
 }
 

@@ -1,10 +1,12 @@
 package trace
 
 import (
+	"encoding/csv"
 	"fmt"
 	"io"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -294,33 +296,57 @@ type Summary struct {
 	Overlap Overlap
 }
 
-// Fill populates a metrics registry from the summary so external
-// consumers get the same numbers through the counter/gauge interface.
-func (s *Summary) Fill(m *Metrics) {
-	m.Gauge("run.makespan_s").Set(s.Makespan)
-	m.Counter("run.spans").Add(float64(s.Spans))
-	m.Counter("run.events").Add(float64(s.Events))
-	m.Counter("bytes.dram").Add(float64(s.DRAMBytes))
-	m.Counter("bytes.network").Add(float64(s.NetworkBytes))
-	m.Gauge("overlap.exposed.tf_s").Set(s.Overlap.Tf)
-	m.Gauge("overlap.exposed.tp_s").Set(s.Overlap.Tp)
-	m.Gauge("overlap.exposed.tmem_s").Set(s.Overlap.Tmem)
-	m.Gauge("overlap.exposed.tcomm_s").Set(s.Overlap.Tcomm)
-	m.Gauge("overlap.exposed.sync_s").Set(s.Overlap.Sync)
-	m.Gauge("overlap.exposed.idle_s").Set(s.Overlap.Idle)
-	m.Gauge("overlap.busy.tf_s").Set(s.Overlap.BusyTf)
-	m.Gauge("overlap.busy.tp_s").Set(s.Overlap.BusyTp)
-	m.Gauge("overlap.busy.tmem_s").Set(s.Overlap.BusyTmem)
-	m.Gauge("overlap.busy.tcomm_s").Set(s.Overlap.BusyTcomm)
-	m.Gauge("overlap.efficiency").Set(s.Overlap.Efficiency())
+// WriteCSV writes the summary as RFC-4180 CSV rows
+// "kind,name,key,value" (the hybridsim -metrics-out format): the
+// counters, then every gauge, each group sorted by name. The key
+// column is always empty and values use the shortest 'g' formatting,
+// so identical runs export identical bytes.
+func (s *Summary) WriteCSV(w io.Writer) error {
+	counters := map[string]float64{
+		"run.spans":     float64(s.Spans),
+		"run.events":    float64(s.Events),
+		"bytes.dram":    float64(s.DRAMBytes),
+		"bytes.network": float64(s.NetworkBytes),
+	}
+	gauges := map[string]float64{
+		"run.makespan_s":          s.Makespan,
+		"overlap.exposed.tf_s":    s.Overlap.Tf,
+		"overlap.exposed.tp_s":    s.Overlap.Tp,
+		"overlap.exposed.tmem_s":  s.Overlap.Tmem,
+		"overlap.exposed.tcomm_s": s.Overlap.Tcomm,
+		"overlap.exposed.sync_s":  s.Overlap.Sync,
+		"overlap.exposed.idle_s":  s.Overlap.Idle,
+		"overlap.busy.tf_s":       s.Overlap.BusyTf,
+		"overlap.busy.tp_s":       s.Overlap.BusyTp,
+		"overlap.busy.tmem_s":     s.Overlap.BusyTmem,
+		"overlap.busy.tcomm_s":    s.Overlap.BusyTcomm,
+		"overlap.efficiency":      s.Overlap.Efficiency(),
+	}
 	for _, p := range s.Procs {
-		m.Gauge("proc." + p.Name + ".busy_s").Set(p.Busy)
-		m.Gauge("proc." + p.Name + ".wait_s").Set(p.Waiting)
+		gauges["proc."+p.Name+".busy_s"] = p.Busy
+		gauges["proc."+p.Name+".wait_s"] = p.Waiting
 	}
 	for _, r := range s.Resources {
-		m.Gauge("resource." + r.Name + ".busy_s").Set(r.Busy)
-		m.Gauge("resource." + r.Name + ".contention_s").Set(r.Contention)
+		gauges["resource."+r.Name+".busy_s"] = r.Busy
+		gauges["resource."+r.Name+".contention_s"] = r.Contention
 	}
+	cw := csv.NewWriter(w)
+	if err := cw.Write([]string{"kind", "name", "key", "value"}); err != nil {
+		return err
+	}
+	for _, g := range []struct {
+		kind string
+		vals map[string]float64
+	}{{"counter", counters}, {"gauge", gauges}} {
+		for _, k := range sortedKeys(g.vals) {
+			v := strconv.FormatFloat(g.vals[k], 'g', -1, 64)
+			if err := cw.Write([]string{g.kind, k, "", v}); err != nil {
+				return err
+			}
+		}
+	}
+	cw.Flush()
+	return cw.Error()
 }
 
 // WriteReport renders the human-readable overlap report the -metrics

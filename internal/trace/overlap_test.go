@@ -1,8 +1,6 @@
 package trace
 
 import (
-	"bytes"
-	"encoding/csv"
 	"testing"
 
 	"codesign/internal/sim"
@@ -57,52 +55,6 @@ func TestClassifyUsesDeviceTag(t *testing.T) {
 	for _, c := range cases {
 		if got := Classify(c.s); got != c.want {
 			t.Errorf("%s: classified %v, want %v", c.name, got, c.want)
-		}
-	}
-}
-
-func TestMetricsWriteCSV(t *testing.T) {
-	m := NewMetrics()
-	m.Counter("run.spans").Add(42)
-	m.Gauge("run.makespan_s").Set(1.5)
-	h := m.Histogram("lat", []float64{1, 10})
-	h.Observe(0.5)
-	h.Observe(5)
-	h.Observe(100)
-
-	var a, b bytes.Buffer
-	if err := m.WriteCSV(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("two exports of the same registry differ")
-	}
-
-	rows, err := csv.NewReader(bytes.NewReader(a.Bytes())).ReadAll()
-	if err != nil {
-		t.Fatalf("export is not valid CSV: %v", err)
-	}
-	want := [][]string{
-		{"kind", "name", "key", "value"},
-		{"counter", "run.spans", "", "42"},
-		{"gauge", "run.makespan_s", "", "1.5"},
-		{"histogram", "lat", "count", "3"},
-		{"histogram", "lat", "sum", "105.5"},
-		{"histogram", "lat", "le=1", "1"},
-		{"histogram", "lat", "le=10", "1"},
-		{"histogram", "lat", "le=+inf", "1"},
-	}
-	if len(rows) != len(want) {
-		t.Fatalf("got %d rows, want %d:\n%s", len(rows), len(want), a.String())
-	}
-	for i := range want {
-		for j := range want[i] {
-			if rows[i][j] != want[i][j] {
-				t.Fatalf("row %d = %v, want %v", i, rows[i], want[i])
-			}
 		}
 	}
 }

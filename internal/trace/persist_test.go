@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"errors"
 	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -223,4 +225,122 @@ func TestParseCategoryDeviceRoundTrip(t *testing.T) {
 	if _, err := sim.ParseDevice("nope"); err == nil {
 		t.Error("ParseDevice accepted garbage")
 	}
+}
+
+// A span header's count is outside input: a negative count is a header
+// error, and a huge one must not be trusted for allocation — the
+// truncation check still reports the lie.
+func TestReadSpansHostileHeaderCount(t *testing.T) {
+	_, _, err := ReadSpans(strings.NewReader(`{"schema":1,"spans":-1}` + "\n"))
+	if err == nil || !strings.HasPrefix(err.Error(), "span stream header") {
+		t.Errorf("negative count: err = %v, want a span stream header error", err)
+	}
+	_, _, err = ReadSpans(strings.NewReader(`{"schema":1,"spans":300000000}` + "\n"))
+	if err == nil || !strings.Contains(err.Error(), "truncated") {
+		t.Errorf("oversized count: err = %v, want a truncation error", err)
+	}
+}
+
+// Spans no run can produce are rejected by both readers with a
+// SpanError naming the offending line and wrapping ErrInvalidSpan.
+func TestReadSpansRejectsInvalidValues(t *testing.T) {
+	cases := []struct {
+		name              string
+		start, end, bytes string
+		finite            bool
+	}{
+		{"infinite end", "0", "+Inf", "0", false},
+		{"infinite start", "-Inf", "1", "0", false},
+		{"NaN end", "0", "NaN", "0", false},
+		{"NaN start", "NaN", "1", "0", false},
+		{"end before start", "2", "1", "0", true},
+		{"negative bytes", "0", "1", "-8", true},
+	}
+	for _, c := range cases {
+		csvIn := "start_s,end_s,category,device,process,resource,phase,bytes\n" +
+			"0,1,compute,,p,,,0\n" +
+			c.start + "," + c.end + ",compute,,p,,," + c.bytes + "\n"
+		_, err := ReadSpansCSV(strings.NewReader(csvIn))
+		checkInvalidSpan(t, "CSV "+c.name, err, 3)
+
+		// JSON has no literal for non-finite numbers; the JSONL reader
+		// rejects them at decode time, still on the right line.
+		jsonIn := `{"schema":1,"spans":2}` + "\n" +
+			`{"start_s":0,"end_s":1,"category":"compute","process":"p"}` + "\n" +
+			`{"start_s":` + c.start + `,"end_s":` + c.end + `,"category":"compute","process":"p","bytes":` + c.bytes + "}\n"
+		_, _, err = ReadSpans(strings.NewReader(jsonIn))
+		var se *SpanError
+		if !errors.As(err, &se) || se.Line != 3 {
+			t.Errorf("JSONL %s: err = %v, want a SpanError on line 3", c.name, err)
+			continue
+		}
+		if c.finite {
+			checkInvalidSpan(t, "JSONL "+c.name, err, 3)
+		}
+	}
+}
+
+func checkInvalidSpan(t *testing.T, name string, err error, line int) {
+	t.Helper()
+	var se *SpanError
+	if !errors.As(err, &se) || se.Line != line || !errors.Is(err, ErrInvalidSpan) {
+		t.Errorf("%s: err = %v, want an invalid-span SpanError on line %d", name, err, line)
+	}
+}
+
+// FuzzReadSpansFile feeds arbitrary files through ReadSpansFile, so the
+// '{' format sniff and both CSV headers are exercised. It must reject
+// with an error naming the file or accept, never panic, and an accepted
+// stream must persist to a fixed point: WriteSpans, ReadSpans and
+// WriteSpans again give the same bytes.
+func FuzzReadSpansFile(f *testing.F) {
+	var jsonl bytes.Buffer
+	if err := WriteSpans(&jsonl, Meta{App: "lu", Machine: "xd1", Makespan: 3}, sampleSpans()); err != nil {
+		f.Fatal(err)
+	}
+	r := NewRecorder()
+	for _, sp := range sampleSpans() {
+		r.Span(sp)
+	}
+	var csvOut bytes.Buffer
+	if err := r.WriteSpansCSV(&csvOut); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(jsonl.Bytes())
+	f.Add(csvOut.Bytes())
+	for _, seed := range []string{
+		"start_s,end_s,category,process,resource,phase,bytes\n" +
+			"0.000000000,1.500000000,compute,fpga0,fpga0-pe,panel,0\n",
+		`{"schema":1,"spans":-1}`,
+		`{"schema":1,"spans":300000000}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	path := filepath.Join(f.TempDir(), "in.spans")
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		meta, spans, err := ReadSpansFile(path)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), path) {
+				t.Fatalf("rejection %q does not name the file", err)
+			}
+			return
+		}
+		var first, second bytes.Buffer
+		if err := WriteSpans(&first, meta, spans); err != nil {
+			t.Fatalf("WriteSpans of an accepted stream: %v", err)
+		}
+		meta2, spans2, err := ReadSpans(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("ReadSpans of a written stream: %v\n%s", err, first.Bytes())
+		}
+		if err := WriteSpans(&second, meta2, spans2); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("persisted stream is not a fixed point:\n%s\nvs\n%s", first.Bytes(), second.Bytes())
+		}
+	})
 }

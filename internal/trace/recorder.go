@@ -255,6 +255,15 @@ func (r *Recorder) ByCategory() map[sim.Category]float64 {
 	return out
 }
 
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // sortSpans orders spans by (start, end, proc) — useful for tests that
 // compare span sets irrespective of emission order.
 func SortSpans(spans []sim.SpanEvent) {
