@@ -24,6 +24,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strconv"
@@ -45,16 +46,27 @@ type Entry struct {
 	AllocsOp float64 `json:"allocs_op,omitempty"`
 }
 
+// regenerateNote is the Note -update writes: the commands that produce
+// the benchmark output the CI perf job gates, so following it
+// regenerates every entry the check expects.
+const regenerateNote = "Wall-clock perf baseline. Regenerate: " +
+	"go test -run '^$' -bench 'BenchmarkHeadline|BenchmarkSimEngine|BenchmarkLUFullSimulation|BenchmarkDesignSpaceSweep|BenchmarkSpMVSweep|BenchmarkSolveCached' -benchtime=10x -benchmem . > bench.txt" +
+	" && go test -run '^$' -bench 'BenchmarkScreenedSweep' -benchtime=1x -benchmem . >> bench.txt" +
+	" && go test -run '^$' -bench . -benchtime=100x -benchmem ./internal/sim/ >> bench.txt" +
+	" && go run ./cmd/perfcheck -update bench.txt"
+
 // parseBench extracts "<pkg>.<BenchmarkName>" -> Entry from `go test
 // -bench` output. Benchmark names are normalized by stripping the
 // -GOMAXPROCS suffix and any /subtest separator stays intact; "pkg:"
-// lines qualify subsequent benchmarks.
+// lines qualify subsequent benchmarks. A measurement that is not a
+// finite, non-negative number is an error naming its line, since the
+// ratio gates in check would silently pass it.
 func parseBench(r io.Reader) (map[string]Entry, error) {
 	out := map[string]Entry{}
 	pkg := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
+	for lineNo := 1; sc.Scan(); lineNo++ {
 		line := strings.TrimSpace(sc.Text())
 		if rest, ok := strings.CutPrefix(line, "pkg:"); ok {
 			pkg = strings.TrimSpace(rest)
@@ -79,7 +91,11 @@ func parseBench(r io.Reader) (map[string]Entry, error) {
 		for i := 2; i+1 < len(f); i += 2 {
 			v, err := strconv.ParseFloat(f[i], 64)
 			if err != nil {
-				return nil, fmt.Errorf("perfcheck: bad value %q in %q", f[i], line)
+				return nil, fmt.Errorf("perfcheck: line %d: bad value %q in %q", lineNo, f[i], line)
+			}
+			if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+				return nil, fmt.Errorf("perfcheck: line %d: %s %s is not a finite non-negative measurement in %q",
+					lineNo, f[i], f[i+1], line)
 			}
 			switch f[i+1] {
 			case "ns/op":
@@ -168,7 +184,7 @@ func run() error {
 	if *update {
 		doc := Baseline{
 			Schema:     1,
-			Note:       "Wall-clock perf baseline. Regenerate: go test -run '^$' -bench 'BenchmarkHeadline|BenchmarkSimEngine|BenchmarkLUFullSimulation|BenchmarkDesignSpaceSweep|BenchmarkSolveCached' -benchtime=10x -benchmem . > bench.txt && go test -run '^$' -bench 'BenchmarkScreenedSweep' -benchtime=1x -benchmem . >> bench.txt && go test -run '^$' -bench . -benchtime=100x -benchmem ./internal/sim/ >> bench.txt && go run ./cmd/perfcheck -update bench.txt",
+			Note:       regenerateNote,
 			Benchmarks: got,
 		}
 		b, err := json.MarshalIndent(doc, "", "  ")

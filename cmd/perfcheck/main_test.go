@@ -1,6 +1,14 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
+	"math"
+	"os"
+	"path"
+	"reflect"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -129,4 +137,123 @@ func TestCheckZeroTimeBaselineSkipped(t *testing.T) {
 	if fails := check(base, got, 3.0, 1.5); len(fails) != 0 {
 		t.Errorf("zero time baseline produced failures: %v", fails)
 	}
+}
+
+func TestParseBenchRejectsNonFiniteAndNegative(t *testing.T) {
+	for _, bad := range []string{
+		"BenchmarkX-8 10 NaN ns/op 3 allocs/op",
+		"BenchmarkX-8 10 100 ns/op -5 allocs/op",
+		"BenchmarkX-8 10 +Inf ns/op 3 allocs/op",
+		"BenchmarkX-8 10 100 ns/op 3 allocs/op -Inf events/s",
+	} {
+		in := "pkg: a\nBenchmarkOK-8 10 100 ns/op 1 allocs/op\n" + bad + "\n"
+		got, err := parseBench(strings.NewReader(in))
+		if err == nil {
+			t.Errorf("%q parsed to %v, want an error", bad, got)
+			continue
+		}
+		if !strings.Contains(err.Error(), "line 3") || !strings.Contains(err.Error(), bad) {
+			t.Errorf("%q: error %q does not name line 3 and its text", bad, err)
+		}
+	}
+}
+
+// TestRegenerateNoteCoversBaseline checks that the command -update
+// writes into the baseline regenerates every entry the committed
+// baseline gates: each entry's package is benchmarked by one of the
+// note's `go test` commands whose -bench pattern matches the entry's
+// top-level benchmark name.
+func TestRegenerateNoteCoversBaseline(t *testing.T) {
+	raw, err := os.ReadFile("../../BENCH_speed.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var base Baseline
+	if err := json.Unmarshal(raw, &base); err != nil {
+		t.Fatal(err)
+	}
+	type command struct {
+		pkg   string
+		bench *regexp.Regexp
+	}
+	var cmds []command
+	for _, seg := range strings.Split(regenerateNote, "&&") {
+		f := strings.Fields(seg)
+		c := command{}
+		for i, w := range f {
+			switch {
+			case w == "-bench" && i+1 < len(f):
+				c.bench = regexp.MustCompile(strings.Trim(f[i+1], "'"))
+			case w == "." || strings.HasPrefix(w, "./internal/"):
+				c.pkg = strings.TrimSuffix(path.Join("codesign", w), "/")
+			}
+		}
+		if c.bench != nil {
+			cmds = append(cmds, c)
+		}
+	}
+	if len(cmds) == 0 {
+		t.Fatal("note holds no go test -bench command")
+	}
+	for key := range base.Benchmarks {
+		i := strings.LastIndex(key, ".Benchmark")
+		if i < 0 {
+			t.Errorf("%s: baseline key names no package", key)
+			continue
+		}
+		pkg := key[:i]
+		family, _, _ := strings.Cut(key[i+1:], "/")
+		covered := false
+		for _, c := range cmds {
+			covered = covered || (c.pkg == pkg && c.bench.MatchString(family))
+		}
+		if !covered {
+			t.Errorf("%s: no command in the -update note benchmarks %s in %s", key, family, pkg)
+		}
+	}
+}
+
+// formatBench renders parsed entries back into `go test -bench` output.
+func formatBench(entries map[string]Entry) string {
+	var b strings.Builder
+	for key, e := range entries {
+		pkg, name := "", key
+		if i := strings.LastIndex(key, ".Benchmark"); i >= 0 {
+			pkg, name = key[:i], key[i+1:]
+		}
+		fmt.Fprintf(&b, "pkg: %s\n%s-8 1 %s ns/op %s allocs/op\n", pkg, name,
+			strconv.FormatFloat(e.NsOp, 'g', -1, 64), strconv.FormatFloat(e.AllocsOp, 'g', -1, 64))
+	}
+	return b.String()
+}
+
+// FuzzParseBench: parseBench never panics, either rejects its input or
+// returns only finite non-negative measurements, and what it returns
+// re-formats to output it parses back to the same entries.
+func FuzzParseBench(f *testing.F) {
+	f.Add(sampleOutput)
+	f.Add("BenchmarkX-16 100 50 ns/op 123 events/s 7 allocs/op\n")
+	f.Add("BenchmarkX-8 10 NaN ns/op -5 allocs/op\n")
+	f.Add("pkg: a.b\nBenchmarkY/sub-2-4 1 1e300 ns/op 0 allocs/op\npkg:\nBenchmarkZ 3 4 ns/op\n")
+	f.Fuzz(func(t *testing.T, in string) {
+		got, err := parseBench(strings.NewReader(in))
+		if err != nil {
+			return
+		}
+		for k, e := range got {
+			for _, v := range []float64{e.NsOp, e.AllocsOp} {
+				if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+					t.Fatalf("%s: accepted measurement %v", k, v)
+				}
+			}
+		}
+		text := formatBench(got)
+		again, err := parseBench(strings.NewReader(text))
+		if err != nil {
+			t.Fatalf("re-formatted output rejected: %v\n%s", err, text)
+		}
+		if !reflect.DeepEqual(got, again) {
+			t.Fatalf("parse → format → parse unstable:\n%v\n%v\n%s", got, again, text)
+		}
+	})
 }

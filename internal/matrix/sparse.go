@@ -144,11 +144,19 @@ func NewCSR(rows, cols int, rowPtr, colIdx []int, vals []float64) (*CSR, error) 
 	return &CSR{rows: rows, cols: cols, rowPtr: rowPtr, colIdx: colIdx, vals: vals}, nil
 }
 
+// SparseRowNNZ returns the off-diagonal entry count of each row of
+// RandomSparse(n, density, ·): round(density·(n-1)). Callers that size
+// or price that operator without building it use it, so the operator
+// holds exactly n·(SparseRowNNZ(n, density)+1) stored entries.
+func SparseRowNNZ(n int, density float64) int {
+	return int(density*float64(n-1) + 0.5)
+}
+
 // RandomSparse returns an n×n CSR matrix with approximately the given
 // off-diagonal density and a dominance-boosted diagonal, built row by
 // row in O(nnz) memory — unlike RandomSparseSPD it never materializes a
 // dense intermediate, so it scales to the operator sizes the sweep and
-// hybridsim use. Each row holds the diagonal plus round(density·(n-1))
+// hybridsim use. Each row holds the diagonal plus SparseRowNNZ(n, density)
 // distinct off-diagonal entries at rng-chosen columns; the result is
 // deterministic for a given seed.
 //
@@ -164,7 +172,7 @@ func RandomSparse(n int, density float64, rng *rand.Rand) *CSR {
 	if !(density >= 0 && density <= 1) { // NaN fails both comparisons
 		panic(fmt.Sprintf("matrix: density %g out of [0,1]", density))
 	}
-	perRow := int(density*float64(n-1) + 0.5)
+	perRow := SparseRowNNZ(n, density)
 	rowPtr := make([]int, n+1)
 	colIdx := make([]int, 0, n*(perRow+1))
 	vals := make([]float64, 0, n*(perRow+1))

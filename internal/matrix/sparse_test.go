@@ -116,6 +116,38 @@ func TestRandomSparseApplyRangeProperty(t *testing.T) {
 	}
 }
 
+// TestSparseRowNNZSizesRandomSparse pins the one row-count formula the
+// sweep's model pricing and the SpMV input memo's byte sizing share:
+// RandomSparse stores exactly n·(SparseRowNNZ(n, d)+1) entries, from
+// the 1×1 operator to a fully dense off-diagonal.
+func TestSparseRowNNZSizesRandomSparse(t *testing.T) {
+	cases := []struct {
+		n       int
+		density float64
+		perRow  int
+	}{
+		{1, 0, 0},
+		{1, 0.5, 0},
+		{1, 1, 0},
+		{2, 1, 1},
+		{2, 0.4, 0},
+		{2, 0.5, 1}, // round half up
+		{37, 0.05, 2},
+		{101, 0.01, 1},
+		{512, 0.1, 51},
+		{64, 1, 63},
+	}
+	for _, c := range cases {
+		if got := SparseRowNNZ(c.n, c.density); got != c.perRow {
+			t.Errorf("SparseRowNNZ(%d, %g) = %d, want %d", c.n, c.density, got, c.perRow)
+		}
+		s := RandomSparse(c.n, c.density, rand.New(rand.NewSource(7)))
+		if want := c.n * (SparseRowNNZ(c.n, c.density) + 1); s.NNZ() != want {
+			t.Errorf("RandomSparse(%d, %g).NNZ() = %d, want %d", c.n, c.density, s.NNZ(), want)
+		}
+	}
+}
+
 // TestRandomSparseRejectsBadDensity pins the density guard, NaN
 // included: NaN fails every comparison, so a `< 0 || > 1` check would
 // let it through to a nonsensical row count.

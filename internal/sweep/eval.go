@@ -11,6 +11,7 @@ import (
 	"codesign/internal/cpu"
 	"codesign/internal/fpga"
 	"codesign/internal/machine"
+	"codesign/internal/matrix"
 	"codesign/internal/model"
 	"codesign/internal/sim"
 	"codesign/internal/trace"
@@ -603,14 +604,13 @@ func (ev *evaluator) priceSpMV(r resolved) (out Outcome, tally Stats, err error)
 	}
 	proc := cfg.Processor()
 	// The operator's stream footprint mirrors matrix.RandomSparse
-	// exactly — round(density·(n-1)) off-diagonals plus the diagonal per
+	// exactly — matrix.SparseRowNNZ off-diagonals plus the diagonal per
 	// row — so the model method prices the same operator the sim method
 	// materializes.
 	var words, nnz int
 	mvRate := proc.Rate(cpu.DGEMV)
 	if r.pt.Density > 0 {
-		perRow := int(r.pt.Density*float64(n-1) + 0.5)
-		nnz = n * (perRow + 1)
+		nnz = n * (matrix.SparseRowNNZ(n, r.pt.Density) + 1)
 		words = model.CSRStreamWords(nnz)
 		mvRate = proc.Rate(cpu.SpMV)
 	} else {
