@@ -2,6 +2,7 @@ package cache
 
 import (
 	"context"
+	"fmt"
 	"sync"
 )
 
@@ -36,7 +37,9 @@ func NewFlight[K comparable, V any]() *Flight[K, V] {
 // whether this caller was a follower (shared someone else's load).
 // The leader always runs load to completion regardless of ctx — the
 // loads cached here are not cancellable mid-solve — but followers
-// honor ctx while waiting.
+// honor ctx while waiting. If load panics, the panic continues in the
+// leader and its followers get an error naming the panic value; either
+// way the key is released, so the next Do for it runs a fresh load.
 func (f *Flight[K, V]) Do(ctx context.Context, k K, load func() (V, error)) (V, bool, error) {
 	f.mu.Lock()
 	if c, ok := f.calls[k]; ok {
@@ -53,11 +56,20 @@ func (f *Flight[K, V]) Do(ctx context.Context, k K, load func() (V, error)) (V, 
 	f.calls[k] = c
 	f.mu.Unlock()
 
+	defer func() {
+		r := recover()
+		if r != nil {
+			c.err = fmt.Errorf("cache: coalesced load panicked: %v", r)
+		}
+		f.mu.Lock()
+		delete(f.calls, k)
+		f.mu.Unlock()
+		close(c.done)
+		if r != nil {
+			panic(r)
+		}
+	}()
 	c.val, c.err = load()
-	f.mu.Lock()
-	delete(f.calls, k)
-	f.mu.Unlock()
-	close(c.done)
 	return c.val, false, c.err
 }
 
@@ -88,10 +100,11 @@ func (s Source) String() string {
 }
 
 // Loading composes an LRU with a Flight: the read-through solve cache
-// of the serve layer. Lookups hit the LRU first; misses coalesce onto
-// a single load per key, and successful loads populate the cache.
-// Distinct keys load in parallel (the LRU lock is never held during a
-// load). Failed loads are not cached.
+// of the serve layer and the SpMV input memo of internal/core. Lookups
+// hit the LRU first; misses coalesce onto a single load per key, and
+// successful loads populate the cache. Distinct keys load in parallel
+// (the LRU lock is never held during a load). Failed loads are not
+// cached.
 type Loading[K comparable, V any] struct {
 	lru    *LRU[K, V]
 	flight *Flight[K, V]
@@ -103,27 +116,47 @@ func NewLoading[K comparable, V any](bound int) *Loading[K, V] {
 	return &Loading[K, V]{lru: NewLRU[K, V](bound), flight: NewFlight[K, V]()}
 }
 
+// NewWeightedLoading returns a read-through cache over
+// NewWeightedLRU(bound, weigh): a loaded value heavier than the whole
+// bound is returned but not kept.
+func NewWeightedLoading[K comparable, V any](bound int, weigh func(V) int) *Loading[K, V] {
+	return &Loading[K, V]{lru: NewWeightedLRU[K, V](bound, weigh), flight: NewFlight[K, V]()}
+}
+
 // Do returns the value for k, loading it at most once across
 // concurrent callers. The Source reports whether the value came from
 // the cache, from a coalesced in-flight load, or from a load this
 // caller ran. ctx bounds a follower's wait (the leader's load itself
-// is not cancellable).
+// is not cancellable). A load that panics is not cached; the panic
+// reaches the caller that ran it, and the callers coalesced onto it
+// get an error.
 func (l *Loading[K, V]) Do(ctx context.Context, k K, load func() (V, error)) (V, Source, error) {
 	if v, ok := l.lru.Get(k); ok {
 		return v, SourceHit, nil
 	}
+	stored := false
 	v, shared, err := l.flight.Do(ctx, k, func() (V, error) {
+		// Another caller's load of k may have finished between the
+		// Get above and this flight.
+		if v, ok := l.lru.peek(k); ok {
+			stored = true
+			return v, nil
+		}
 		v, err := load()
 		if err == nil {
 			l.lru.Put(k, v)
 		}
 		return v, err
 	})
-	if shared {
+	if shared || stored {
 		return v, SourceShared, err
 	}
 	return v, SourceComputed, err
 }
+
+// Clear drops every cached entry; in-flight loads are unaffected. See
+// LRU.Clear.
+func (l *Loading[K, V]) Clear() { l.lru.Clear() }
 
 // Len returns the number of cached entries.
 func (l *Loading[K, V]) Len() int { return l.lru.Len() }
