@@ -50,63 +50,44 @@ func (ps PhaseStats) TotalBusy() float64 {
 
 // ClassifyPhases groups spans by phase label, sums busy time per
 // overlap class, and runs the Section 4 binding comparison on each
-// phase's totals. expected maps phase label to the analytic model's
-// predicted binding; phases absent from the map get Expected BindNone
-// and Agree true (nothing to disagree with). Phases are returned in
-// order of first appearance in virtual time.
+// phase's totals: it folds the spans into a pooled trace.Digest and
+// finishes the digest with DigestPhases. Spans with End <= Start count
+// only when they carry bytes.
 func ClassifyPhases(spans []sim.SpanEvent, expected map[string]model.Binding) []PhaseStats {
-	byPhase := make(map[string]*PhaseStats)
-	var order []string
-	var last *PhaseStats // consecutive spans usually share a phase
+	d := trace.GetDigest()
+	defer trace.PutDigest(d)
 	for _, s := range spans {
-		if s.End <= s.Start && s.Bytes == 0 {
-			continue
-		}
-		ps := last
-		if ps == nil || ps.Phase != s.Phase {
-			ps = byPhase[s.Phase]
-			if ps == nil {
-				ps = &PhaseStats{Phase: s.Phase, Start: s.Start, End: s.End}
-				byPhase[s.Phase] = ps
-				order = append(order, s.Phase)
-			}
-			last = ps
-		}
-		if s.Start < ps.Start {
-			ps.Start = s.Start
-		}
-		if s.End > ps.End {
-			ps.End = s.End
-		}
-		ps.Bytes += s.Bytes
-		d := s.End - s.Start
-		switch trace.Classify(s) {
-		case trace.ClassTf:
-			ps.BusyTf += d
-		case trace.ClassTp:
-			ps.BusyTp += d
-		case trace.ClassTmem:
-			ps.BusyTmem += d
-		case trace.ClassTcomm:
-			ps.BusyTcomm += d
-		default:
-			ps.BusySync += d
-		}
+		d.Span(s)
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		a, b := byPhase[order[i]], byPhase[order[j]]
-		if a.Start != b.Start {
-			return a.Start < b.Start
+	return DigestPhases(d, expected)
+}
+
+// DigestPhases finishes a digest's per-phase totals as PhaseStats: it
+// runs the Section 4 binding comparison on each phase's busy times.
+// expected maps phase label to the analytic model's predicted binding;
+// phases absent from the map get Expected BindNone and Agree true
+// (nothing to disagree with). Phases are returned in order of first
+// appearance in virtual time (earliest Start, ties by label).
+func DigestPhases(d *trace.Digest, expected map[string]model.Binding) []PhaseStats {
+	totals := d.Phases()
+	out := make([]PhaseStats, len(totals))
+	for i, pt := range totals {
+		ps := PhaseStats{
+			Phase:  pt.Phase,
+			BusyTf: pt.Busy[trace.ClassTf], BusyTp: pt.Busy[trace.ClassTp], BusyTmem: pt.Busy[trace.ClassTmem],
+			BusyTcomm: pt.Busy[trace.ClassTcomm], BusySync: pt.Busy[trace.ClassSync],
+			Bytes: pt.Bytes, Start: pt.Start, End: pt.End,
 		}
-		return a.Phase < b.Phase
-	})
-	out := make([]PhaseStats, 0, len(order))
-	for _, name := range order {
-		ps := byPhase[name]
 		ps.Binding, ps.Margin = model.BindingFromTimes(ps.BusyTf, ps.BusyTp, ps.BusyTmem, ps.BusyTcomm)
-		ps.Expected = expected[name]
+		ps.Expected = expected[ps.Phase]
 		ps.Agree = ps.Expected == model.BindNone || ps.Expected == ps.Binding
-		out = append(out, *ps)
+		out[i] = ps
 	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].Start != out[j].Start {
+			return out[i].Start < out[j].Start
+		}
+		return out[i].Phase < out[j].Phase
+	})
 	return out
 }

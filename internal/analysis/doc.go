@@ -9,5 +9,6 @@
 // It also defines the JSON baseline format the benchmark-regression
 // harness (cmd/experiments -bench-json / -check) uses, and feeds the
 // design-space sweep (internal/sweep), which classifies each simulated
-// point's dominant phase through ClassifyPhases.
+// point's dominant phase through DigestPhases, on the trace.Digest its
+// simulation folded its spans into.
 package analysis

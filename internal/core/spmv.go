@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -116,6 +117,10 @@ func runMV(cfg SpMVConfig, applies int) (*SpMVResult, error) {
 	}
 	if !(cfg.Density >= 0 && cfg.Density <= 1) { // NaN fails both comparisons
 		return nil, fmt.Errorf("core: density %g out of [0,1]", cfg.Density)
+	}
+	if bytes := mvInputBytes(cfg.N, cfg.Density); bytes > mvInputCap {
+		return nil, fmt.Errorf("core: spmv n=%d density %g: %w (%d bytes, cap %d)",
+			cfg.N, cfg.Density, errMVInputTooLarge, bytes, mvInputCap)
 	}
 	sys, err := machine.New(cfg.Machine)
 	if err != nil {
@@ -324,6 +329,15 @@ func runMV(cfg SpMVConfig, applies int) (*SpMVResult, error) {
 // SpMV grids at once; a dense n=2048 operator (32 MiB) exceeds it.
 const mvInputBudget = 16 << 20
 
+// mvInputCap caps the bytes of one SpMV input (operator plus x0), so a
+// single run cannot ask for more memory than a shared process can
+// spare: 1 GiB admits a dense operator up to n = 11,584 and sparse ones
+// far larger. Runs over it fail before anything is allocated.
+const mvInputCap = 1 << 30
+
+// errMVInputTooLarge reports an input over mvInputCap.
+var errMVInputTooLarge = errors.New("input exceeds the SpMV input cap")
+
 // mvInput is the generated input of an SpMV/SpMM run: the operator and
 // the start vector x0, drawn from one rng seeded with the run's seed,
 // operator first. Both are read-only once built.
@@ -347,14 +361,21 @@ var mvInputs = cache.NewWeightedLoading[mvKey, *mvInput](mvInputBudget, func(in 
 
 // mvInputBytes returns the heap bytes of the input for (n, density):
 // the CSR arrays (row pointers, column indices, values) or the dense
-// matrix, plus x0.
+// matrix, plus x0. It sizes in float64, which is exact below 2^53 bytes
+// and cannot overflow, and saturates at math.MaxInt, so any n, however
+// large, compares correctly against mvInputCap.
 func mvInputBytes(n int, density float64) int {
 	const word = 8
+	fn := float64(n)
+	words := fn*fn + fn
 	if density > 0 {
-		nnz := n * (matrix.SparseRowNNZ(n, density) + 1)
-		return word*(n+1) + 2*word*nnz + word*n
+		nnz := fn * float64(matrix.SparseRowNNZ(n, density)+1)
+		words = (fn + 1) + 2*nnz + fn
 	}
-	return word*n*n + word*n
+	if b := word * words; b < math.MaxInt {
+		return int(b)
+	}
+	return math.MaxInt
 }
 
 // loadMVInput returns the input for (n, density, seed), generating it

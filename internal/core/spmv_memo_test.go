@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -288,5 +290,34 @@ func TestMVInputMemoSurvivesPanickedGeneration(t *testing.T) {
 	}
 	if _, ok := memoized(k); ok {
 		t.Fatal("a panicked generation was memoized")
+	}
+}
+
+// TestSpMVInputCap checks that an input over mvInputCap fails before
+// anything is built: a dense n=65536 operator (32 GiB) returns the cap
+// error with under 1 MiB allocated, n=1<<40 is rejected at every
+// density (at 1e-3 its size wraps negative in int arithmetic), and the
+// largest dense n under the cap still sizes within it.
+func TestSpMVInputCap(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := RunSpMV(SpMVConfig{N: 65536})
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, errMVInputTooLarge) {
+		t.Fatalf("dense n=65536: err %v, want the input cap error", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("rejecting n=65536 allocated %d bytes", alloc)
+	}
+	for _, density := range []float64{0, 1e-3, 1} {
+		if _, err := RunSpMV(SpMVConfig{N: 1 << 40, Density: density}); !errors.Is(err, errMVInputTooLarge) {
+			t.Errorf("n=1<<40 density %g: err %v, want the input cap error", density, err)
+		}
+	}
+	if b := mvInputBytes(11584, 0); b > mvInputCap {
+		t.Errorf("dense n=11584 sizes at %d bytes, over the %d-byte cap", b, mvInputCap)
+	}
+	if b := mvInputBytes(11585, 0); b <= mvInputCap {
+		t.Errorf("dense n=11585 sizes at %d bytes, within the %d-byte cap", b, mvInputCap)
 	}
 }

@@ -1,6 +1,7 @@
 package matrix
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -169,6 +170,113 @@ func TestPropTransposeGemm(t *testing.T) {
 		return Mul(a, b).Transpose().EqualApprox(Mul(b.Transpose(), a.Transpose()), 1e-10)
 	}
 	if err := quick.Check(f, quickCfg(107)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPropEmptyCSRAppliesZero: a CSR with no nonzeros maps every x to
+// the zero vector, whole and by row range, overwriting what y held.
+func TestPropEmptyCSRAppliesZero(t *testing.T) {
+	f := func(seedRaw int64) bool {
+		rng := rand.New(rand.NewSource(seedRaw))
+		m, n := 1+rng.Intn(20), 1+rng.Intn(20)
+		s, err := NewCSR(m, n, make([]int, m+1), nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := genMatrix(1, n, rng).Row(0)
+		y := genMatrix(1, m, rng).Row(0)
+		s.Apply(x, y)
+		for _, v := range y {
+			if v != 0 {
+				return false
+			}
+		}
+		y = genMatrix(1, m, rng).Row(0)
+		lo := rng.Intn(m + 1)
+		s.ApplyRange(x, y, lo, m)
+		for _, v := range y[lo:] {
+			if v != 0 {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, quickCfg(900)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPropDenseCSRAgreesWithMatVec: a CSR holding every entry of a
+// random dense A sums each row in column order as MatVec does, so the
+// two agree exactly, whole and split at a random row; so does FromDense
+// of A with some entries zeroed, since a skipped zero product adds
+// nothing. Gemm, which may sum in another order, agrees within 1e-12
+// of each row's absolute sum.
+func TestPropDenseCSRAgreesWithMatVec(t *testing.T) {
+	f := func(seedRaw int64) bool {
+		rng := rand.New(rand.NewSource(seedRaw))
+		m, n := 1+rng.Intn(24), 1+rng.Intn(24)
+		a := genMatrix(m, n, rng)
+		rowPtr := make([]int, m+1)
+		var colIdx []int
+		var vals []float64
+		for i := 0; i < m; i++ {
+			for j, v := range a.Row(i) {
+				colIdx = append(colIdx, j)
+				vals = append(vals, v)
+			}
+			rowPtr[i+1] = len(vals)
+		}
+		full, err := NewCSR(m, n, rowPtr, colIdx, vals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := genMatrix(1, n, rng).Row(0)
+		xm := New(n, 1)
+		for j, v := range x {
+			xm.Set(j, 0, v)
+		}
+		want := make([]float64, m)
+		MatVec(a, x, want)
+		got := make([]float64, m)
+		full.Apply(x, got)
+		split := make([]float64, m)
+		mid := rng.Intn(m + 1)
+		full.ApplyRange(x, split, 0, mid)
+		full.ApplyRange(x, split, mid, m)
+		gemm := Mul(a, xm)
+		for i := range want {
+			if got[i] != want[i] || split[i] != want[i] {
+				return false
+			}
+			var abs float64
+			for j, v := range a.Row(i) {
+				abs += math.Abs(v * x[j])
+			}
+			if math.Abs(gemm.At(i, 0)-want[i]) > 1e-12*abs {
+				return false
+			}
+		}
+
+		thin := a.Clone()
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				if rng.Intn(3) == 0 {
+					thin.Set(i, j, 0)
+				}
+			}
+		}
+		MatVec(thin, x, want)
+		FromDense(thin).Apply(x, got)
+		for i := range want {
+			if got[i] != want[i] {
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, quickCfg(901)); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -137,6 +137,11 @@ func (q SolveRequest) normalized() (SolveRequest, *Error) {
 		return q, badRequest("l must be >= -1 (-1 or null = solve Eq. 5 / Eq. 6), got %d", l)
 	}
 	q.BF, q.L = &bf, &l
+	// -0 evaluates as 0 but would key, and encode under omitempty,
+	// differently; fold it so both spellings share one cache entry.
+	if q.Density == 0 {
+		q.Density = 0
+	}
 	// One-value grid validation covers app, machine, mode and method
 	// with internal/sweep's own error messages.
 	g := sweep.Grid{Apps: []string{q.App}, Machines: []string{q.Machine}, Modes: []string{q.Mode},

@@ -181,13 +181,6 @@ type pointEval struct {
 	tally *Stats
 }
 
-// recs recycles span recorders across MethodSim grid points, process
-// wide: every evaluator — a per-call Run's, the long-lived serving one,
-// a screened sweep's — checks recorders out with recorder and measured
-// returns them, so workers reuse warmed span buffers instead of
-// regrowing one per simulation or per sweep.
-var recs = sync.Pool{New: func() any { return trace.NewRecorder() }}
-
 // newEvaluator builds an evaluator whose memo caches hold at most
 // bound entries each (0 = unbounded, the per-sweep mode).
 func newEvaluator(bound int) *evaluator {
@@ -237,13 +230,6 @@ func (ev *evaluator) charge(t Stats) {
 	ev.mu.Lock()
 	ev.stats.add(t)
 	ev.mu.Unlock()
-}
-
-// recorder checks out a reset span recorder from the pool.
-func recorder() *trace.Recorder {
-	rec := recs.Get().(*trace.Recorder)
-	rec.Reset()
-	return rec
 }
 
 // placed returns the memoized pseudo place-and-route solution for the
@@ -452,13 +438,17 @@ func (ev *evaluator) evaluate(pt Point, method string, tally *Stats) Outcome {
 	if method == MethodModel {
 		return out
 	}
-	rec := recorder()
-	res, err := r.simulate(rec)
+	// The digest comes from trace's process-wide pool, which every
+	// evaluator shares — a per-call Run's, the long-lived serving one,
+	// a screened sweep's — so workers reuse warmed edge buffers instead
+	// of regrowing them per simulation or per sweep.
+	d := trace.GetDigest()
+	res, err := r.simulate(d)
 	if err != nil {
-		recs.Put(rec)
+		trace.PutDigest(d)
 		return fail(err)
 	}
-	return measured(out, res, rec)
+	return measured(out, res, d)
 }
 
 // design returns the placed design's outcome skeleton: PE geometry,
@@ -646,32 +636,37 @@ func (ev *evaluator) priceSpMV(r resolved) (out Outcome, tally Stats, err error)
 // throughput, the Section 4.5 prediction, the telemetry overlap
 // efficiency, and the dominant phase's measured binding from the
 // internal/analysis bottleneck classifier (none when no phase ran). It
-// consumes rec — the span digest runs on the recorder's buffer in place
-// and the recorder returns to the pool — so callers must not touch rec
-// afterwards.
-func measured(out Outcome, res core.AppResult, rec *trace.Recorder) Outcome {
-	defer recs.Put(rec)
+// consumes d, the pooled digest the simulation folded its spans into,
+// and returns it to the pool, so callers must not touch d afterwards.
+func measured(out Outcome, res core.AppResult, d *trace.Digest) Outcome {
+	defer trace.PutDigest(d)
 	s := res.Split
 	out.BF, out.BP, out.L, out.L1, out.L2 = s.BF, s.BP, s.L, s.L1, s.L2
 	out.GFLOPS, out.Seconds, out.PredictedGFLOPS = res.GFLOPS, res.Seconds, res.Prediction.GFLOPS
 	out.Binding, out.Margin = "", 0
-	// Digest the sweep's own recorder instead of asking the run for a
-	// full telemetry summary: ComputeOverlap over the same span stream
-	// and makespan yields the identical efficiency at a fraction of the
-	// cost (no per-process/per-resource digest per grid point).
-	out.OverlapEfficiency = trace.ComputeOverlap(rec.SpansView(), res.Seconds).Efficiency()
-	phases := analysis.ClassifyPhases(rec.SpansView(), map[string]model.Binding{res.Phase: res.Binding})
-	var busiest *analysis.PhaseStats
+	// The digest's overlap over the run's makespan yields the same
+	// efficiency as the run's full telemetry summary, without the
+	// per-process and per-resource digest.
+	out.OverlapEfficiency = d.Overlap(res.Seconds).Efficiency()
+	phases := analysis.DigestPhases(d, map[string]model.Binding{res.Phase: res.Binding})
+	if b := busiest(phases); b != nil {
+		out.Binding, out.Margin = b.Binding.String(), b.Margin
+	}
+	return out
+}
+
+// busiest returns the labelled phase with the most classified work, or
+// nil when no labelled phase ran. phases come in start order, so on a
+// tie the phase that starts first wins.
+func busiest(phases []analysis.PhaseStats) *analysis.PhaseStats {
+	var b *analysis.PhaseStats
 	for i := range phases {
 		if phases[i].Phase == "" {
 			continue
 		}
-		if busiest == nil || phases[i].TotalBusy() > busiest.TotalBusy() {
-			busiest = &phases[i]
+		if b == nil || phases[i].TotalBusy() > b.TotalBusy() {
+			b = &phases[i]
 		}
 	}
-	if busiest != nil {
-		out.Binding, out.Margin = busiest.Binding.String(), busiest.Margin
-	}
-	return out
+	return b
 }

@@ -4,11 +4,9 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"codesign/internal/sim"
 )
@@ -112,128 +110,6 @@ func Classify(s sim.SpanEvent) SpanClass {
 	default:
 		return ClassSync
 	}
-}
-
-// edge is one interval endpoint in the overlap sweep: a class opens at
-// a span start and closes at its end.
-type edge struct {
-	t     float64
-	class SpanClass
-}
-
-// edgePool recycles the sweep's endpoint scratch arrays: a design-space
-// sweep calls ComputeOverlap once per grid point over thousands of
-// spans, and the buffers are pointer-free so pooling them is safe.
-var edgePool = sync.Pool{New: func() any { s := make([]edge, 0, 1024); return &s }}
-
-// ComputeOverlap runs the sweep over the spans. makespan extends the
-// accounting window past the last span end (the tail is idle); pass
-// the engine's final virtual time.
-//
-// The sweep is a two-way merge of close and open endpoints rather than
-// a sort of the combined edge list: recorders hand over spans in
-// emission order, where end times are already nondecreasing, so only
-// the start endpoints need sorting (verified, and sorted as a
-// fallback, for callers that pass reordered spans). Closes merge ahead
-// of opens at the same instant so zero-length overlaps do not linger;
-// order among equal-time endpoints of the same kind is irrelevant to
-// the attribution because only intervals between distinct times carry
-// weight.
-func ComputeOverlap(spans []sim.SpanEvent, makespan float64) Overlap {
-	o := Overlap{Makespan: makespan}
-
-	sp0, ep0 := edgePool.Get().(*[]edge), edgePool.Get().(*[]edge)
-	starts, ends := (*sp0)[:0], (*ep0)[:0]
-	defer func() {
-		*sp0, *ep0 = starts[:0], ends[:0]
-		edgePool.Put(sp0)
-		edgePool.Put(ep0)
-	}()
-	startsSorted, endsSorted := true, true
-	for _, s := range spans {
-		if s.End <= s.Start {
-			continue
-		}
-		cl := Classify(s)
-		d := s.End - s.Start
-		switch cl {
-		case ClassTf:
-			o.BusyTf += d
-		case ClassTp:
-			o.BusyTp += d
-		case ClassTmem:
-			o.BusyTmem += d
-		case ClassTcomm:
-			o.BusyTcomm += d
-		case ClassSync:
-			o.BusySync += d
-		}
-		if len(starts) > 0 && s.Start < starts[len(starts)-1].t {
-			startsSorted = false
-		}
-		if len(ends) > 0 && s.End < ends[len(ends)-1].t {
-			endsSorted = false
-		}
-		starts = append(starts, edge{t: s.Start, class: cl})
-		ends = append(ends, edge{t: s.End, class: cl})
-	}
-	byTime := func(a, b edge) int {
-		switch {
-		case a.t < b.t:
-			return -1
-		case a.t > b.t:
-			return 1
-		default:
-			return 0
-		}
-	}
-	if !startsSorted {
-		slices.SortFunc(starts, byTime)
-	}
-	if !endsSorted {
-		slices.SortFunc(ends, byTime)
-	}
-
-	var active [NumSpanClasses]int
-	attribute := func(from, to float64) {
-		if to <= from {
-			return
-		}
-		d := to - from
-		switch {
-		case active[ClassTf] > 0:
-			o.Tf += d
-		case active[ClassTp] > 0:
-			o.Tp += d
-		case active[ClassTmem] > 0:
-			o.Tmem += d
-		case active[ClassTcomm] > 0:
-			o.Tcomm += d
-		case active[ClassSync] > 0:
-			o.Sync += d
-		default:
-			o.Idle += d
-		}
-	}
-
-	prev := 0.0
-	si := 0
-	for _, ed := range ends {
-		// Opens strictly before this close happen first; an open at
-		// exactly ed.t merges after the close.
-		for si < len(starts) && starts[si].t < ed.t {
-			attribute(prev, starts[si].t)
-			prev = starts[si].t
-			active[starts[si].class]++
-			si++
-		}
-		attribute(prev, ed.t)
-		prev = ed.t
-		active[ed.class]--
-	}
-	// Every interval closes, so no starts can remain once ends drain.
-	attribute(prev, makespan)
-	return o
 }
 
 // ProcStats summarizes one process's activity.

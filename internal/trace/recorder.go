@@ -13,9 +13,12 @@ import (
 // Recorder implements sim.Observer: it captures the raw event stream
 // and every typed span for post-run analysis. Register it with
 // Engine.Observe (or pass it through an application config's Observer
-// field). The recorder keeps everything in memory; simulated runs emit
-// at most a few spans per block operation, so this is cheap at the
-// paper's problem sizes.
+// field). The recorder keeps everything in memory, 88 bytes per span:
+// one sweep-sim design point emits up to 90,369 spans (88,307 of
+// positive length), about 8 MB. Callers that need only the overlap and
+// the phase totals should attach a Digest, which keeps 32 pointer-free
+// bytes per span; the recorder is for whole-span consumers (exporters,
+// the critical path, tracediff, the span archive).
 type Recorder struct {
 	spans   []sim.SpanEvent
 	events  []Event
@@ -53,9 +56,9 @@ func (r *Recorder) Spans() []sim.SpanEvent {
 
 // SpansView returns the recorded spans without copying. The slice
 // aliases the recorder's buffer: it is valid until the next Span or
-// Reset call, and callers must not modify or retain it. Hot paths
-// (the design-space sweep digests a span stream per grid point) use it
-// to avoid a per-run copy; everyone else should prefer Spans.
+// Reset call, and callers must not modify or retain it. Callers that
+// only read the spans once, right after the run, use it to avoid a
+// copy; everyone else should prefer Spans.
 func (r *Recorder) SpansView() []sim.SpanEvent { return r.spans }
 
 // Events returns the recorded raw events (empty unless KeepEvents).
