@@ -178,13 +178,12 @@ func run(o options) error {
 		}
 	}
 
-	var col *trace.Collector
-	var hook func(float64, string, string)
+	// Every observer the run feeds: the timeline's raw events and the
+	// recorder's spans.
+	var observers tee
 	if o.Timeline {
-		col = &trace.Collector{Limit: 2_000_000}
-		hook = func(t float64, proc, action string) {
-			col.Record(t, proc, action)
-		}
+		col := &trace.Collector{Limit: 2_000_000}
+		observers = append(observers, col)
 		defer func() {
 			fmt.Println("\nactivity timeline (# = busy):")
 			if err := col.WriteTimeline(os.Stdout, 100, 0); err != nil {
@@ -196,24 +195,25 @@ func run(o options) error {
 	// The recorder doubles as the span sink for -trace-out, -analyze,
 	// -spans-out, -spans-json and -diff-against; -faults records too,
 	// so the resilience report can attribute the dilation to phases.
-	// Keep the Observer interface value nil unless a recorder exists: a
-	// typed nil *trace.Recorder inside a non-nil interface would still
-	// be invoked by the engine.
 	var rec *trace.Recorder
-	var spanObs sim.Observer
 	if o.TraceOut != "" || o.SpansOut != "" || o.Analyze ||
 		o.SpansJSON != "" || o.DiffAgainst != "" || o.Faults != "" {
 		rec = trace.NewRecorder()
-		spanObs = rec
+		observers = append(observers, rec)
 	}
 	// -metrics-out exports the telemetry summary, so it implies
 	// summarization even without the printed -metrics report.
 	telemetry := o.Metrics || o.MetricsOut != ""
 
+	// A nil tee inside the interface would still be invoked.
+	var obs sim.Observer
+	if len(observers) > 0 {
+		obs = observers
+	}
 	s := core.Spec{
 		Machine: mc, N: o.N, B: o.B, PEs: o.PEs, BF: o.BF, L: o.L, L1: o.L1, Mode: md,
-		Density: o.Density, RHS: o.RHS, Functional: o.Functional, Seed: o.Seed, Trace: hook,
-		Observer: spanObs, Telemetry: telemetry, Faults: inj, Metrics: reg,
+		Density: o.Density, RHS: o.RHS, Functional: o.Functional, Seed: o.Seed,
+		Observer: obs, Telemetry: telemetry, Faults: inj, Metrics: reg,
 	}
 	r, err := app.Run(s)
 	if err != nil {
@@ -293,8 +293,8 @@ func run(o options) error {
 // run's spans).
 func printResilience(app core.App, s core.Spec, spec *fault.Spec, res *core.Result, rec *trace.Recorder, events int) error {
 	// The references rerun the printed run's configuration without its
-	// timeline hook, telemetry digest and live metrics.
-	s.Trace, s.Telemetry, s.Metrics = nil, false, nil
+	// observers, telemetry digest and live metrics.
+	s.Telemetry, s.Metrics = false, nil
 	ref := func(in *fault.Injector, obs sim.Observer) (float64, error) {
 		s.Faults, s.Observer = in, obs
 		r, err := app.Run(s)
@@ -377,5 +377,20 @@ func printCommon(r *core.Result) {
 		if err := r.Telemetry.WriteReport(os.Stdout); err != nil {
 			log.Errorf("metrics: %v", err)
 		}
+	}
+}
+
+// tee fans a run's telemetry stream out to several observers.
+type tee []sim.Observer
+
+func (t tee) Event(at float64, proc, action string) {
+	for _, o := range t {
+		o.Event(at, proc, action)
+	}
+}
+
+func (t tee) Span(s sim.SpanEvent) {
+	for _, o := range t {
+		o.Span(s)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"codesign/internal/core"
@@ -68,6 +69,43 @@ func TestRunAllApps(t *testing.T) {
 	if err := run(options{App: "fft", Machine: "xd1", N: 10, B: 2, Mode: "hybrid", BF: -1, L: -1, L1: -1, Seed: 1}); err == nil {
 		t.Fatal("unknown app accepted")
 	}
+}
+
+// TestTimelineEveryApp renders -timeline for every app's small run and
+// requires a chart with busy marks: the collector rides the observer
+// stream every app emits.
+func TestTimelineEveryApp(t *testing.T) {
+	for _, app := range core.Apps() {
+		o := small(app.Name)
+		o.Metrics, o.Timeline = false, true
+		out, err := captureStdout(t, func() error { return run(o) })
+		if err != nil {
+			t.Fatalf("%s: %v", app.Name, err)
+		}
+		_, chart, ok := strings.Cut(out, "activity timeline (# = busy):")
+		if !ok || strings.Contains(chart, "(no activity)") || !strings.Contains(chart, "#") {
+			t.Errorf("%s: empty timeline:\n%s", app.Name, out)
+		}
+	}
+}
+
+// captureStdout returns what f prints to os.Stdout.
+func captureStdout(t *testing.T, f func() error) (string, error) {
+	t.Helper()
+	tmp, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tmp.Close()
+	stdout := os.Stdout
+	os.Stdout = tmp
+	err = f()
+	os.Stdout = stdout
+	out, rerr := os.ReadFile(tmp.Name())
+	if rerr != nil {
+		t.Fatal(rerr)
+	}
+	return string(out), err
 }
 
 func TestRunExportFiles(t *testing.T) {

@@ -17,10 +17,9 @@ import (
 	"os"
 
 	"codesign/internal/cli"
-	"codesign/internal/cpu"
+	"codesign/internal/core"
 	"codesign/internal/fpga"
 	"codesign/internal/machine"
-	"codesign/internal/model"
 )
 
 // log is the tool's shared leveled stderr logger.
@@ -86,8 +85,8 @@ func show(cfg machine.Config, _ []string) error {
 	fmt.Printf("  network:            %.1f GB/s x %d links/node\n",
 		cfg.Fabric.LinkBandwidth/1e9, cfg.Fabric.LinksPerNode)
 
-	kMM := fpga.MaxPEs(func(k int) fpga.Design { return fpga.NewMatMul(k) }, cfg.Device)
-	kFW := fpga.MaxPEs(func(k int) fpga.Design { return fpga.NewFW(k) }, cfg.Device)
+	kMM := maxPEs("lu", cfg.Device, 0)
+	kFW := maxPEs("fw", cfg.Device, 0)
 	fmt.Printf("  matmul design:      up to %d PEs", kMM)
 	if p, err := fpga.Place(fpga.NewMatMul(kMM), cfg.Device); err == nil {
 		fmt.Printf(" at %.1f MHz (Of=%d, Bd=%.2f GB/s)",
@@ -115,22 +114,12 @@ func solve(cfg machine.Config, rest []string) error {
 	}
 	proc := cfg.Processor()
 
-	kMM := fpga.MaxPEs(func(k int) fpga.Design { return fpga.NewMatMul(k) }, cfg.Device)
+	kMM := maxPEs("lu", cfg.Device, *b)
 	mm, err := fpga.Place(fpga.NewMatMul(kMM), cfg.Device)
 	if err != nil {
 		return err
 	}
-	lu := model.LUParams{
-		P: cfg.Nodes, B: *b, K: kMM,
-		Ff:         mm.FreqHz,
-		StripeRate: proc.Rate(cpu.DGEMMStripe),
-		LURate:     proc.Rate(cpu.DGETRF),
-		TrsmRate:   proc.Rate(cpu.DTRSM),
-		Bd:         machine.EffectiveBd(cfg.RawFPGADRAMBandwidth, mm.FreqHz),
-		Bn:         cfg.Fabric.LinkBandwidth,
-		Bw:         machine.WordBytes,
-		SRAMBytes:  int64(cfg.SRAMBanks) * cfg.SRAMBankBytes / 2,
-	}
+	lu := core.LUModel(cfg, proc, *b, kMM, mm.FreqHz, machine.EffectiveBd(cfg.RawFPGADRAMBandwidth, mm.FreqHz))
 	if err := lu.Validate(); err != nil {
 		return fmt.Errorf("LU model: %w", err)
 	}
@@ -142,25 +131,12 @@ func solve(cfg machine.Config, rest []string) error {
 	fmt.Printf("  Eq.5 pipeline:    l=%d opMM per panel op (opLU %.2fs, opL/opU %.2fs)\n", l, tlu, ttrsm)
 	fmt.Printf("  coordination:     %.1f handshakes/s\n", lu.CoordinationHz(bf))
 
-	kFW := fpga.MaxPEs(func(k int) fpga.Design { return fpga.NewFW(k) }, cfg.Device)
-	if *fwb%kFW != 0 {
-		// Pick the largest PE count dividing the block size.
-		for kFW > 1 && *fwb%kFW != 0 {
-			kFW--
-		}
-	}
+	kFW := maxPEs("fw", cfg.Device, *fwb) // the largest array dividing the block
 	fwP, err := fpga.Place(fpga.NewFW(kFW), cfg.Device)
 	if err != nil {
 		return err
 	}
-	fw := model.FWParams{
-		P: cfg.Nodes, B: *fwb, K: kFW,
-		Ff:     fwP.FreqHz,
-		FWRate: proc.Rate(cpu.FWKernel),
-		Bd:     machine.EffectiveBd(cfg.RawFPGADRAMBandwidth, fwP.FreqHz),
-		Bn:     cfg.Fabric.LinkBandwidth,
-		Bw:     machine.WordBytes,
-	}
+	fw := core.FWModel(cfg, proc, *fwb, kFW, fwP.FreqHz, machine.EffectiveBd(cfg.RawFPGADRAMBandwidth, fwP.FreqHz))
 	if err := fw.Validate(); err != nil {
 		return fmt.Errorf("FW model: %w", err)
 	}
@@ -173,6 +149,15 @@ func solve(cfg machine.Config, rest []string) error {
 	fmt.Printf("  Eq.6 split:       l1=%d ops to processor, l2=%d to FPGA per phase\n", l1, l2)
 	fmt.Printf("  coordination:     %.2f handshakes/s\n", fw.CoordinationHz(max(l2, 1)))
 	return nil
+}
+
+// maxPEs is the registered app's PE rule on dev at block size b.
+func maxPEs(app string, dev fpga.Device, b int) int {
+	a, err := core.LookupApp(app)
+	if err != nil {
+		panic(err)
+	}
+	return a.MaxPEs(dev, b)
 }
 
 func max(a, b int) int {

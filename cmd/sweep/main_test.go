@@ -178,8 +178,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if err := run(options{Apps: "lu", PEs: "four"}, &bytes.Buffer{}); err == nil {
 		t.Error("bad -pes accepted")
 	}
-	if err := run(options{Apps: "qr", PEs: "0", Method: "model"}, &bytes.Buffer{}); err == nil {
-		t.Error("unknown app accepted")
+	if err := run(options{Apps: "cg", PEs: "0", Method: "model"}, &bytes.Buffer{}); err == nil {
+		t.Error("app without a model half accepted")
 	}
 }
 

@@ -17,8 +17,10 @@ import (
 // App is one registered application: the single definition that every
 // surface selecting an app by name reads — hybridsim, tracediff, the
 // sweep and its span archive, and the degraded-mode study (DESIGN.md
-// §15). Adding a workload means adding its Run function and one entry
-// to the registry.
+// §15). Its model half (Check, MaxPEs, Price) is the one copy of the
+// app's closed form: its Run function and the sweep both call it.
+// Adding a workload means adding its Run function and one entry to the
+// registry.
 type App struct {
 	// Name selects the app (-app, Grid.Apps, trace.Meta.App).
 	Name string
@@ -28,11 +30,21 @@ type App struct {
 	N, B int
 	// Design builds the app's FPGA design family at k PEs.
 	Design func(k int) fpga.Design
+	// BlockPEs reports that the PE array must divide the block size,
+	// so MaxPEs shrinks the largest fitting array until it does (fw).
+	BlockPEs bool
 	// Unread is the set of design-space axes the app never reads: two
 	// Specs that differ only in them run identically.
 	Unread Axis
 	// Faults reports whether Run accepts a fault injector.
 	Faults bool
+	// Check rejects a geometry the app cannot run — node count, problem
+	// size n, block size b, PE count k — before anything is placed.
+	Check func(nodes, n, b, k int) error
+	// Price is the app's closed-form half: the Eq. 1/4/5/6 split and
+	// the Section 4.5 prediction at it. Nil when the app has none (cg),
+	// which keeps it out of the sweep.
+	Price func(Pricing) (Priced, error)
 
 	smallN, smallB int
 	run            func(Spec) (AppResult, error)
@@ -80,8 +92,6 @@ type Spec struct {
 	Functional bool
 	// Seed drives input generation.
 	Seed int64
-	// Trace receives every engine event (lu and fw).
-	Trace func(t float64, proc, action string)
 	// Observer receives the structured telemetry stream.
 	Observer sim.Observer
 	// Telemetry attaches a span digest to the result.
@@ -169,50 +179,78 @@ func matmulDesign(k int) fpga.Design { return fpga.NewMatMul(k) }
 func fwDesign(k int) fpga.Design     { return fpga.NewFW(k) }
 func mvDesign(k int) fpga.Design     { return fpga.NewMV(k) }
 
+// The registry rows. Each Run* reads its own row's PE rule and
+// geometry check, so a row cannot also name its Run* (an
+// initialization cycle): registry adds the run functions.
+var (
+	luApp = App{Name: "lu", N: 30000, B: 3000, Design: matmulDesign, Unread: AxisDensity, Faults: true,
+		Check: luGeometry("lu"), Price: priceOf(luHalf.model), smallN: 120, smallB: 20}
+	fwApp = App{Name: "fw", N: 18432, B: 256, Design: fwDesign, BlockPEs: true, Unread: AxisBF | AxisDensity, Faults: true,
+		Check: fwGeometry, Price: priceOf(fwModel), smallN: 96, smallB: 8}
+	mmApp = App{Name: "mm", N: 6144, Design: matmulDesign, Unread: AxisB | AxisL | AxisDensity,
+		Check: mmGeometry, Price: priceOf(mmModel), smallN: 96}
+	spmvApp = App{Name: "spmv", N: 2048, Design: mvDesign, Unread: AxisB | AxisL, Faults: true,
+		Check: positiveN("spmv"), Price: priceOf(spmvModel), smallN: 512}
+	cholApp = App{Name: "chol", N: 30000, B: 3000, Design: matmulDesign, Unread: AxisDensity,
+		Check: luGeometry("chol"), Price: priceOf(cholHalf.model), smallN: 120, smallB: 20}
+	qrApp = App{Name: "qr", N: 30000, B: 3000, Design: matmulDesign, Unread: AxisL | AxisDensity,
+		Check: luGeometry("qr"), Price: priceOf(qrHalf.model), smallN: 120, smallB: 20}
+	cgApp = App{Name: "cg", N: 2048, Design: mvDesign, Unread: AxisB | AxisL, Check: positiveN("cg"), smallN: 128}
+)
+
 // registry lists every app in the order help texts name them.
 var registry = []App{
-	{Name: "lu", N: 30000, B: 3000, Design: matmulDesign, Unread: AxisDensity, Faults: true, smallN: 120, smallB: 20,
-		run: func(s Spec) (AppResult, error) {
-			return view(RunLU(LUConfig{Machine: s.Machine, N: s.N, B: s.B, PEs: s.PEs, BF: s.BF, L: s.L,
-				Mode: s.Mode, Functional: s.Functional, Seed: s.Seed, Trace: s.Trace, Observer: s.Observer,
-				Telemetry: s.Telemetry, Faults: s.Faults, Metrics: s.Metrics}))
-		}},
-	{Name: "fw", N: 18432, B: 256, Design: fwDesign, Unread: AxisBF | AxisDensity, Faults: true, smallN: 96, smallB: 8,
-		run: func(s Spec) (AppResult, error) {
-			return view(RunFW(FWConfig{Machine: s.Machine, N: s.N, B: s.B, PEs: s.PEs, L1: s.L1,
-				Mode: s.Mode, Functional: s.Functional, Seed: s.Seed, Trace: s.Trace, Observer: s.Observer,
-				Telemetry: s.Telemetry, Faults: s.Faults, Metrics: s.Metrics}))
-		}},
-	{Name: "mm", N: 6144, Design: matmulDesign, Unread: AxisB | AxisL | AxisDensity, smallN: 96,
-		run: func(s Spec) (AppResult, error) {
-			return view(RunMM(MMConfig{Machine: s.Machine, N: s.N, PEs: s.PEs, BF: s.BF, Mode: s.Mode,
-				Functional: s.Functional, Seed: s.Seed, Observer: s.Observer, Telemetry: s.Telemetry}))
-		}},
-	{Name: "spmv", N: 2048, Design: mvDesign, Unread: AxisB | AxisL, Faults: true, smallN: 512,
-		run: func(s Spec) (AppResult, error) {
-			run := RunSpMV
-			if s.RHS > 1 {
-				run = RunSpMM
-			}
-			return view(run(SpMVConfig{Machine: s.Machine, N: s.N, Density: s.Density, RHS: s.RHS, PEs: s.PEs,
-				RowsFPGA: s.BF, Mode: s.Mode, Seed: s.Seed, Observer: s.Observer, Telemetry: s.Telemetry,
-				Faults: s.Faults}))
-		}},
-	{Name: "chol", N: 30000, B: 3000, Design: matmulDesign, Unread: AxisDensity, smallN: 120, smallB: 20,
-		run: func(s Spec) (AppResult, error) {
-			return view(RunCholesky(CholConfig{Machine: s.Machine, N: s.N, B: s.B, PEs: s.PEs, BF: s.BF, L: s.L,
-				Mode: s.Mode, Functional: s.Functional, Seed: s.Seed, Observer: s.Observer, Telemetry: s.Telemetry}))
-		}},
-	{Name: "qr", N: 30000, B: 3000, Design: matmulDesign, Unread: AxisL | AxisDensity, smallN: 120, smallB: 20,
-		run: func(s Spec) (AppResult, error) {
-			return view(RunQR(QRConfig{Machine: s.Machine, N: s.N, B: s.B, PEs: s.PEs, BF: s.BF,
-				Mode: s.Mode, Functional: s.Functional, Seed: s.Seed, Observer: s.Observer, Telemetry: s.Telemetry}))
-		}},
-	{Name: "cg", N: 2048, Design: mvDesign, Unread: AxisB | AxisL, smallN: 128,
-		run: func(s Spec) (AppResult, error) {
-			return view(RunCG(CGConfig{Machine: s.Machine, N: s.N, Density: s.Density, PEs: s.PEs,
-				RowsFPGA: s.BF, Mode: s.Mode, Seed: s.Seed, Observer: s.Observer, Telemetry: s.Telemetry}))
-		}},
+	luApp.runs(func(s Spec) (AppResult, error) {
+		return view(RunLU(LUConfig{Machine: s.Machine, N: s.N, B: s.B, PEs: s.PEs, BF: s.BF, L: s.L,
+			Mode: s.Mode, Functional: s.Functional, Seed: s.Seed, Observer: s.Observer,
+			Telemetry: s.Telemetry, Faults: s.Faults, Metrics: s.Metrics}))
+	}),
+	fwApp.runs(func(s Spec) (AppResult, error) {
+		return view(RunFW(FWConfig{Machine: s.Machine, N: s.N, B: s.B, PEs: s.PEs, L1: s.L1,
+			Mode: s.Mode, Functional: s.Functional, Seed: s.Seed, Observer: s.Observer,
+			Telemetry: s.Telemetry, Faults: s.Faults, Metrics: s.Metrics}))
+	}),
+	mmApp.runs(func(s Spec) (AppResult, error) {
+		return view(RunMM(MMConfig{Machine: s.Machine, N: s.N, PEs: s.PEs, BF: s.BF, Mode: s.Mode,
+			Functional: s.Functional, Seed: s.Seed, Observer: s.Observer, Telemetry: s.Telemetry}))
+	}),
+	spmvApp.runs(func(s Spec) (AppResult, error) {
+		run := RunSpMV
+		if s.RHS > 1 {
+			run = RunSpMM
+		}
+		return view(run(SpMVConfig{Machine: s.Machine, N: s.N, Density: s.Density, RHS: s.RHS, PEs: s.PEs,
+			RowsFPGA: s.BF, Mode: s.Mode, Seed: s.Seed, Observer: s.Observer, Telemetry: s.Telemetry,
+			Faults: s.Faults}))
+	}),
+	cholApp.runs(func(s Spec) (AppResult, error) {
+		return view(RunCholesky(CholConfig{Machine: s.Machine, N: s.N, B: s.B, PEs: s.PEs, BF: s.BF, L: s.L,
+			Mode: s.Mode, Functional: s.Functional, Seed: s.Seed, Observer: s.Observer, Telemetry: s.Telemetry}))
+	}),
+	qrApp.runs(func(s Spec) (AppResult, error) {
+		return view(RunQR(QRConfig{Machine: s.Machine, N: s.N, B: s.B, PEs: s.PEs, BF: s.BF,
+			Mode: s.Mode, Functional: s.Functional, Seed: s.Seed, Observer: s.Observer, Telemetry: s.Telemetry}))
+	}),
+	cgApp.runs(func(s Spec) (AppResult, error) {
+		return view(RunCG(CGConfig{Machine: s.Machine, N: s.N, Density: s.Density, PEs: s.PEs,
+			RowsFPGA: s.BF, Mode: s.Mode, Seed: s.Seed, Observer: s.Observer, Telemetry: s.Telemetry}))
+	}),
+}
+
+// runs returns the row with its run function.
+func (a App) runs(run func(Spec) (AppResult, error)) App {
+	a.run = run
+	return a
+}
+
+// positiveN is the geometry check of the single-node operator apps.
+func positiveN(name string) func(nodes, n, b, k int) error {
+	return func(_, n, _, _ int) error {
+		if n <= 0 {
+			return fmt.Errorf("%s needs n > 0", name)
+		}
+		return nil
+	}
 }
 
 // Apps returns the registered apps in registry order.
@@ -369,20 +407,6 @@ func FWModel(m machine.Config, proc *cpu.Processor, b, k int, ff, bd float64) mo
 		Bn:        m.Fabric.LinkBandwidth,
 		Bw:        machine.WordBytes,
 		SRAMBytes: designSRAM(m),
-	}
-}
-
-// MMModel builds the matrix-multiply model parameters for an n×n
-// product on a k-PE matmul array, with ff and bd supplied as for
-// LUModel.
-func MMModel(m machine.Config, proc *cpu.Processor, n, k int, ff, bd float64) model.MMParams {
-	return model.MMParams{
-		P: m.Nodes, N: n, K: k,
-		Ff:         ff,
-		StripeRate: proc.Rate(cpu.DGEMMStripe),
-		Bd:         bd,
-		Bw:         machine.WordBytes,
-		SRAMBytes:  designSRAM(m),
 	}
 }
 

@@ -127,6 +127,73 @@ func TestRegistryEntries(t *testing.T) {
 	}
 }
 
+// TestPriceMatchesRun prices every app with a model half at its small
+// run's placed clock and bandwidth, and requires the run's own split,
+// prediction and predicted binding exactly: the sweep's model method
+// and a simulation read one model half and cannot drift apart.
+func TestPriceMatchesRun(t *testing.T) {
+	for _, app := range Apps() {
+		if app.Price == nil {
+			continue
+		}
+		for _, mode := range []Mode{Hybrid, ProcessorOnly, FPGAOnly} {
+			for _, density := range []float64{0, 0.05} {
+				s := app.Small()
+				s.Mode, s.Density = mode, density
+				res, err := app.Run(s)
+				if err != nil {
+					t.Fatalf("%s %s: %v", app.Name, mode, err)
+				}
+				placed, err := fpga.Place(app.Design(s.PEs), s.Machine.Device)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pr, err := app.Price(Pricing{Machine: s.Machine, Proc: s.Machine.Processor(),
+					N: s.N, B: s.B, K: s.PEs, Ff: placed.FreqHz,
+					Bd:   machine.EffectiveBd(s.Machine.RawFPGADRAMBandwidth, placed.FreqHz),
+					Mode: mode, BF: s.BF, L: s.L, L1: s.L1, Density: density})
+				if err != nil {
+					t.Fatalf("%s %s: %v", app.Name, mode, err)
+				}
+				if pr.Split != res.Split || pr.Prediction != res.Prediction || pr.Binding != res.Binding {
+					t.Errorf("%s %s density %g: priced %+v, run split %+v prediction %+v binding %v",
+						app.Name, mode, density, pr, res.Split, res.Prediction, res.Binding)
+				}
+			}
+		}
+	}
+}
+
+// TestGeometryChecksPrecedePlacement requires each app's geometry
+// error, wrapped as its Run reports it, before any design is placed.
+func TestGeometryChecksPrecedePlacement(t *testing.T) {
+	bad := map[string]string{
+		"lu":   "core: block size 21 must divide n=120",
+		"chol": "core: block size 21 must divide n=120",
+		"qr":   "core: block size 21 must divide n=120",
+		"fw":   "core: b*p=126 must divide n=96",
+		"mm":   "core: n=121 must be a multiple of k=4",
+		"spmv": "core: spmv needs n > 0",
+		"cg":   "core: cg needs n > 0",
+	}
+	for _, app := range Apps() {
+		s := app.Small()
+		s.B = 21
+		switch app.Name {
+		case "mm":
+			s.N = 121
+		case "spmv", "cg":
+			s.N = 0
+		}
+		// A device nothing fits on: placement would fail if it ran.
+		s.Machine.Device.Slices = 1
+		_, err := app.Run(s)
+		if want := bad[app.Name]; err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %q", app.Name, err, want)
+		}
+	}
+}
+
 // TestUnreadAxesLeaveRunUnchanged varies each axis an entry marks
 // unread and requires an identical Result (AxisL covers L and L1).
 func TestUnreadAxesLeaveRunUnchanged(t *testing.T) {

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"codesign/internal/cpu"
-	"codesign/internal/fpga"
 	"codesign/internal/machine"
 	"codesign/internal/matrix"
 	"codesign/internal/model"
@@ -76,8 +75,9 @@ func RunCG(cfg CGConfig) (*CGRunResult, error) {
 	if cfg.Machine.Nodes == 0 {
 		cfg.Machine = machine.XD1()
 	}
-	if cfg.N <= 0 {
-		return nil, fmt.Errorf("core: cg needs n > 0")
+	k, err := cgApp.geometry(cfg.Machine, cfg.N, 0, cfg.PEs)
+	if err != nil {
+		return nil, err
 	}
 	if cfg.Tol <= 0 {
 		cfg.Tol = 1e-10
@@ -90,12 +90,7 @@ func RunCG(cfg CGConfig) (*CGRunResult, error) {
 		return nil, err
 	}
 	rec := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
-	k := cfg.PEs
-	if k == 0 {
-		k = fpga.MaxPEs(mvDesign, cfg.Machine.Device)
-	}
-	design := fpga.NewMV(k)
-	if err := sys.InstallDesign(design); err != nil {
+	if err := sys.InstallDesign(cgApp.Design(k)); err != nil {
 		return nil, err
 	}
 	node := sys.Nodes[0]
@@ -128,10 +123,6 @@ func RunCG(cfg CGConfig) (*CGRunResult, error) {
 	// resident arrangement: the FPGA's matrix share is loaded into SRAM
 	// once over Bd, so the per-apply balance has no Tmem term and the
 	// FPGA word rate is the slower of the MAC array and the SRAM port.
-	sramBW := cfg.Machine.SRAMBandwidth
-	if sramBW <= 0 {
-		sramBW = 9.6e9
-	}
 	totalWords := rowWords(0, cfg.N)
 	mvRate := proc.Rate(cpu.DGEMV)
 	if cfg.Density > 0 {
@@ -143,7 +134,7 @@ func RunCG(cfg CGConfig) (*CGRunResult, error) {
 		MVRate:    mvRate,
 		VecTime:   proc.Time(cpu.VectorOp, 10*float64(cfg.N)),
 		Bd:        machine.EffectiveBd(cfg.Machine.RawFPGADRAMBandwidth, accel.Placed.FreqHz),
-		Bs:        sramBW,
+		Bs:        cfg.Machine.SRAMBandwidth,
 		Bw:        machine.WordBytes,
 		SRAMBytes: sys.Nodes[0].SRAM.TotalBytes(),
 		Resident:  true,

@@ -5,7 +5,6 @@ import (
 	"math/rand"
 
 	"codesign/internal/cpu"
-	"codesign/internal/fpga"
 	"codesign/internal/machine"
 	"codesign/internal/matrix"
 	"codesign/internal/model"
@@ -104,42 +103,26 @@ func RunCholesky(cfg CholConfig) (*CholResult, error) {
 		cfg.Machine = machine.XD1()
 	}
 	p := cfg.Machine.Nodes
-	if p < 2 {
-		return nil, fmt.Errorf("core: cholesky design needs p >= 2, got %d", p)
-	}
-	if cfg.N <= 0 || cfg.B <= 0 || cfg.N%cfg.B != 0 || cfg.B%(p-1) != 0 {
-		return nil, fmt.Errorf("core: bad geometry n=%d b=%d (b must divide n and be a multiple of p-1)", cfg.N, cfg.B)
+	k, err := cholApp.geometry(cfg.Machine, cfg.N, cfg.B, cfg.PEs)
+	if err != nil {
+		return nil, err
 	}
 	sys, err := machine.New(cfg.Machine)
 	if err != nil {
 		return nil, err
 	}
 	rec := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
-	k := cfg.PEs
-	if k == 0 {
-		k = fpga.MaxPEs(matmulDesign, cfg.Machine.Device)
-	}
-	if cfg.B%k != 0 {
-		return nil, fmt.Errorf("core: block size %d must be a multiple of k=%d", cfg.B, k)
-	}
-	if err := sys.InstallDesign(fpga.NewMatMul(k)); err != nil {
+	if err := sys.InstallDesign(cholApp.Design(k)); err != nil {
 		return nil, err
 	}
-	accel := sys.Nodes[0].Accel
 	proc := sys.Nodes[0].Proc
-
-	lp := LUModel(cfg.Machine, proc, cfg.B, k, accel.Placed.FreqHz, accel.DRAM.BandwidthBytes)
-	if err := lp.Validate(); err != nil {
-		return nil, err
-	}
-	bf, err := SolveShare(cfg.Mode, "bf", cfg.BF, cfg.B, lp.SolvePartition)
+	q := installed(cfg.Machine, sys, cfg.N, cfg.B, k, cfg.Mode)
+	q.BF, q.L = cfg.BF, cfg.L
+	lp, pr, err := cholHalf.model(q)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	l := cfg.L
-	if l < 0 {
-		l = lp.SolveL(bf)
-	}
+	bf, l := pr.Split.BF, pr.Split.L
 
 	cr := &cholRun{cfg: cfg, sys: sys, lp: lp, nb: cfg.N / cfg.B, bf: bf, l: l, stripes: cfg.B / k}
 	// Per-job charges are the LU opMM charges; SYRK (diagonal) jobs
@@ -208,10 +191,8 @@ func RunCholesky(cfg CholConfig) (*CholResult, error) {
 			CPUBusy:       cpuBusy, FPGABusy: fpgaBusy,
 		},
 		BF: bf, BP: cfg.B - bf, L: l, K: k,
-		Model: lp,
-		// Cholesky does half of LU's trailing work per iteration pair;
-		// reuse the LU predictor scaled by the flop ratio.
-		Prediction: scalePrediction(lp.PredictLU(cfg.N, bf), 0.5, flops),
+		Model:      lp,
+		Prediction: pr.Prediction,
 	}
 	summarizeTelemetry(rec, end, &res.Result)
 	if cfg.Functional && ref != nil {
@@ -221,14 +202,13 @@ func RunCholesky(cfg CholConfig) (*CholResult, error) {
 	return res, nil
 }
 
-// scalePrediction rescales a prediction's times by factor and recomputes
-// throughput for the given useful flops.
-func scalePrediction(p model.Prediction, factor, flops float64) model.Prediction {
-	p.Ttp *= factor
-	p.Ttf *= factor
-	p.Seconds *= factor
-	p.Flops = flops
-	p.GFLOPS = flops / p.Seconds / 1e9
+// predictChol is the Section 4.5 predictor for the Cholesky design:
+// Cholesky does half of LU's trailing work per iteration pair, so it is
+// the LU prediction with its times halved, at n³/3 useful flops.
+func predictChol(lp model.LUParams, n, bf int) model.Prediction {
+	p, nn := lp.PredictLU(n, bf), float64(n)
+	p.Ttp, p.Ttf, p.Seconds, p.Flops = 0.5*p.Ttp, 0.5*p.Ttf, 0.5*p.Seconds, nn*nn*nn/3
+	p.GFLOPS = p.Flops / p.Seconds / 1e9
 	return p
 }
 

@@ -34,8 +34,6 @@ type FWConfig struct {
 	// Functional carries a real distance matrix through the run and
 	// checks it against the sequential blocked reference.
 	Functional bool
-	// Trace, when non-nil, receives every engine event.
-	Trace func(t float64, proc, action string)
 	// Observer, when non-nil, receives the structured telemetry stream
 	// (raw events and typed spans; see internal/trace.Recorder).
 	Observer sim.Observer
@@ -108,6 +106,48 @@ func (fr *fwRun) blk(u, v int) *matrix.Dense {
 // block-column distribution of Section 5.2.3.
 func (fr *fwRun) owner(c int) int { return fr.cols.Owner(c) }
 
+// fwGeometry is fw's geometry check: each node owns a whole number of
+// b-wide block columns, and the k-PE array divides the block.
+func fwGeometry(p, n, b, k int) error {
+	switch {
+	case n <= 0 || b <= 0 || p <= 0 || n%(b*p) != 0:
+		return fmt.Errorf("b*p=%d must divide n=%d", b*p, n)
+	case b%k != 0:
+		return fmt.Errorf("block size %d must be a multiple of k=%d", b, k)
+	}
+	return nil
+}
+
+// fwModel is fw's model half: FWModel, the Eq. 6 whole-task split of
+// each phase's n/(b·p) ops, and the Section 4.5 prediction at it.
+func fwModel(q Pricing) (model.FWParams, Priced, error) {
+	fp := FWModel(q.Machine, q.Proc, q.B, q.K, q.Ff, q.Bd)
+	var pr Priced
+	if err := fp.Validate(); err != nil {
+		return fp, pr, err
+	}
+	total := fp.OpsPerPhase(q.N)
+	l1 := q.L1
+	switch q.Mode {
+	case ProcessorOnly:
+		l1 = total
+	case FPGAOnly:
+		l1 = 0
+	default:
+		if l1 < 0 {
+			l1, _ = pr.solve(q.Memo, PartitionSolve{Kind: "fw.l1", Params: fp, Arg: q.N})
+		}
+	}
+	if l1 < 0 || l1 > total {
+		return fp, pr, fmt.Errorf("l1=%d out of [0,%d]", l1, total)
+	}
+	l2 := total - l1
+	pr.Split = Split{L1: l1, L2: l2}
+	pr.Prediction = fp.PredictFW(q.N, l1, l2)
+	pr.Binding, pr.Margin = fp.PhaseBinding(l1, l2)
+	return fp, pr, nil
+}
+
 // RunFW builds the machine, derives the whole-task split from the
 // design model, simulates the distributed computation and returns the
 // measured results.
@@ -116,22 +156,15 @@ func RunFW(cfg FWConfig) (*FWResult, error) {
 		cfg.Machine = machine.XD1()
 	}
 	p := cfg.Machine.Nodes
-	if cfg.N <= 0 || cfg.B <= 0 || cfg.N%(cfg.B*p) != 0 {
-		return nil, fmt.Errorf("core: n=%d must be a multiple of b·p=%d", cfg.N, cfg.B*p)
+	k, err := fwApp.geometry(cfg.Machine, cfg.N, cfg.B, cfg.PEs)
+	if err != nil {
+		return nil, err
 	}
 	sys, err := machine.New(cfg.Machine)
 	if err != nil {
 		return nil, err
 	}
-	sys.Eng.Trace = cfg.Trace
 	rec := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
-	k := cfg.PEs
-	if k == 0 {
-		k = fpga.MaxPEs(fwDesign, cfg.Machine.Device)
-	}
-	if cfg.B%k != 0 {
-		return nil, fmt.Errorf("core: block size %d must be a multiple of k=%d", cfg.B, k)
-	}
 	design := fpga.NewFW(k)
 	if err := sys.InstallDesign(design); err != nil {
 		return nil, err
@@ -147,15 +180,14 @@ func RunFW(cfg FWConfig) (*FWResult, error) {
 			return nil, err
 		}
 	}
-	accel := sys.Nodes[0].Accel
-	proc := sys.Nodes[0].Proc
-
-	fp := FWModel(cfg.Machine, proc, cfg.B, k, accel.Placed.FreqHz, accel.DRAM.BandwidthBytes)
-	if err := fp.Validate(); err != nil {
-		return nil, err
+	q := installed(cfg.Machine, sys, cfg.N, cfg.B, k, cfg.Mode)
+	q.L1 = cfg.L1
+	fp, pr, err := fwModel(q)
+	if err != nil {
+		return nil, fmt.Errorf("core: %w", err)
 	}
 
-	fr := &fwRun{cfg: cfg, sys: sys, fp: fp, nb: cfg.N / cfg.B}
+	fr := &fwRun{cfg: cfg, sys: sys, fp: fp, nb: cfg.N / cfg.B, l1: pr.Split.L1, l2: pr.Split.L2}
 	if cfg.Faults != nil {
 		fr.tracker = newFaultTracker(cfg.Faults)
 	}
@@ -166,23 +198,6 @@ func RunFW(cfg FWConfig) (*FWResult, error) {
 	fr.colsPer = fr.cols.PerNode()
 	fr.tp, fr.tf, fr.tmem, fr.tcomm = fp.BlockTimes()
 	fr.blockCycles = design.Cycles(cfg.B)
-
-	total := fr.colsPer // ops per node per phase = n/(b·p)
-	switch cfg.Mode {
-	case ProcessorOnly:
-		fr.l1, fr.l2 = total, 0
-	case FPGAOnly:
-		fr.l1, fr.l2 = 0, total
-	default:
-		if cfg.L1 >= 0 {
-			if cfg.L1 > total {
-				return nil, fmt.Errorf("core: l1=%d exceeds ops per phase %d", cfg.L1, total)
-			}
-			fr.l1, fr.l2 = cfg.L1, total-cfg.L1
-		} else {
-			fr.l1, fr.l2 = fp.SolveSplit(cfg.N)
-		}
-	}
 
 	var ref *matrix.Dense
 	if cfg.Functional {
@@ -231,7 +246,8 @@ func RunFW(cfg FWConfig) (*FWResult, error) {
 			CPUBusy:       cpuBusy, FPGABusy: fpgaBusy,
 		},
 		L1: fr.l1, L2: fr.l2, K: k,
-		Model:      fp,
+		Model: fp,
+		// At the final split: a fault injector may have re-solved it.
 		Prediction: fp.PredictFW(cfg.N, fr.l1, fr.l2),
 	}
 	prev := 0.0

@@ -7,7 +7,6 @@ import (
 	"codesign/internal/cpu"
 	"codesign/internal/dist"
 	"codesign/internal/fault"
-	"codesign/internal/fpga"
 	"codesign/internal/machine"
 	"codesign/internal/matrix"
 	"codesign/internal/model"
@@ -48,9 +47,6 @@ type LUConfig struct {
 	// effect (Section 6.2): operand sends overlap the panel node's
 	// routines instead of serializing with them.
 	InterruptibleRoutines bool
-	// Trace, when non-nil, receives every engine event (see
-	// internal/trace.Collector.Attach for a ready-made consumer).
-	Trace func(t float64, proc, action string)
 	// Observer, when non-nil, receives the structured telemetry stream
 	// (raw events and typed spans; see internal/trace.Recorder).
 	Observer sim.Observer
@@ -213,6 +209,67 @@ func (lr *luRun) computeNodes(it *luIter) []int {
 	return out
 }
 
+// luGeometry is the lu family's geometry check: a panel node plus at
+// least one compute node, b dividing n, and b a multiple of both the
+// p-1 compute nodes and the k-PE stripe width (Section 6.1).
+func luGeometry(name string) func(nodes, n, b, k int) error {
+	return func(p, n, b, k int) error {
+		switch {
+		case p < 2:
+			return fmt.Errorf("%s needs p >= 2, got %d", name, p)
+		case n <= 0 || b <= 0 || n%b != 0:
+			return fmt.Errorf("block size %d must divide n=%d", b, n)
+		case b%(p-1) != 0:
+			return fmt.Errorf("block size %d must be a multiple of p-1=%d", b, p-1)
+		case b%k != 0:
+			return fmt.Errorf("block size %d must be a multiple of k=%d", b, k)
+		}
+		return nil
+	}
+}
+
+// luFamily is the model half lu, chol and qr share: LUModel, the Eq. 4
+// stripe split bf, the Eq. 5 pipeline depth l when the app pipelines
+// its panel, and the app's Section 4.5 prediction at bf.
+type luFamily struct {
+	// pipelined reports that the app reads l (lu, chol).
+	pipelined bool
+	// predict forecasts an n×n run at stripe split bf.
+	predict func(lp model.LUParams, n, bf int) model.Prediction
+}
+
+// The lu family's model halves.
+var (
+	luHalf   = luFamily{pipelined: true, predict: model.LUParams.PredictLU}
+	cholHalf = luFamily{pipelined: true, predict: predictChol}
+	qrHalf   = luFamily{predict: predictQR}
+)
+
+// model prices q: the parameters, the split and the prediction.
+func (f luFamily) model(q Pricing) (model.LUParams, Priced, error) {
+	lp := LUModel(q.Machine, q.Proc, q.B, q.K, q.Ff, q.Bd)
+	var pr Priced
+	if err := lp.Validate(); err != nil {
+		return lp, pr, err
+	}
+	bf, err := SolveShare(q.Mode, "bf", q.BF, q.B, func() (int, int) {
+		return pr.solve(q.Memo, PartitionSolve{Kind: "lu.bf", Params: lp})
+	})
+	if err != nil {
+		return lp, pr, err
+	}
+	pr.Split = Split{BF: bf, BP: q.B - bf}
+	if f.pipelined {
+		pr.Split.L = q.L
+		if q.L < 0 {
+			pr.Split.L, _ = pr.solve(q.Memo, PartitionSolve{Kind: "lu.l", Params: lp, Arg: bf})
+		}
+	}
+	pr.Prediction = f.predict(lp, q.N, bf)
+	pr.Binding, pr.Margin = lp.StripeBinding(bf)
+	return lp, pr, nil
+}
+
 // RunLU builds the machine, derives the partition from the design
 // model, simulates the full distributed factorization and returns the
 // measured results.
@@ -221,30 +278,16 @@ func RunLU(cfg LUConfig) (*LUResult, error) {
 		cfg.Machine = machine.XD1()
 	}
 	p := cfg.Machine.Nodes
-	if p < 2 {
-		return nil, fmt.Errorf("core: LU design needs p >= 2, got %d", p)
+	k, err := luApp.geometry(cfg.Machine, cfg.N, cfg.B, cfg.PEs)
+	if err != nil {
+		return nil, err
 	}
-	if cfg.N <= 0 || cfg.B <= 0 || cfg.N%cfg.B != 0 {
-		return nil, fmt.Errorf("core: block size %d must divide n=%d", cfg.B, cfg.N)
-	}
-	if cfg.B%(p-1) != 0 {
-		return nil, fmt.Errorf("core: block size %d must be a multiple of p-1=%d", cfg.B, p-1)
-	}
-
 	sys, err := machine.New(cfg.Machine)
 	if err != nil {
 		return nil, err
 	}
-	sys.Eng.Trace = cfg.Trace
 	rec := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
-	k := cfg.PEs
-	if k == 0 {
-		k = fpga.MaxPEs(matmulDesign, cfg.Machine.Device)
-	}
-	if cfg.B%k != 0 {
-		return nil, fmt.Errorf("core: block size %d must be a multiple of k=%d", cfg.B, k)
-	}
-	if err := sys.InstallDesign(fpga.NewMatMul(k)); err != nil {
+	if err := sys.InstallDesign(luApp.Design(k)); err != nil {
 		return nil, err
 	}
 	if cfg.Faults != nil {
@@ -255,23 +298,14 @@ func RunLU(cfg LUConfig) (*LUResult, error) {
 			return nil, err
 		}
 	}
-	accel := sys.Nodes[0].Accel
-	proc := sys.Nodes[0].Proc
-
-	lp := LUModel(cfg.Machine, proc, cfg.B, k, accel.Placed.FreqHz, accel.DRAM.BandwidthBytes)
-	if err := lp.Validate(); err != nil {
-		return nil, err
-	}
-
-	// Resolve the partition.
-	bf, err := SolveShare(cfg.Mode, "bf", cfg.BF, cfg.B, lp.SolvePartition)
+	q := installed(cfg.Machine, sys, cfg.N, cfg.B, k, cfg.Mode)
+	q.BF, q.L = cfg.BF, cfg.L
+	lp, pr, err := luHalf.model(q)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	l := cfg.L
-	if l < 0 {
-		l = lp.SolveL(bf)
-	}
+	bf, l := pr.Split.BF, pr.Split.L
+	proc := sys.Nodes[0].Proc
 
 	lr := &luRun{cfg: cfg, sys: sys, lp: lp, nb: cfg.N / cfg.B, bf: bf, bp: cfg.B - bf, l: l, stripes: cfg.B / k, rec: rec}
 	lr.cyc, err = dist.CheckedCyclic(lr.nb, p)
@@ -555,8 +589,9 @@ func (lr *luRun) execute(ref *matrix.Dense) (*LUResult, error) {
 			CPUBusy:       cpuBusy, FPGABusy: fpgaBusy,
 		},
 		BF: lr.bf, BP: lr.bp, L: lr.l, K: lr.lp.K,
-		Model:      lr.lp,
-		Prediction: lr.lp.PredictLU(lr.cfg.N, lr.bf),
+		Model: lr.lp,
+		// At the final split: a fault injector may have re-solved it.
+		Prediction: luHalf.predict(lr.lp, lr.cfg.N, lr.bf),
 	}
 	prev := 0.0
 	for _, t := range iterEnd {

@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 
+	"codesign/internal/cpu"
 	"codesign/internal/fault"
-	"codesign/internal/fpga"
 	"codesign/internal/machine"
 	"codesign/internal/matrix"
 	"codesign/internal/model"
@@ -58,25 +58,56 @@ type MMResult struct {
 	Prediction model.Prediction
 }
 
+// mmGeometry is mm's geometry check: the k-PE stripes and the p
+// nodes' result columns both tile n.
+func mmGeometry(p, n, _, k int) error {
+	switch {
+	case n <= 0 || n%k != 0:
+		return fmt.Errorf("n=%d must be a multiple of k=%d", n, k)
+	case n%p != 0:
+		return fmt.Errorf("n=%d must be a multiple of p=%d", n, p)
+	}
+	return nil
+}
+
+// mmModel is mm's model half: the model of an n×n product on a k-PE
+// matmul array, the Eq. 1 result-row split of each stripe, and the
+// Section 4.5 prediction at it.
+func mmModel(q Pricing) (model.MMParams, Priced, error) {
+	mp := model.MMParams{P: q.Machine.Nodes, N: q.N, K: q.K, Ff: q.Ff, Bd: q.Bd, Bw: machine.WordBytes,
+		StripeRate: q.Proc.Rate(cpu.DGEMMStripe), SRAMBytes: designSRAM(q.Machine)}
+	var pr Priced
+	if err := mp.Validate(); err != nil {
+		return mp, pr, err
+	}
+	bf, err := SolveShare(q.Mode, "bf", q.BF, q.N, func() (int, int) {
+		return pr.solve(q.Memo, PartitionSolve{Kind: "mm.bf", Params: mp})
+	})
+	if err != nil {
+		return mp, pr, err
+	}
+	pr.Split = Split{BF: bf, BP: q.N - bf}
+	pr.Prediction = mp.PredictMM(bf)
+	pr.Binding, pr.Margin = mp.StripeBinding(bf)
+	return mp, pr, nil
+}
+
 // RunMM builds the machine and simulates the stripe-pipelined multiply.
 func RunMM(cfg MMConfig) (*MMResult, error) {
 	if cfg.Machine.Nodes == 0 {
 		cfg.Machine = machine.XD1()
 	}
 	p := cfg.Machine.Nodes
+	k, err := mmApp.geometry(cfg.Machine, cfg.N, 0, cfg.PEs)
+	if err != nil {
+		return nil, err
+	}
 	sys, err := machine.New(cfg.Machine)
 	if err != nil {
 		return nil, err
 	}
 	rec := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
-	k := cfg.PEs
-	if k == 0 {
-		k = fpga.MaxPEs(matmulDesign, cfg.Machine.Device)
-	}
-	if cfg.N <= 0 || cfg.N%k != 0 || cfg.N%p != 0 {
-		return nil, fmt.Errorf("core: n=%d must be a positive multiple of k=%d and p=%d", cfg.N, k, p)
-	}
-	if err := sys.InstallDesign(fpga.NewMatMul(k)); err != nil {
+	if err := sys.InstallDesign(mmApp.Design(k)); err != nil {
 		return nil, err
 	}
 	if cfg.Faults != nil {
@@ -90,19 +121,15 @@ func RunMM(cfg MMConfig) (*MMResult, error) {
 			return nil, err
 		}
 	}
-	accel := sys.Nodes[0].Accel
-	proc := sys.Nodes[0].Proc
-
-	mp := MMModel(cfg.Machine, proc, cfg.N, k, accel.Placed.FreqHz, accel.DRAM.BandwidthBytes)
-	if err := mp.Validate(); err != nil {
-		return nil, err
-	}
-	bf, err := SolveShare(cfg.Mode, "bf", cfg.BF, cfg.N, mp.SolvePartition)
+	q := installed(cfg.Machine, sys, cfg.N, 0, k, cfg.Mode)
+	q.BF = cfg.BF
+	mp, pr, err := mmModel(q)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	bf := pr.Split.BF
 
-	tf, tp, tmem := mp.StripeTimes(bf)
+	_, tp, tmem := mp.StripeTimes(bf)
 	stripes := cfg.N / k
 	w := mp.Width()
 	fpgaStripeCycles := float64(bf) * float64(w)
@@ -179,9 +206,8 @@ func RunMM(cfg MMConfig) (*MMResult, error) {
 		},
 		BF: bf, BP: cfg.N - bf, K: k,
 		Model:      mp,
-		Prediction: mp.PredictMM(bf),
+		Prediction: pr.Prediction,
 	}
-	_ = tf
 	summarizeTelemetry(rec, end, &res.Result)
 	if cfg.Functional {
 		res.Checked = true

@@ -3,10 +3,7 @@ package core
 import (
 	"fmt"
 
-	"codesign/internal/cpu"
-	"codesign/internal/fpga"
 	"codesign/internal/machine"
-	"codesign/internal/model"
 	"codesign/internal/sim"
 )
 
@@ -34,38 +31,24 @@ func RunOpMM(mc machine.Config, b, pes, bf int) (*OpMMResult, error) {
 		mc = machine.XD1()
 	}
 	p := mc.Nodes
-	if p < 2 {
-		return nil, fmt.Errorf("core: opMM needs p >= 2")
+	// One opMM is one LU block: LU's PE rule and geometry.
+	k, err := luApp.geometry(mc, b, b, pes)
+	if err != nil {
+		return nil, err
+	}
+	if bf < 0 || bf > b {
+		return nil, fmt.Errorf("core: bf=%d out of [0,%d]", bf, b)
 	}
 	sys, err := machine.New(mc)
 	if err != nil {
 		return nil, err
 	}
-	k := pes
-	if k == 0 {
-		k = fpga.MaxPEs(func(k int) fpga.Design { return fpga.NewMatMul(k) }, mc.Device)
-	}
-	if b%k != 0 || b%(p-1) != 0 {
-		return nil, fmt.Errorf("core: b=%d must be a multiple of k=%d and p-1=%d", b, k, p-1)
-	}
-	if bf < 0 || bf > b {
-		return nil, fmt.Errorf("core: bf=%d out of [0,%d]", bf, b)
-	}
-	if err := sys.InstallDesign(fpga.NewMatMul(k)); err != nil {
+	if err := sys.InstallDesign(luApp.Design(k)); err != nil {
 		return nil, err
 	}
 	accel := sys.Nodes[0].Accel
 	proc := sys.Nodes[0].Proc
-	lp := model.LUParams{
-		P: p, B: b, K: k,
-		Ff:         accel.Placed.FreqHz,
-		StripeRate: proc.Rate(cpu.DGEMMStripe),
-		LURate:     proc.Rate(cpu.DGETRF),
-		TrsmRate:   proc.Rate(cpu.DTRSM),
-		Bd:         accel.DRAM.BandwidthBytes,
-		Bn:         mc.Fabric.LinkBandwidth,
-		Bw:         machine.WordBytes,
-	}
+	lp := LUModel(mc, proc, b, k, accel.Placed.FreqHz, accel.DRAM.BandwidthBytes)
 	tf, tp, tmem, tcomm := lp.StripeTimes(bf)
 	stripes := b / k
 	fpgaStripeCycles := float64(bf) * float64(b) / float64(p-1)

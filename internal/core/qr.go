@@ -6,7 +6,6 @@ import (
 	"math/rand"
 
 	"codesign/internal/cpu"
-	"codesign/internal/fpga"
 	"codesign/internal/machine"
 	"codesign/internal/matrix"
 	"codesign/internal/model"
@@ -65,41 +64,26 @@ func RunQR(cfg QRConfig) (*QRResult, error) {
 		cfg.Machine = machine.XD1()
 	}
 	p := cfg.Machine.Nodes
-	if p < 2 {
-		return nil, fmt.Errorf("core: QR design needs p >= 2, got %d", p)
-	}
-	if cfg.N <= 0 || cfg.B <= 0 || cfg.N%cfg.B != 0 {
-		return nil, fmt.Errorf("core: block size %d must divide n=%d", cfg.B, cfg.N)
-	}
-	if cfg.B%(p-1) != 0 {
-		return nil, fmt.Errorf("core: block size %d must be a multiple of p-1=%d (stripe split)", cfg.B, p-1)
+	k, err := qrApp.geometry(cfg.Machine, cfg.N, cfg.B, cfg.PEs)
+	if err != nil {
+		return nil, err
 	}
 	sys, err := machine.New(cfg.Machine)
 	if err != nil {
 		return nil, err
 	}
 	rec := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
-	k := cfg.PEs
-	if k == 0 {
-		k = fpga.MaxPEs(matmulDesign, cfg.Machine.Device)
-	}
-	if cfg.B%k != 0 {
-		return nil, fmt.Errorf("core: block size %d must be a multiple of k=%d", cfg.B, k)
-	}
-	if err := sys.InstallDesign(fpga.NewMatMul(k)); err != nil {
+	if err := sys.InstallDesign(qrApp.Design(k)); err != nil {
 		return nil, err
 	}
-	accel := sys.Nodes[0].Accel
 	proc := sys.Nodes[0].Proc
-
-	lp := LUModel(cfg.Machine, proc, cfg.B, k, accel.Placed.FreqHz, accel.DRAM.BandwidthBytes)
-	if err := lp.Validate(); err != nil {
-		return nil, err
-	}
-	bf, err := SolveShare(cfg.Mode, "bf", cfg.BF, cfg.B, lp.SolvePartition)
+	q := installed(cfg.Machine, sys, cfg.N, cfg.B, k, cfg.Mode)
+	q.BF = cfg.BF
+	lp, pr, err := qrHalf.model(q)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	bf := pr.Split.BF
 
 	nb := cfg.N / cfg.B
 	b := cfg.B
@@ -252,7 +236,7 @@ func RunQR(cfg QRConfig) (*QRResult, error) {
 		},
 		BF: bf, BP: b - bf, K: k,
 		Model:      lp,
-		Prediction: predictQR(cfg.N, b, p, bf, lp),
+		Prediction: pr.Prediction,
 	}
 	summarizeTelemetry(rec, end, &res.Result)
 	if cfg.Functional && ref != nil {
@@ -284,7 +268,8 @@ func applyPanelSlice(a *matrix.Dense, tau []float64, t, b, cLo, w int) {
 // iteration the panel runs on one processor while every trailing
 // column's collective update runs on the p-1 compute nodes with the
 // Equation (4) row split (a scaled opMM).
-func predictQR(n, b, p, bf int, lp model.LUParams) model.Prediction {
+func predictQR(lp model.LUParams, n, bf int) model.Prediction {
+	b := lp.B
 	nb := n / b
 	tf, tp, tmem, _ := lp.StripeTimes(bf)
 	stripes := float64(b / lp.K)

@@ -11,7 +11,6 @@ import (
 	"codesign/internal/cache"
 	"codesign/internal/cpu"
 	"codesign/internal/fault"
-	"codesign/internal/fpga"
 	"codesign/internal/machine"
 	"codesign/internal/matrix"
 	"codesign/internal/model"
@@ -108,12 +107,62 @@ func RunSpMM(cfg SpMVConfig) (*SpMVResult, error) {
 	return runMV(cfg, applies)
 }
 
+// spmvModel is spmv's model half: the Eq. 1 row split and Section 4.5
+// prediction of q.Applies applies (one when 0) of the operator
+// matrix.RandomSparse builds, or a dense one, SRAM-resident when
+// repeated and the whole operator fits a node's SRAM.
+func spmvModel(q Pricing) (model.SpMVParams, Priced, error) {
+	n, applies := q.N, max(q.Applies, 1)
+	var words, nnz int
+	mvRate := q.Proc.Rate(cpu.DGEMV)
+	if q.Density > 0 {
+		nnz = n * (matrix.SparseRowNNZ(n, q.Density) + 1)
+		words = model.CSRStreamWords(nnz)
+		mvRate = q.Proc.Rate(cpu.SpMV)
+	} else {
+		nnz = n * n
+		words = n * n
+	}
+	sp := model.SpMVParams{
+		N: n, K: q.K, Words: words,
+		Ff:        q.Ff,
+		MVRate:    mvRate,
+		Bd:        q.Bd,
+		Bs:        q.Machine.SRAMBandwidth,
+		Bw:        machine.WordBytes,
+		SRAMBytes: designSRAM(q.Machine),
+		Resident:  applies > 1 && words <= sramWords(q.Machine),
+		Applies:   applies,
+		Flops:     float64(applies) * 2 * float64(nnz),
+	}
+	var pr Priced
+	if err := sp.Validate(); err != nil {
+		return sp, pr, err
+	}
+	rf, err := SolveShare(q.Mode, "rowsFPGA", q.BF, n, func() (int, int) {
+		return pr.solve(q.Memo, PartitionSolve{Kind: "spmv.rf", Params: sp})
+	})
+	if err != nil {
+		return sp, pr, err
+	}
+	pr.Split = Split{BF: rf, BP: n - rf}
+	pr.Prediction = sp.PredictSpMV(rf)
+	pr.Binding, pr.Margin = sp.StripeBinding(rf)
+	return sp, pr, nil
+}
+
+// sramWords is a node's whole SRAM in words.
+func sramWords(m machine.Config) int {
+	return int(float64(int64(m.SRAMBanks)*m.SRAMBankBytes) / machine.WordBytes)
+}
+
 func runMV(cfg SpMVConfig, applies int) (*SpMVResult, error) {
 	if cfg.Machine.Nodes == 0 {
 		cfg.Machine = machine.XD1()
 	}
-	if cfg.N <= 0 {
-		return nil, fmt.Errorf("core: spmv needs n > 0")
+	k, err := spmvApp.geometry(cfg.Machine, cfg.N, 0, cfg.PEs)
+	if err != nil {
+		return nil, err
 	}
 	if !(cfg.Density >= 0 && cfg.Density <= 1) { // NaN fails both comparisons
 		return nil, fmt.Errorf("core: density %g out of [0,1]", cfg.Density)
@@ -127,11 +176,7 @@ func runMV(cfg SpMVConfig, applies int) (*SpMVResult, error) {
 		return nil, err
 	}
 	rec := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
-	k := cfg.PEs
-	if k == 0 {
-		k = fpga.MaxPEs(mvDesign, cfg.Machine.Device)
-	}
-	if err := sys.InstallDesign(fpga.NewMV(k)); err != nil {
+	if err := sys.InstallDesign(spmvApp.Design(k)); err != nil {
 		return nil, err
 	}
 	if cfg.Faults != nil {
@@ -144,7 +189,6 @@ func runMV(cfg SpMVConfig, applies int) (*SpMVResult, error) {
 	}
 	node := sys.Nodes[0]
 	accel := node.Accel
-	proc := node.Proc
 
 	// The operator and start vector, shared read-only with every other
 	// run of the same (n, density, seed).
@@ -162,42 +206,17 @@ func runMV(cfg SpMVConfig, applies int) (*SpMVResult, error) {
 		nnz = cfg.N * cfg.N
 		rowWords = func(lo, hi int) int { return (hi - lo) * cfg.N }
 	}
-	totalWords := rowWords(0, cfg.N)
-	capWords := int(float64(node.SRAM.TotalBytes()) / machine.WordBytes)
-	resident := applies > 1 && totalWords <= capWords
 
-	sramBW := cfg.Machine.SRAMBandwidth
-	if sramBW <= 0 {
-		sramBW = 9.6e9
-	}
-	mvRate := proc.Rate(cpu.DGEMV)
-	if cfg.Density > 0 {
-		mvRate = proc.Rate(cpu.SpMV)
-	}
-	flops := float64(applies) * 2 * float64(nnz)
-	mvp := model.SpMVParams{
-		N: cfg.N, K: k, Words: totalWords,
-		Ff:        accel.Placed.FreqHz,
-		MVRate:    mvRate,
-		Bd:        accel.DRAM.BandwidthBytes,
-		Bs:        sramBW,
-		Bw:        machine.WordBytes,
-		SRAMBytes: node.SRAM.TotalBytes(),
-		Resident:  resident,
-		Applies:   applies,
-		Flops:     flops,
-	}
-	if err := mvp.Validate(); err != nil {
-		return nil, err
-	}
-
-	rf, err := SolveShare(cfg.Mode, "rowsFPGA", cfg.RowsFPGA, cfg.N, mvp.SolvePartition)
+	q := installed(cfg.Machine, sys, cfg.N, 0, k, cfg.Mode)
+	q.BF, q.Density, q.Applies = cfg.RowsFPGA, cfg.Density, applies
+	mvp, priced, err := spmvModel(q)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	rf, resident := priced.Split.BF, mvp.Resident
 	if resident {
 		// SRAM capacity clamp on the resident share, exact per row.
-		for rf > 0 && rowWords(0, rf) > capWords {
+		for rf > 0 && rowWords(0, rf) > sramWords(cfg.Machine) {
 			rf--
 		}
 	}
@@ -223,7 +242,7 @@ func runMV(cfg SpMVConfig, applies int) (*SpMVResult, error) {
 	yRef := make([]float64, cfg.N)
 
 	res := &SpMVResult{RowsFPGA: rf, RowsCPU: cfg.N - rf, K: k,
-		NNZ: nnz, Words: totalWords, Applies: applies, Resident: resident}
+		NNZ: nnz, Words: rowWords(0, cfg.N), Applies: applies, Resident: resident}
 	var maxDiff, loadDone float64
 	sys.Eng.Go("spmv.cpu", func(pr *sim.Proc) {
 		if resident && rf > 0 {
@@ -310,7 +329,7 @@ func runMV(cfg SpMVConfig, applies int) (*SpMVResult, error) {
 	}
 	res.Result = Result{
 		App: app, Mode: cfg.Mode, N: cfg.N, B: k,
-		Seconds: end, Flops: flops, GFLOPS: flops / end / 1e9,
+		Seconds: end, Flops: mvp.Flops, GFLOPS: mvp.Flops / end / 1e9,
 		NetworkBytes:  sys.Fab.Bytes(),
 		Coordinations: collectCoordinations(sys),
 		MaxResidual:   maxDiff,
@@ -318,7 +337,7 @@ func runMV(cfg SpMVConfig, applies int) (*SpMVResult, error) {
 	}
 	res.CPUBusy, res.FPGABusy = collectBusy(sys)
 	res.Model = mvp
-	res.Prediction = mvp.PredictSpMV(rf)
+	res.Prediction = mvp.PredictSpMV(rf) // at the clamped split
 	res.LoadSeconds = loadDone
 	summarizeTelemetry(rec, end, &res.Result)
 	return res, nil

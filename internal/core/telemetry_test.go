@@ -127,39 +127,6 @@ func TestPerfettoExportDeterministic(t *testing.T) {
 	}
 }
 
-// traceEvent is one legacy-hook record for the adapter comparison.
-type traceEvent struct {
-	t            float64
-	proc, action string
-}
-
-func TestLegacyTraceHookMatchesObserverEvents(t *testing.T) {
-	var legacy []traceEvent
-	rec := trace.NewRecorder()
-	rec.KeepEvents = true
-	cfg := smallLU()
-	cfg.Observer = rec
-	cfg.Trace = func(tm float64, proc, action string) {
-		legacy = append(legacy, traceEvent{tm, proc, action})
-	}
-	if _, err := RunLU(cfg); err != nil {
-		t.Fatal(err)
-	}
-	events := rec.Events()
-	if len(legacy) == 0 {
-		t.Fatal("legacy hook saw no events")
-	}
-	if len(legacy) != len(events) {
-		t.Fatalf("legacy hook saw %d events, observer %d", len(legacy), len(events))
-	}
-	for i := range legacy {
-		if legacy[i].t != events[i].Time || legacy[i].proc != events[i].Proc ||
-			legacy[i].action != events[i].Action {
-			t.Fatalf("event %d differs: hook %+v, observer %+v", i, legacy[i], events[i])
-		}
-	}
-}
-
 func TestObserverOffByDefault(t *testing.T) {
 	// Without Telemetry or an Observer the engine must not pay for span
 	// construction and the result must carry no summary.

@@ -12,7 +12,7 @@ import (
 // out the other side.
 func TestTraceOnFullRun(t *testing.T) {
 	col := &trace.Collector{Limit: 500000}
-	r, err := RunLU(LUConfig{N: 300, B: 60, PEs: 4, BF: -1, L: 2, Mode: Hybrid, Trace: col.Record})
+	r, err := RunLU(LUConfig{N: 300, B: 60, PEs: 4, BF: -1, L: 2, Mode: Hybrid, Observer: col})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestTraceOnFullRun(t *testing.T) {
 // TestTraceOnFW does the same through the Floyd-Warshall design.
 func TestTraceOnFW(t *testing.T) {
 	col := &trace.Collector{Limit: 500000}
-	_, err := RunFW(FWConfig{N: 96, B: 8, PEs: 4, L1: 1, Mode: Hybrid, Trace: col.Record})
+	_, err := RunFW(FWConfig{N: 96, B: 8, PEs: 4, L1: 1, Mode: Hybrid, Observer: col})
 	if err != nil {
 		t.Fatal(err)
 	}

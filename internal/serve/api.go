@@ -67,7 +67,8 @@ func badRequest(format string, args ...any) *Error {
 // "the preset or app default"; a null/absent BF or L means "solve the
 // model equation" (the -1 sentinel of internal/sweep).
 type SolveRequest struct {
-	// App is the application: "lu" (default), "fw", "mm" or "spmv".
+	// App is the application, one of sweep.Apps: "lu" (default),
+	// "fw", "mm", "spmv", "chol" or "qr".
 	App string `json:"app,omitempty"`
 	// Machine is the machine preset: "xd1" (default), "xt3", "src6",
 	// "rasc".

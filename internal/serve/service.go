@@ -237,14 +237,7 @@ func (s *Service) Solve(ctx context.Context, req SolveRequest) (*SolveResponse, 
 // toward the lower grid index). ctx cancels the sweep between points;
 // grids above Config.MaxDesignPoints are rejected with a 400 *Error.
 func (s *Service) Design(ctx context.Context, req DesignRequest) (*DesignResponse, error) {
-	if err := req.Grid.Validate(); err != nil {
-		return nil, badRequest("%v", err)
-	}
-	if n := req.Grid.NumPoints(); n > s.cfg.MaxDesignPoints {
-		return nil, badRequest("grid has %d points, /v1/design allows %d; submit large grids to /v1/sweep",
-			n, s.cfg.MaxDesignPoints)
-	}
-	if err := validateScreen(req.Screen, req.RefineMargin); err != nil {
+	if err := req.validate(s.cfg.MaxDesignPoints); err != nil {
 		return nil, err
 	}
 	top := req.Top
@@ -296,14 +289,8 @@ func (s *Service) Design(ctx context.Context, req DesignRequest) (*DesignRespons
 // submitting request's), sharing the memoized evaluator. Submissions
 // beyond Config.MaxRunningJobs are rejected with a 429 *Error.
 func (s *Service) SubmitSweep(req SweepRequest) (*JobResponse, error) {
-	if err := req.Grid.Validate(); err != nil {
-		return nil, badRequest("%v", err)
-	}
-	if err := validateScreen(req.Screen, req.RefineMargin); err != nil {
+	if err := req.validate(s.cfg.MaxSweepPoints); err != nil {
 		return nil, err
-	}
-	if n := req.Grid.NumPoints(); n > s.cfg.MaxSweepPoints {
-		return nil, badRequest("grid has %d points, /v1/sweep allows %d", n, s.cfg.MaxSweepPoints)
 	}
 	job, aerr := s.jobs.submit(req.Grid)
 	if aerr != nil {
@@ -326,6 +313,35 @@ func (s *Service) SubmitSweep(req SweepRequest) (*JobResponse, error) {
 		s.jobs.finish(job.Job, res, err)
 	}()
 	return job, nil
+}
+
+// validate rejects a /v1/design body as a 400 *Error: an invalid grid,
+// one over maxPoints, or screening parameters that cannot mean
+// anything. It evaluates no point.
+func (req DesignRequest) validate(maxPoints int) *Error {
+	if err := req.Grid.Validate(); err != nil {
+		return badRequest("%v", err)
+	}
+	if n := req.Grid.NumPoints(); n > maxPoints {
+		return badRequest("grid has %d points, /v1/design allows %d; submit large grids to /v1/sweep", n, maxPoints)
+	}
+	return validateScreen(req.Screen, req.RefineMargin)
+}
+
+// validate rejects a /v1/sweep body as a 400 *Error: an invalid grid,
+// screening parameters that cannot mean anything, or a grid over
+// maxPoints. It evaluates no point.
+func (req SweepRequest) validate(maxPoints int) *Error {
+	if err := req.Grid.Validate(); err != nil {
+		return badRequest("%v", err)
+	}
+	if err := validateScreen(req.Screen, req.RefineMargin); err != nil {
+		return err
+	}
+	if n := req.Grid.NumPoints(); n > maxPoints {
+		return badRequest("grid has %d points, /v1/sweep allows %d", n, maxPoints)
+	}
+	return nil
 }
 
 // validateScreen rejects screening parameters that cannot mean

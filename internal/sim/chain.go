@@ -181,7 +181,7 @@ func (e *Engine) chainStep(p *Proc) bool {
 	p.chainSince = e.now
 	p.chainAcquiring = true
 	p.parkKind, p.parkWhy, p.parkDur = parkOn, r.why, 0
-	if e.Trace != nil || len(e.observers) > 0 {
+	if e.observing() {
 		e.emitEvent(e.now, p.name, r.why.action)
 	}
 	return true
@@ -198,7 +198,7 @@ func (e *Engine) chainHold(p *Proc) {
 	p.chainStart = e.now
 	e.scheduleProc(e.now+dt, p)
 	p.parkKind, p.parkWhy, p.parkDur = parkWait, nil, dt
-	if e.Trace != nil || len(e.observers) > 0 {
+	if e.observing() {
 		e.emitEvent(e.now, p.name, e.waitReason(parkWait, dt).action)
 	}
 	if e.ctr != nil {

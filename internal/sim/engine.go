@@ -29,14 +29,6 @@ type Engine struct {
 	until    float64
 	horizon  bool
 
-	// Trace, if non-nil, receives one call per interesting engine
-	// action (process resume, wait, block). Useful for debugging and
-	// for the timeline exporter. It remains the legacy adapter onto
-	// the raw event stream; structured consumers register an Observer
-	// via Observe instead. Both see identical events in the same
-	// order.
-	Trace func(t float64, proc, action string)
-
 	observers []Observer
 
 	// ctr, when non-nil, receives engine-loop event counts (see
@@ -406,7 +398,7 @@ func (p *Proc) park(kind int, why *parkReason, dur float64) {
 	p.blocked = true
 	e.nblocked++
 	p.parkKind, p.parkWhy, p.parkDur = kind, why, dur
-	if e.Trace != nil || len(e.observers) > 0 {
+	if e.observing() {
 		if why == nil {
 			why = e.waitReason(kind, dur)
 		}

@@ -418,18 +418,24 @@ func TestBarrierReusable(t *testing.T) {
 	}
 }
 
+// eventLog is an Observer that keeps only the raw events.
+type eventLog []string
+
+func (l *eventLog) Event(tm float64, proc, action string) {
+	*l = append(*l, fmt.Sprintf("%.0f/%s/%s", tm, proc, action))
+}
+func (l *eventLog) Span(SpanEvent) {}
+
 func TestTraceHook(t *testing.T) {
 	e := New()
-	var events []string
-	e.Trace = func(tm float64, proc, action string) {
-		events = append(events, fmt.Sprintf("%.0f/%s/%s", tm, proc, action))
-	}
+	var events eventLog
+	e.Observe(&events)
 	e.Go("p", func(p *Proc) { p.Wait(1) })
 	if err := e.Run(0); err != nil {
 		t.Fatal(err)
 	}
 	if len(events) == 0 {
-		t.Fatal("trace hook never called")
+		t.Fatal("observer never saw an event")
 	}
 }
 

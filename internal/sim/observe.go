@@ -156,7 +156,7 @@ func (s SpanEvent) Duration() float64 { return s.End - s.Start }
 // process) and in a deterministic order, so implementations need no
 // locking.
 //
-// Event mirrors the legacy Engine.Trace hook (one call per process
+// Event receives the raw engine actions (one call per process
 // resume/block); Span delivers completed typed spans. An observer that
 // cares about only one stream implements the other as a no-op.
 type Observer interface {
@@ -168,9 +168,7 @@ type Observer interface {
 }
 
 // Observe registers an observer. Observers are notified in registration
-// order; a nil observer is ignored. The legacy Trace hook keeps working
-// alongside observers: it is dispatched first, as an adapter that sees
-// exactly the raw event stream (but no typed spans).
+// order; a nil observer is ignored.
 func (e *Engine) Observe(o Observer) {
 	if o == nil {
 		return
@@ -194,12 +192,8 @@ func (e *Engine) EmitSpan(s SpanEvent) {
 // can skip span construction entirely when nobody listens.
 func (e *Engine) observing() bool { return len(e.observers) > 0 }
 
-// emitEvent dispatches one raw engine action to the legacy Trace hook
-// and to every observer.
+// emitEvent dispatches one raw engine action to every observer.
 func (e *Engine) emitEvent(t float64, proc, action string) {
-	if e.Trace != nil {
-		e.Trace(t, proc, action)
-	}
 	for _, o := range e.observers {
 		o.Event(t, proc, action)
 	}

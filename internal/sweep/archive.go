@@ -27,7 +27,7 @@ func ArchiveFrontierSpans(res *Result, dir string) ([]string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	ev := &pointEval{evaluator: newEvaluator(0), tally: new(Stats)}
+	ev := newEvaluator(0)
 	var paths []string
 	var firstErr error
 	for _, idx := range res.ParetoIndices {
@@ -67,8 +67,8 @@ func ArchiveFrontierSpans(res *Result, dir string) ([]string, error) {
 
 // record re-simulates one grid point with a recorder attached, on the
 // MethodSim evaluation path (same sentinel resolution, same run).
-func (ev *pointEval) record(pt Point) (*trace.Recorder, float64, error) {
-	r, err := ev.resolve(pt)
+func (ev *evaluator) record(pt Point) (*trace.Recorder, float64, error) {
+	r, err := ev.resolve(pt, new(Stats))
 	if err != nil {
 		return nil, 0, err
 	}

@@ -93,9 +93,8 @@ func TestArchiveFrontierSpansEveryApp(t *testing.T) {
 			}
 		}
 	}
-	ev := &pointEval{evaluator: newEvaluator(0), tally: new(Stats)}
-	if _, _, err := ev.record(Point{App: "qr", Machine: "xd1", Mode: "hybrid", BF: -1, L: -1}); err == nil {
-		t.Error("record simulated an unknown app")
+	if _, _, err := newEvaluator(0).record(Point{App: "cg", Machine: "xd1", Mode: "hybrid", BF: -1, L: -1}); err == nil {
+		t.Error("record simulated an app without a model half")
 	}
 }
 

@@ -9,7 +9,8 @@
 // its cross product is enumerated in a deterministic order and each
 // Point is evaluated either with the closed-form design model
 // (Equations 1-6 plus the Section 4.5 predictor, microseconds per
-// point) or with the full discrete-event simulation in internal/core
+// point; the model half of the app's internal/core registry row) or
+// with the full discrete-event simulation in internal/core
 // (MethodSim, which also reports the measured bottleneck from
 // internal/analysis and the telemetry overlap efficiency).
 //

@@ -46,7 +46,11 @@ func randomPoint(r *rand.Rand, app string) Point {
 func checkUnreadAxes(t *testing.T, r *rand.Rand, pt Point, method string) {
 	t.Helper()
 	want := fmt.Sprintf("%+v", NewEvaluator(0).Evaluate(pt, method))
-	unread := lookupApp(pt.App).Unread
+	app, err := lookup(pt.App)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unread := app.Unread
 	for _, ax := range unreadSetters {
 		if unread&ax.bit == 0 {
 			continue
@@ -62,9 +66,6 @@ func checkUnreadAxes(t *testing.T, r *rand.Rand, pt Point, method string) {
 func TestUnreadAxesLeaveOutcomeUnchanged(t *testing.T) {
 	r := rand.New(rand.NewSource(1))
 	for _, app := range Apps() {
-		if lookupApp(app).Unread == 0 {
-			continue
-		}
 		for i := 0; i < 400; i++ {
 			checkUnreadAxes(t, r, randomPoint(r, app), MethodModel)
 		}
@@ -75,6 +76,8 @@ func TestUnreadAxesLeaveOutcomeUnchanged(t *testing.T) {
 		{App: "fw", N: 96, B: 16},
 		{App: "mm", N: 96},
 		{App: "spmv", N: 512, Density: 0.05, PEs: 4},
+		{App: "chol", N: 120, B: 40},
+		{App: "qr", N: 120, B: 40},
 	}
 	for _, pt := range sims {
 		pt.Machine, pt.Mode, pt.BF, pt.L = "xd1", "hybrid", -1, -1

@@ -3,15 +3,14 @@ package sweep
 import (
 	"cmp"
 	"fmt"
+	"strings"
 	"sync"
 
 	"codesign/internal/analysis"
 	"codesign/internal/cache"
 	"codesign/internal/core"
-	"codesign/internal/cpu"
 	"codesign/internal/fpga"
 	"codesign/internal/machine"
-	"codesign/internal/matrix"
 	"codesign/internal/model"
 	"codesign/internal/sim"
 	"codesign/internal/trace"
@@ -128,16 +127,6 @@ type placeVal struct {
 	err    string
 }
 
-// partKey identifies one closed-form partition solve. params holds the
-// comparable model parameter struct (LUParams/FWParams/MMParams); kind
-// distinguishes the equation; arg carries the extra scalar some solves
-// need (bf for Eq. 5, n for Eq. 6).
-type partKey struct {
-	kind   string
-	params interface{}
-	arg    int
-}
-
 // partVal is a memoized partition solution (two ints cover every
 // solver: bf/bp, l/-, l1/l2).
 type partVal struct {
@@ -145,7 +134,7 @@ type partVal struct {
 }
 
 // resolveKey identifies one largest-fitting-PE-array search (the
-// PEs=0 sentinel resolution). Together with placeKey and partKey it
+// PEs=0 sentinel resolution). With placeKey and core.PartitionSolve it
 // forms the structured per-stage key family behind incremental
 // evaluation: two grid points that differ in one axis share every
 // stage whose key does not mention that axis, so a neighbor is
@@ -166,19 +155,11 @@ type resolveKey struct {
 // evaluator, so results stay deterministic.
 type evaluator struct {
 	place *cache.LRU[placeKey, placeVal]
-	part  *cache.LRU[partKey, partVal]
+	part  *cache.LRU[core.PartitionSolve, partVal]
 	maxk  *cache.LRU[resolveKey, int]
 
 	mu    sync.Mutex
 	stats Stats
-}
-
-// pointEval is one point's evaluation in flight: the shared memo
-// caches plus the point's own memo-traffic tally, which evaluate
-// merges into the evaluator's stats once, when the point finishes.
-type pointEval struct {
-	*evaluator
-	tally *Stats
 }
 
 // newEvaluator builds an evaluator whose memo caches hold at most
@@ -186,7 +167,7 @@ type pointEval struct {
 func newEvaluator(bound int) *evaluator {
 	return &evaluator{
 		place: cache.NewLRU[placeKey, placeVal](bound),
-		part:  cache.NewLRU[partKey, partVal](bound),
+		part:  cache.NewLRU[core.PartitionSolve, partVal](bound),
 		maxk:  cache.NewLRU[resolveKey, int](bound),
 	}
 }
@@ -236,7 +217,7 @@ func (ev *evaluator) charge(t Stats) {
 // design on the device. The compute happens under the cache lock
 // (cache.LRU.GetOrCompute), so each distinct placement is solved
 // exactly once per evaluator no matter how many workers race for it.
-func (ev *pointEval) placed(d fpga.Design, dev fpga.Device) (placeVal, error) {
+func (ev *evaluator) placed(d fpga.Design, dev fpga.Device, tally *Stats) (placeVal, error) {
 	key := placeKey{design: d.Name(), k: d.PEs(), device: dev.Name}
 	v, computed := ev.place.GetOrCompute(key, func() placeVal {
 		p, err := fpga.Place(d, dev)
@@ -245,9 +226,9 @@ func (ev *pointEval) placed(d fpga.Design, dev fpga.Device) (placeVal, error) {
 		}
 		return placeVal{usage: d.Resources(), freqHz: p.FreqHz}
 	})
-	ev.tally.PlaceLookups++
+	tally.PlaceLookups++
 	if computed {
-		ev.tally.PlaceSolves++
+		tally.PlaceSolves++
 	}
 	if v.err != "" {
 		return v, fmt.Errorf("%s", v.err)
@@ -255,70 +236,39 @@ func (ev *pointEval) placed(d fpga.Design, dev fpga.Device) (placeVal, error) {
 	return v, nil
 }
 
-// partition returns the memoized solution of one closed-form solve,
-// computing it via solve under the cache lock on first use.
-func (ev *pointEval) partition(key partKey, solve func() (int, int)) (int, int) {
-	v, computed := ev.part.GetOrCompute(key, func() partVal {
-		a, b := solve()
+// Solve implements core.Memo: the memoized solution of one closed-form
+// partition solve, computed under the cache lock on first use. The
+// caller tallies the traffic from computed, so a model half called
+// through App.Price needs no pointer into the point's tally.
+func (ev *evaluator) Solve(s core.PartitionSolve) (int, int, bool) {
+	v, computed := ev.part.GetOrCompute(s, func() partVal {
+		a, b := s.Solve()
 		return partVal{a: a, b: b}
 	})
-	ev.tally.PartitionLookups++
-	if computed {
-		ev.tally.PartitionSolves++
-	}
-	return v.a, v.b
+	return v.a, v.b, computed
 }
 
-// sweepApp is an app a Grid can sweep: its core registry entry plus
-// the sweep's model half.
-type sweepApp struct {
-	core.App
-	// family names the app's design family, the key of the PE-array
-	// search memo (lu and mm share the matmul array).
-	family string
-	// blockPEs shrinks a searched PE count until it divides the block
-	// size (mkmachine's convention for fw's non-power-of-two blocks).
-	blockPEs bool
-	// price evaluates a resolved point with the closed-form model: the
-	// placed design, the solved split, and the Section 4.5 prediction
-	// and analytic binding at that split. It returns its memo traffic
-	// by value: a tally pointer passed through this indirect call would
-	// escape to the heap, one allocation per point.
-	price func(*evaluator, resolved) (Outcome, Stats, error)
-}
-
-// sweepApps are the apps with a model half, in the order errors name
-// them.
-var sweepApps = []sweepApp{
-	newSweepApp("lu", false, (*evaluator).priceLU),
-	newSweepApp("fw", true, (*evaluator).priceFW),
-	newSweepApp("mm", false, (*evaluator).priceMM),
-	newSweepApp("spmv", false, (*evaluator).priceSpMV),
-}
-
-func newSweepApp(name string, blockPEs bool, price func(*evaluator, resolved) (Outcome, Stats, error)) sweepApp {
+// lookup returns the registry row of an app a Grid can sweep: one with
+// a model half.
+func lookup(name string) (core.App, error) {
 	app, err := core.LookupApp(name)
-	if err != nil {
-		panic(err)
+	switch {
+	case err != nil:
+		return app, fmt.Errorf("unknown app %q (want one of %s)", name, strings.Join(Apps(), ", "))
+	case app.Price == nil:
+		return app, fmt.Errorf("app %q has no closed-form model (want one of %s)", name, strings.Join(Apps(), ", "))
 	}
-	return sweepApp{App: app, family: app.Design(1).Name(), blockPEs: blockPEs, price: price}
+	return app, nil
 }
 
-// lookupApp returns the named sweep app, or nil.
-func lookupApp(name string) *sweepApp {
-	for i := range sweepApps {
-		if sweepApps[i].Name == name {
-			return &sweepApps[i]
-		}
-	}
-	return nil
-}
-
-// Apps returns the names of the applications a Grid can sweep.
+// Apps returns the names of the applications a Grid can sweep: the
+// registered apps with a model half, in registry order.
 func Apps() []string {
 	var names []string
-	for _, a := range sweepApps {
-		names = append(names, a.Name)
+	for _, a := range core.Apps() {
+		if a.Price != nil {
+			names = append(names, a.Name)
+		}
 	}
 	return names
 }
@@ -329,7 +279,7 @@ func Apps() []string {
 // evaluates one of them.
 func effective(pt Point) Point {
 	var unread core.Axis
-	if app := lookupApp(pt.App); app != nil {
+	if app, err := core.LookupApp(pt.App); err == nil {
 		unread = app.Unread
 	}
 	pt.Index = 0
@@ -351,7 +301,7 @@ func effective(pt Point) Point {
 // resolved is a Point with sentinels replaced: concrete machine
 // config, problem/block sizes and PE count.
 type resolved struct {
-	app  *sweepApp
+	app  core.App
 	pt   Point
 	cfg  machine.Config
 	mode core.Mode
@@ -363,13 +313,12 @@ type resolved struct {
 func fail(err error) Outcome { return Outcome{Err: err.Error()} }
 
 // resolve fills a point's sentinel values: the machine config (preset
-// + node override), app-default sizes, and the PE count (largest
-// fitting array when 0, shrunk to divide the FW block size as the
-// paper does).
-func (ev *pointEval) resolve(pt Point) (resolved, error) {
-	app := lookupApp(pt.App)
-	if app == nil {
-		return resolved{}, fmt.Errorf("unknown app %q", pt.App)
+// + node override), app-default sizes, and the PE count (the app's PE
+// rule, core.App.MaxPEs, when 0).
+func (ev *evaluator) resolve(pt Point, tally *Stats) (resolved, error) {
+	app, err := lookup(pt.App)
+	if err != nil {
+		return resolved{}, err
 	}
 	cfg, err := machine.Preset(pt.Machine)
 	if err != nil {
@@ -380,26 +329,19 @@ func (ev *pointEval) resolve(pt Point) (resolved, error) {
 	r := resolved{app: app, pt: pt, cfg: cfg, mode: mode, n: cmp.Or(pt.N, app.N), b: cmp.Or(pt.B, app.B)}
 	r.k = pt.PEs
 	if r.k == 0 {
-		// Memoized by (family, device, b when blockPEs): every grid
-		// point that leaves PEs unset shares the same search unless it
-		// changes one of those axes, so a million-point sweep pays for
-		// a handful of MaxPEs searches instead of one per point.
-		key := resolveKey{family: app.family, device: cfg.Device.Name}
-		if app.blockPEs {
+		// Memoized by (design family, device, b when the array must
+		// divide it): every grid point that leaves PEs unset shares the
+		// same search unless it changes one of those axes, so a
+		// million-point sweep pays for a handful of PE-array searches
+		// instead of one per point.
+		key := resolveKey{family: app.Design(1).Name(), device: cfg.Device.Name}
+		if app.BlockPEs {
 			key.b = r.b
 		}
-		k, computed := ev.maxk.GetOrCompute(key, func() int {
-			k := fpga.MaxPEs(app.Design, cfg.Device)
-			if app.blockPEs {
-				for k > 1 && r.b%k != 0 {
-					k--
-				}
-			}
-			return k
-		})
-		ev.tally.ResolveLookups++
+		k, computed := ev.maxk.GetOrCompute(key, func() int { return app.MaxPEs(cfg.Device, r.b) })
+		tally.ResolveLookups++
 		if computed {
-			ev.tally.ResolveSolves++
+			tally.ResolveSolves++
 		}
 		r.k = k
 	}
@@ -425,13 +367,11 @@ func (r resolved) simulate(obs sim.Observer) (core.AppResult, error) {
 // panics, for safeEvaluate to recover above.
 func (ev *evaluator) evaluate(pt Point, method string, tally *Stats) Outcome {
 	defer func() { ev.charge(*tally) }()
-	pe := &pointEval{evaluator: ev, tally: tally}
-	r, err := pe.resolve(pt)
+	r, err := ev.resolve(pt, tally)
 	if err != nil {
 		return fail(err)
 	}
-	out, t, err := r.app.price(ev, r)
-	tally.add(t)
+	out, err := ev.price(r, tally)
 	if err != nil {
 		return fail(err)
 	}
@@ -453,9 +393,9 @@ func (ev *evaluator) evaluate(pt Point, method string, tally *Stats) Outcome {
 
 // design returns the placed design's outcome skeleton: PE geometry,
 // clock, resource usage and effective DRAM bandwidth.
-func (ev *pointEval) design(r resolved) (Outcome, float64, error) {
+func (ev *evaluator) design(r resolved, tally *Stats) (Outcome, float64, error) {
 	d := r.app.Design(r.k)
-	pv, err := ev.placed(d, r.cfg.Device)
+	pv, err := ev.placed(d, r.cfg.Device, tally)
 	if err != nil {
 		return Outcome{}, 0, err
 	}
@@ -467,169 +407,36 @@ func (ev *pointEval) design(r resolved) (Outcome, float64, error) {
 	}, bd, nil
 }
 
-// predicted completes a priced outcome with the closed-form prediction
-// and the analytic binding at its split.
-func predicted(out Outcome, pred model.Prediction, bind model.Binding, margin float64) Outcome {
-	out.GFLOPS, out.Seconds, out.PredictedGFLOPS = pred.GFLOPS, pred.Seconds, pred.GFLOPS
-	out.Binding, out.Margin = bind.String(), margin
-	return out
-}
-
-// The model halves below price the point with Ff taken from the
-// placed clock in MHz (FfMHz·1e6) but Bd from the unrounded clock,
-// exactly as the sweep always has (DESIGN.md §15).
-
-func (ev *evaluator) priceLU(r resolved) (out Outcome, tally Stats, err error) {
-	pe := &pointEval{evaluator: ev, tally: &tally}
-	cfg, n, b := r.cfg, r.n, r.b
-	p := cfg.Nodes
-	switch {
-	case p < 2:
-		return out, tally, fmt.Errorf("lu needs p >= 2, got %d", p)
-	case n%b != 0:
-		return out, tally, fmt.Errorf("block size %d must divide n=%d", b, n)
-	case b%(p-1) != 0:
-		return out, tally, fmt.Errorf("block size %d must be a multiple of p-1=%d", b, p-1)
-	case b%r.k != 0:
-		return out, tally, fmt.Errorf("block size %d must be a multiple of k=%d", b, r.k)
+// price evaluates a resolved point with its app's model half: the
+// geometry check, the placed design, then the split and the Section 4.5
+// prediction at it, tallying the memo traffic in tally. The model half
+// prices with Ff taken from the placed clock in MHz (FfMHz·1e6) but Bd
+// from the unrounded clock, exactly as the sweep always has (DESIGN.md
+// §15). ev itself is the Memo; the model half returns its memo traffic
+// by value, since a tally pointer passed through App.Price's indirect
+// call would escape to the heap, one allocation per point.
+func (ev *evaluator) price(r resolved, tally *Stats) (Outcome, error) {
+	if err := r.app.Check(r.cfg.Nodes, r.n, r.b, r.k); err != nil {
+		return Outcome{}, err
 	}
-	out, bd, err := pe.design(r)
+	out, bd, err := ev.design(r, tally)
 	if err != nil {
-		return out, tally, err
+		return out, err
 	}
-	lp := core.LUModel(cfg, cfg.Processor(), b, r.k, out.FfMHz*1e6, bd)
-	if err := lp.Validate(); err != nil {
-		return out, tally, err
-	}
-	bf, err := core.SolveShare(r.mode, "bf", r.pt.BF, b, func() (int, int) {
-		return pe.partition(partKey{kind: "lu.bf", params: lp}, lp.SolvePartition)
+	pr, err := r.app.Price(core.Pricing{
+		Machine: r.cfg, Proc: r.cfg.Processor(), N: r.n, B: r.b, K: r.k, Ff: out.FfMHz * 1e6, Bd: bd,
+		Mode: r.mode, BF: r.pt.BF, L: r.pt.L, L1: r.pt.L, Density: r.pt.Density, Memo: ev,
 	})
+	tally.PartitionLookups += pr.Lookups
+	tally.PartitionSolves += pr.Solves
 	if err != nil {
-		return out, tally, err
+		return out, err
 	}
-	l := r.pt.L
-	if l < 0 {
-		l, _ = pe.partition(partKey{kind: "lu.l", params: lp, arg: bf},
-			func() (int, int) { return lp.SolveL(bf), 0 })
-	}
-	out.BF, out.BP, out.L = bf, b-bf, l
-	bind, margin := lp.StripeBinding(bf)
-	return predicted(out, lp.PredictLU(n, bf), bind, margin), tally, nil
-}
-
-func (ev *evaluator) priceFW(r resolved) (out Outcome, tally Stats, err error) {
-	pe := &pointEval{evaluator: ev, tally: &tally}
-	cfg, n, b := r.cfg, r.n, r.b
-	p := cfg.Nodes
-	switch {
-	case b*p == 0 || n%(b*p) != 0:
-		return out, tally, fmt.Errorf("b*p=%d must divide n=%d", b*p, n)
-	case b%r.k != 0:
-		return out, tally, fmt.Errorf("block size %d must be a multiple of k=%d", b, r.k)
-	}
-	out, bd, err := pe.design(r)
-	if err != nil {
-		return out, tally, err
-	}
-	fp := core.FWModel(cfg, cfg.Processor(), b, r.k, out.FfMHz*1e6, bd)
-	if err := fp.Validate(); err != nil {
-		return out, tally, err
-	}
-	total := fp.OpsPerPhase(n)
-	l1 := r.pt.L
-	switch r.mode {
-	case core.ProcessorOnly:
-		l1 = total
-	case core.FPGAOnly:
-		l1 = 0
-	default:
-		if l1 < 0 {
-			l1, _ = pe.partition(partKey{kind: "fw.l1", params: fp, arg: n},
-				func() (int, int) { return fp.SolveSplit(n) })
-		}
-	}
-	if l1 < 0 || l1 > total {
-		return out, tally, fmt.Errorf("l1=%d out of [0,%d]", l1, total)
-	}
-	out.L1, out.L2 = l1, total-l1
-	bind, margin := fp.PhaseBinding(l1, total-l1)
-	return predicted(out, fp.PredictFW(n, l1, total-l1), bind, margin), tally, nil
-}
-
-func (ev *evaluator) priceMM(r resolved) (out Outcome, tally Stats, err error) {
-	pe := &pointEval{evaluator: ev, tally: &tally}
-	cfg, n := r.cfg, r.n
-	p := cfg.Nodes
-	switch {
-	case n%r.k != 0:
-		return out, tally, fmt.Errorf("n=%d must be a multiple of k=%d", n, r.k)
-	case n%p != 0:
-		return out, tally, fmt.Errorf("n=%d must be a multiple of p=%d", n, p)
-	}
-	out, bd, err := pe.design(r)
-	if err != nil {
-		return out, tally, err
-	}
-	mp := core.MMModel(cfg, cfg.Processor(), n, r.k, out.FfMHz*1e6, bd)
-	if err := mp.Validate(); err != nil {
-		return out, tally, err
-	}
-	bf, err := core.SolveShare(r.mode, "bf", r.pt.BF, n, func() (int, int) {
-		return pe.partition(partKey{kind: "mm.bf", params: mp}, mp.SolvePartition)
-	})
-	if err != nil {
-		return out, tally, err
-	}
-	out.BF, out.BP = bf, n-bf
-	bind, margin := mp.StripeBinding(bf)
-	return predicted(out, mp.PredictMM(bf), bind, margin), tally, nil
-}
-
-func (ev *evaluator) priceSpMV(r resolved) (out Outcome, tally Stats, err error) {
-	pe := &pointEval{evaluator: ev, tally: &tally}
-	cfg, n := r.cfg, r.n
-	out, bd, err := pe.design(r)
-	if err != nil {
-		return out, tally, err
-	}
-	proc := cfg.Processor()
-	// The operator's stream footprint mirrors matrix.RandomSparse
-	// exactly — matrix.SparseRowNNZ off-diagonals plus the diagonal per
-	// row — so the model method prices the same operator the sim method
-	// materializes.
-	var words, nnz int
-	mvRate := proc.Rate(cpu.DGEMV)
-	if r.pt.Density > 0 {
-		nnz = n * (matrix.SparseRowNNZ(n, r.pt.Density) + 1)
-		words = model.CSRStreamWords(nnz)
-		mvRate = proc.Rate(cpu.SpMV)
-	} else {
-		nnz = n * n
-		words = n * n
-	}
-	sp := model.SpMVParams{
-		N: n, K: r.k, Words: words,
-		Ff:        out.FfMHz * 1e6,
-		MVRate:    mvRate,
-		Bd:        bd,
-		Bs:        cfg.SRAMBandwidth,
-		Bw:        machine.WordBytes,
-		SRAMBytes: int64(cfg.SRAMBanks) * cfg.SRAMBankBytes / 2,
-		Applies:   1,
-		Flops:     2 * float64(nnz),
-	}
-	if err := sp.Validate(); err != nil {
-		return out, tally, err
-	}
-	rf, err := core.SolveShare(r.mode, "rowsFPGA", r.pt.BF, n, func() (int, int) {
-		return pe.partition(partKey{kind: "spmv.rf", params: sp}, sp.SolvePartition)
-	})
-	if err != nil {
-		return out, tally, err
-	}
-	out.BF, out.BP = rf, n-rf
-	bind, margin := sp.StripeBinding(rf)
-	return predicted(out, sp.PredictSpMV(rf), bind, margin), tally, nil
+	s := pr.Split
+	out.BF, out.BP, out.L, out.L1, out.L2 = s.BF, s.BP, s.L, s.L1, s.L2
+	out.GFLOPS, out.Seconds, out.PredictedGFLOPS = pr.Prediction.GFLOPS, pr.Prediction.Seconds, pr.Prediction.GFLOPS
+	out.Binding, out.Margin = pr.Binding.String(), pr.Margin
+	return out, nil
 }
 
 // measured finishes a MethodSim outcome: the simulated split, measured

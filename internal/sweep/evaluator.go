@@ -1,9 +1,6 @@
 package sweep
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Evaluator is the memoized point-evaluation engine behind Run,
 // exported so long-running callers — chiefly the codesignd serve
@@ -37,8 +34,8 @@ func (e *Evaluator) Evaluate(pt Point, method string) Outcome {
 	if method != MethodModel && method != MethodSim {
 		return fail(fmt.Errorf("unknown method %q (want %q or %q)", method, MethodModel, MethodSim))
 	}
-	if lookupApp(pt.App) == nil {
-		return fail(fmt.Errorf("unknown app %q (want one of %s)", pt.App, strings.Join(Apps(), ", ")))
+	if _, err := lookup(pt.App); err != nil {
+		return fail(err)
 	}
 	if !contains(knownModes, pt.Mode) {
 		return fail(fmt.Errorf("unknown mode %q (want one of hybrid, processor-only, fpga-only)", pt.Mode))

@@ -32,9 +32,10 @@ var knownModes = []string{"hybrid", "processor-only", "fpga-only"}
 // PEs means "the app's default" (core.App.N and B: LU n=30000/b=3000,
 // FW n=18432/b=256, MM n=6144, SpMV n=2048; largest PE array that
 // fits); -1 in BF or L means "solve the model equation" (Eq. 4 / Eq. 5
-// for LU, Eq. 6 for FW, Eq. 1 for MM and SpMV).
+// for the LU family, Eq. 6 for FW, Eq. 1 for MM and SpMV).
 type Grid struct {
-	// Apps selects applications: "lu", "fw", "mm", "spmv".
+	// Apps selects applications: the registered apps with a model
+	// half, "lu", "fw", "mm", "spmv", "chol" and "qr" (see Apps).
 	Apps []string `json:"apps,omitempty"`
 	// Machines selects machine presets by name: "xd1", "xt3", "src6",
 	// "rasc".
@@ -47,19 +48,19 @@ type Grid struct {
 	// the DGEMV regime). Read by spmv only; lu, fw and mm ignore it.
 	Density []float64 `json:"density,omitempty"`
 	// B is the block size axis (0 = the app's paper block size). Read
-	// by lu and fw; mm and spmv, which have no block structure, ignore
-	// it.
+	// by lu, fw, chol and qr; mm and spmv, which have no block
+	// structure, ignore it.
 	B []int `json:"b,omitempty"`
 	// PEs is the FPGA PE-array size axis (0 = largest that fits the
 	// device, the paper's choice).
 	PEs []int `json:"pes,omitempty"`
-	// BF is the FPGA row-share axis: lu's and mm's stripe rows, spmv's
-	// operator rows (-1 = solve Equation 4 / Equation 1 / the SpMV
-	// split). Read by lu, mm and spmv; fw ignores it.
+	// BF is the FPGA row-share axis: the stripe rows of lu, chol, qr
+	// and mm, spmv's operator rows (-1 = solve Equation 4 / Equation 1
+	// / the SpMV split). fw ignores it.
 	BF []int `json:"bf,omitempty"`
-	// L is the pipeline-depth axis: lu's Equation 5 panel pipeline
-	// depth, or fw's per-phase processor share l1 (-1 = solve). Read
-	// by lu and fw; mm and spmv ignore it.
+	// L is the pipeline-depth axis: the Equation 5 panel pipeline
+	// depth of lu and chol, or fw's per-phase processor share l1 (-1 =
+	// solve). qr, mm and spmv ignore it.
 	L []int `json:"l,omitempty"`
 	// Modes selects design variants: "hybrid", "processor-only",
 	// "fpga-only".
@@ -76,7 +77,7 @@ type Point struct {
 	// Index is the point's position in the deterministic enumeration
 	// order; results are always reported in Index order.
 	Index int `json:"index"`
-	// App is the application ("lu", "fw", "mm", "spmv").
+	// App is the application (one of Apps).
 	App string `json:"app"`
 	// Machine is the machine preset name.
 	Machine string `json:"machine"`
@@ -92,9 +93,9 @@ type Point struct {
 	B int `json:"b"`
 	// PEs is the PE-array size (0 = largest that fits).
 	PEs int `json:"pes"`
-	// BF is the lu/mm/spmv FPGA row share (-1 = solve).
+	// BF is the FPGA row share (-1 = solve); fw ignores it.
 	BF int `json:"bf"`
-	// L is the LU pipeline depth or FW l1 (-1 = solve).
+	// L is the lu/chol pipeline depth or fw's l1 (-1 = solve).
 	L int `json:"l"`
 }
 
@@ -141,8 +142,8 @@ func (g Grid) normalized() (Grid, error) {
 		return g, fmt.Errorf("sweep: unknown method %q (want %q or %q)", g.Method, MethodModel, MethodSim)
 	}
 	for _, a := range g.Apps {
-		if lookupApp(a) == nil {
-			return g, fmt.Errorf("sweep: unknown app %q (want one of %s)", a, strings.Join(Apps(), ", "))
+		if _, err := lookup(a); err != nil {
+			return g, fmt.Errorf("sweep: %w", err)
 		}
 	}
 	for _, m := range g.Machines {

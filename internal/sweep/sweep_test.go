@@ -306,7 +306,8 @@ func TestGridValidation(t *testing.T) {
 		g    Grid
 		want string
 	}{
-		{Grid{Apps: []string{"qr"}}, "unknown app"},
+		{Grid{Apps: []string{"quux"}}, "unknown app"},
+		{Grid{Apps: []string{"cg"}}, `app "cg" has no closed-form model (want one of lu, fw, mm, spmv, chol, qr)`},
 		{Grid{Machines: []string{"bluegene"}}, "unknown preset"},
 		{Grid{Modes: []string{"quantum"}}, "unknown mode"},
 		{Grid{Method: "guess"}, "unknown method"},

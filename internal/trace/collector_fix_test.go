@@ -10,7 +10,7 @@ import (
 // (the old implementation replaced "," with ";" and lost data).
 func TestWriteCSVQuotesCommas(t *testing.T) {
 	var c Collector
-	c.Record(0.5, "p0", `block: wait, then some "quoted" detail`)
+	c.Event(0.5, "p0", `block: wait, then some "quoted" detail`)
 	var b strings.Builder
 	if err := c.WriteCSV(&b); err != nil {
 		t.Fatal(err)
@@ -31,11 +31,11 @@ func TestWriteCSVQuotesCommas(t *testing.T) {
 // column (the old column math indexed past the row before clamping).
 func TestWriteTimelineSpanAtHorizon(t *testing.T) {
 	var c Collector
-	c.Record(9, "p0", "block: wait 1s")
-	c.Record(10, "p0", "resume")
+	c.Event(9, "p0", "block: wait 1s")
+	c.Event(10, "p0", "resume")
 	// A second span entirely at the horizon boundary.
-	c.Record(10, "p1", "block: wait 0s")
-	c.Record(10, "p1", "resume")
+	c.Event(10, "p1", "block: wait 0s")
+	c.Event(10, "p1", "resume")
 	var b strings.Builder
 	if err := c.WriteTimeline(&b, 10, 10); err != nil {
 		t.Fatal(err)
@@ -51,9 +51,9 @@ func TestWriteTimelineSpanAtHorizon(t *testing.T) {
 // "(no activity)".
 func TestWriteTimelineZeroHorizonWithEvents(t *testing.T) {
 	var c Collector
-	c.Record(0, "p0", "block: wait 0s")
-	c.Record(0, "p0", "resume")
-	c.Record(0, "p1", "block: recv inbox")
+	c.Event(0, "p0", "block: wait 0s")
+	c.Event(0, "p0", "resume")
+	c.Event(0, "p1", "block: recv inbox")
 	var b strings.Builder
 	if err := c.WriteTimeline(&b, 20, 0); err != nil {
 		t.Fatal(err)
@@ -67,8 +67,8 @@ func TestWriteTimelineZeroHorizonWithEvents(t *testing.T) {
 // times for the horizon instead of reporting no activity.
 func TestWriteTimelineBlocksOnly(t *testing.T) {
 	var c Collector
-	c.Record(1, "p0", "block: recv inbox")
-	c.Record(5, "p0", "resume")
+	c.Event(1, "p0", "block: recv inbox")
+	c.Event(5, "p0", "resume")
 	var b strings.Builder
 	if err := c.WriteTimeline(&b, 20, 0); err != nil {
 		t.Fatal(err)
@@ -82,9 +82,9 @@ func TestWriteTimelineBlocksOnly(t *testing.T) {
 // span at the new block time instead of discarding the interval.
 func TestSpansNestedWait(t *testing.T) {
 	var c Collector
-	c.Record(1, "p0", "block: wait 1s")
-	c.Record(3, "p0", "block: wait 2s") // malformed: no resume in between
-	c.Record(6, "p0", "resume")
+	c.Event(1, "p0", "block: wait 1s")
+	c.Event(3, "p0", "block: wait 2s") // malformed: no resume in between
+	c.Event(6, "p0", "resume")
 	spans := c.Spans()
 	if len(spans) != 2 {
 		t.Fatalf("got %d spans %v, want 2", len(spans), spans)
@@ -101,9 +101,9 @@ func TestSpansNestedWait(t *testing.T) {
 // span — its end is unknown.
 func TestSpansUnmatchedTrailingWait(t *testing.T) {
 	var c Collector
-	c.Record(1, "p0", "block: wait 1s")
-	c.Record(2, "p0", "resume")
-	c.Record(4, "p0", "block: wait 9s")
+	c.Event(1, "p0", "block: wait 1s")
+	c.Event(2, "p0", "resume")
+	c.Event(4, "p0", "block: wait 9s")
 	spans := c.Spans()
 	if len(spans) != 1 {
 		t.Fatalf("got %d spans %v, want 1", len(spans), spans)

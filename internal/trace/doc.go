@@ -1,8 +1,7 @@
-// Package trace records simulation activity for inspection. Two
-// consumers plug into the engine: the legacy Collector attaches to the
-// raw (time, proc, action) trace hook and renders a text timeline or
-// CSV, while the Recorder implements sim.Observer and captures typed
-// spans for the run summary (and its metrics CSV), the overlap report,
+// Package trace records simulation activity for inspection. Its
+// consumers are sim.Observers: the Collector keeps the raw (time, proc,
+// action) events and renders a text timeline or CSV, while the
+// Recorder captures typed spans for the run summary (and its metrics CSV), the overlap report,
 // span persistence and the Perfetto exporter. The Digest is the
 // storage-free observer: it folds each span into the overlap sweep's
 // edges and per-phase totals as it is emitted, for callers (the

@@ -10,8 +10,9 @@ import (
 	"codesign/internal/sim"
 )
 
-// Recorder implements sim.Observer: it captures the raw event stream
-// and every typed span for post-run analysis. Register it with
+// Recorder implements sim.Observer: it counts the raw events and
+// captures every typed span for post-run analysis (a Collector keeps
+// the raw events themselves). Register it with
 // Engine.Observe (or pass it through an application config's Observer
 // field). The recorder keeps everything in memory, 88 bytes per span:
 // one sweep-sim design point emits up to 90,369 spans (88,307 of
@@ -21,28 +22,14 @@ import (
 // the critical path, tracediff, the span archive).
 type Recorder struct {
 	spans   []sim.SpanEvent
-	events  []Event
 	nEvents int
-	// KeepEvents controls whether raw (time, proc, action) events are
-	// stored in addition to spans. Spans are always kept; events are
-	// always counted.
-	KeepEvents bool
 }
 
-// NewRecorder returns a recorder that stores spans only. Set
-// KeepEvents before the run to also capture the raw event stream.
+// NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// Event stores one raw engine action (sim.Observer).
-func (r *Recorder) Event(t float64, proc, action string) {
-	r.nEvents++
-	if r.KeepEvents {
-		r.events = append(r.events, Event{Time: t, Proc: proc, Action: action})
-	}
-}
-
-// EventCount returns the number of raw events seen (kept or not).
-func (r *Recorder) EventCount() int { return r.nEvents }
+// Event counts one raw engine action (sim.Observer).
+func (r *Recorder) Event(float64, string, string) { r.nEvents++ }
 
 // Span stores one completed typed span (sim.Observer).
 func (r *Recorder) Span(s sim.SpanEvent) { r.spans = append(r.spans, s) }
@@ -61,17 +48,9 @@ func (r *Recorder) Spans() []sim.SpanEvent {
 // copy; everyone else should prefer Spans.
 func (r *Recorder) SpansView() []sim.SpanEvent { return r.spans }
 
-// Events returns the recorded raw events (empty unless KeepEvents).
-func (r *Recorder) Events() []Event {
-	out := make([]Event, len(r.events))
-	copy(out, r.events)
-	return out
-}
-
 // Reset discards everything recorded so far.
 func (r *Recorder) Reset() {
 	r.spans = r.spans[:0]
-	r.events = r.events[:0]
 	r.nEvents = 0
 }
 

@@ -21,7 +21,8 @@ type Event struct {
 	Action string
 }
 
-// Collector accumulates events from a simulation engine.
+// Collector accumulates the raw events of a simulation engine. It is a
+// sim.Observer that ignores typed spans.
 type Collector struct {
 	events []Event
 	// Filter, if non-nil, drops events for which it returns false.
@@ -32,15 +33,8 @@ type Collector struct {
 	dropped int64
 }
 
-// Attach registers the collector on the engine's trace hook.
-func (c *Collector) Attach(e *sim.Engine) {
-	e.Trace = c.Record
-}
-
-// Record stores one event, honoring Filter and Limit. It has the same
-// signature as the engine trace hook, so it can be passed directly to
-// config Trace fields.
-func (c *Collector) Record(t float64, proc, action string) {
+// Event stores one raw engine event, honoring Filter and Limit.
+func (c *Collector) Event(t float64, proc, action string) {
 	ev := Event{Time: t, Proc: proc, Action: action}
 	if c.Filter != nil && !c.Filter(ev) {
 		return
@@ -51,6 +45,9 @@ func (c *Collector) Record(t float64, proc, action string) {
 	}
 	c.events = append(c.events, ev)
 }
+
+// Span implements sim.Observer; the collector keeps raw events only.
+func (c *Collector) Span(sim.SpanEvent) {}
 
 // Events returns the recorded events in order.
 func (c *Collector) Events() []Event {

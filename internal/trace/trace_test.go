@@ -10,7 +10,7 @@ import (
 func runTraced(t *testing.T, c *Collector) {
 	t.Helper()
 	e := sim.New()
-	c.Attach(e)
+	e.Observe(c)
 	r := sim.NewResource(e, "dev", 1)
 	e.Go("worker-a", func(p *sim.Proc) {
 		r.Use(p, 2)
