@@ -106,6 +106,24 @@ func TestRunObsServesMetricsDuringSweep(t *testing.T) {
 		Method: "sim", Workers: 2, Quiet: true,
 		Obs: "127.0.0.1:0",
 		obsReady: func(addr string) {
+			// The sweep waits for this callback, so the other endpoints
+			// are probed on a server that is certainly up.
+			for _, c := range []struct{ path, want string }{
+				{"/healthz", "ok\n"},
+				{"/statusz", `"pid"`},
+				{"/debug/pprof/goroutine?debug=1", "goroutine profile"},
+			} {
+				resp, err := http.Get("http://" + addr + c.path)
+				if err != nil {
+					t.Errorf("GET %s: %v", c.path, err)
+					continue
+				}
+				body, _ := io.ReadAll(resp.Body)
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), c.want) {
+					t.Errorf("GET %s: status %d, body missing %q:\n%s", c.path, resp.StatusCode, c.want, body)
+				}
+			}
 			// Poll /metrics while the sweep runs; keep the last body so
 			// the final fetch reflects completed work.
 			go func() {

@@ -70,9 +70,16 @@ func TestInlineDiffDeterministicAndAttributed(t *testing.T) {
 	}
 
 	out := reports[0].String()
-	for _, want := range []string{"differential analysis", "phase contributions", "critical path", "bottleneck transitions", "span alignment"} {
+	for _, want := range []string{"differential analysis", "phase contributions", "resource contributions",
+		"critical path", "bottleneck transitions", "span alignment"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)
+		}
+	}
+	for _, key := range []string{"makespan_delta_s", "attributed_delta_s", "residual_s", "phases", "resources",
+		"critical_path", "bindings"} {
+		if !bytes.Contains(jsons[0], []byte(`"`+key+`"`)) {
+			t.Errorf("comparison JSON missing key %q", key)
 		}
 	}
 }

@@ -46,6 +46,8 @@ type App struct {
 	// which keeps it out of the sweep.
 	Price func(Pricing) (Priced, error)
 
+	// killErr, when set, is why the app rejects node-kill faults.
+	killErr        string
 	smallN, smallB int
 	run            func(Spec) (AppResult, error)
 }
@@ -94,7 +96,7 @@ type Spec struct {
 	Seed int64
 	// Observer receives the structured telemetry stream.
 	Observer sim.Observer
-	// Telemetry attaches a span digest to the result.
+	// Telemetry attaches a span summary (trace.Summary) to the result.
 	Telemetry bool
 	// Faults is the fault injector (apps with App.Faults only).
 	Faults *fault.Injector
@@ -186,11 +188,14 @@ var (
 	luApp = App{Name: "lu", N: 30000, B: 3000, Design: matmulDesign, Unread: AxisDensity, Faults: true,
 		Check: luGeometry("lu"), Price: priceOf(luHalf.model), smallN: 120, smallB: 20}
 	fwApp = App{Name: "fw", N: 18432, B: 256, Design: fwDesign, BlockPEs: true, Unread: AxisBF | AxisDensity, Faults: true,
-		Check: fwGeometry, Price: priceOf(fwModel), smallN: 96, smallB: 8}
+		Check: fwGeometry, Price: priceOf(fwModel), smallN: 96, smallB: 8,
+		killErr: "fw cannot survive node kills: the contiguous block-column distribution has no surviving owner for a dead node's columns"}
 	mmApp = App{Name: "mm", N: 6144, Design: matmulDesign, Unread: AxisB | AxisL | AxisDensity,
-		Check: mmGeometry, Price: priceOf(mmModel), smallN: 96}
+		Check: mmGeometry, Price: priceOf(mmModel), smallN: 96,
+		killErr: "mm has no surviving owner for a dead node's result columns"}
 	spmvApp = App{Name: "spmv", N: 2048, Design: mvDesign, Unread: AxisB | AxisL, Faults: true,
-		Check: positiveN("spmv"), Price: priceOf(spmvModel), smallN: 512}
+		Check: positiveN("spmv"), Price: priceOf(spmvModel), smallN: 512,
+		killErr: "spmv runs on a single node and cannot survive node kills"}
 	cholApp = App{Name: "chol", N: 30000, B: 3000, Design: matmulDesign, Unread: AxisDensity,
 		Check: luGeometry("chol"), Price: priceOf(cholHalf.model), smallN: 120, smallB: 20}
 	qrApp = App{Name: "qr", N: 30000, B: 3000, Design: matmulDesign, Unread: AxisL | AxisDensity,

@@ -46,8 +46,9 @@ type CGConfig struct {
 	// Observer, when non-nil, receives the structured telemetry stream
 	// (raw events and typed spans; see internal/trace.Recorder).
 	Observer sim.Observer
-	// Telemetry attaches a span digest — utilization, bytes moved, and
-	// the Tp/Tf/Tmem/Tcomm overlap decomposition — to the result.
+	// Telemetry attaches a span summary (a trace.Summary of every span
+	// the run records) — utilization, bytes moved, and the
+	// Tp/Tf/Tmem/Tcomm overlap decomposition — to the result.
 	Telemetry bool
 }
 
@@ -72,10 +73,12 @@ type CGRunResult struct {
 // simulated node and verifies the iterates against the sequential
 // reference.
 func RunCG(cfg CGConfig) (*CGRunResult, error) {
-	if cfg.Machine.Nodes == 0 {
-		cfg.Machine = machine.XD1()
-	}
-	k, err := cgApp.geometry(cfg.Machine, cfg.N, 0, cfg.PEs)
+	// The operator is built as a dense n×n matrix at every density, so
+	// it is capped as spmv's dense input is.
+	m, err := cgApp.start(Spec{Machine: cfg.Machine, N: cfg.N, PEs: cfg.PEs, Mode: cfg.Mode,
+		Observer: cfg.Observer, Telemetry: cfg.Telemetry}, func() error {
+		return checkMVInput("cg", cfg.N, cfg.Density, mvInputBytes(cfg.N, 0))
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -85,14 +88,7 @@ func RunCG(cfg CGConfig) (*CGRunResult, error) {
 	if cfg.MaxIter <= 0 {
 		cfg.MaxIter = cfg.N
 	}
-	sys, err := machine.New(cfg.Machine)
-	if err != nil {
-		return nil, err
-	}
-	rec := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
-	if err := sys.InstallDesign(cgApp.Design(k)); err != nil {
-		return nil, err
-	}
+	sys, mc, k := m.sys, m.q.Machine, m.q.K
 	node := sys.Nodes[0]
 	accel := node.Accel
 	proc := node.Proc
@@ -133,8 +129,8 @@ func RunCG(cfg CGConfig) (*CGRunResult, error) {
 		Ff:        accel.Placed.FreqHz,
 		MVRate:    mvRate,
 		VecTime:   proc.Time(cpu.VectorOp, 10*float64(cfg.N)),
-		Bd:        machine.EffectiveBd(cfg.Machine.RawFPGADRAMBandwidth, accel.Placed.FreqHz),
-		Bs:        cfg.Machine.SRAMBandwidth,
+		Bd:        machine.EffectiveBd(mc.RawFPGADRAMBandwidth, accel.Placed.FreqHz),
+		Bs:        mc.SRAMBandwidth,
 		Bw:        machine.WordBytes,
 		SRAMBytes: sys.Nodes[0].SRAM.TotalBytes(),
 		Resident:  true,
@@ -232,9 +228,15 @@ func RunCG(cfg CGConfig) (*CGRunResult, error) {
 		res.Residual = math.Sqrt(rr)
 	})
 
-	end, err := sys.Run()
-	if err != nil {
-		return nil, fmt.Errorf("core: cg simulation: %w", err)
+	// The reference fixes the iteration count; a run that diverges from
+	// it is rejected below.
+	applyFlops := 2 * float64(totalWords)
+	if cfg.Density > 0 {
+		applyFlops = 2 * float64(op.(*matrix.CSR).NNZ())
+	}
+	res.Result = Result{App: "cg", Mode: cfg.Mode, N: cfg.N}
+	if err := m.finish("cg", float64(ref.Iterations)*(applyFlops+10*float64(cfg.N)), &res.Result); err != nil {
+		return nil, err
 	}
 
 	// Verify against the sequential reference: identical operations in
@@ -249,23 +251,8 @@ func RunCG(cfg CGConfig) (*CGRunResult, error) {
 		return nil, fmt.Errorf("core: cg diverged from reference: %d/%v vs %d/%v",
 			res.Iterations, res.Converged, ref.Iterations, ref.Converged)
 	}
-
-	applyFlops := 2 * float64(totalWords)
-	if cfg.Density > 0 {
-		applyFlops = 2 * float64(op.(*matrix.CSR).NNZ())
-	}
-	flops := float64(res.Iterations) * (applyFlops + 10*float64(cfg.N))
-	res.Result = Result{
-		App: "cg", Mode: cfg.Mode, N: cfg.N, B: 0,
-		Seconds: end, Flops: flops, GFLOPS: flops / end / 1e9,
-		NetworkBytes:  sys.Fab.Bytes(),
-		Coordinations: collectCoordinations(sys),
-		MaxResidual:   maxDiff,
-		Checked:       true,
-	}
-	res.CPUBusy, res.FPGABusy = collectBusy(sys)
+	res.MaxResidual, res.Checked = maxDiff, true
 	res.LoadSeconds = loadDone
-	summarizeTelemetry(rec, end, &res.Result)
 	return res, nil
 }
 

@@ -40,8 +40,9 @@ type CholConfig struct {
 	// Observer, when non-nil, receives the structured telemetry stream
 	// (raw events and typed spans; see internal/trace.Recorder).
 	Observer sim.Observer
-	// Telemetry attaches a span digest — utilization, bytes moved, and
-	// the Tp/Tf/Tmem/Tcomm overlap decomposition — to the result.
+	// Telemetry attaches a span summary (a trace.Summary of every span
+	// the run records) — utilization, bytes moved, and the
+	// Tp/Tf/Tmem/Tcomm overlap decomposition — to the result.
 	Telemetry bool
 }
 
@@ -99,24 +100,13 @@ func (cr *cholRun) computeNodes(t int) []int {
 
 // RunCholesky simulates the distributed factorization.
 func RunCholesky(cfg CholConfig) (*CholResult, error) {
-	if cfg.Machine.Nodes == 0 {
-		cfg.Machine = machine.XD1()
-	}
-	p := cfg.Machine.Nodes
-	k, err := cholApp.geometry(cfg.Machine, cfg.N, cfg.B, cfg.PEs)
+	m, err := cholApp.start(Spec{Machine: cfg.Machine, N: cfg.N, B: cfg.B, PEs: cfg.PEs, Mode: cfg.Mode,
+		Functional: cfg.Functional, Observer: cfg.Observer, Telemetry: cfg.Telemetry}, nil)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := machine.New(cfg.Machine)
-	if err != nil {
-		return nil, err
-	}
-	rec := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
-	if err := sys.InstallDesign(cholApp.Design(k)); err != nil {
-		return nil, err
-	}
-	proc := sys.Nodes[0].Proc
-	q := installed(cfg.Machine, sys, cfg.N, cfg.B, k, cfg.Mode)
+	sys, q := m.sys, m.q
+	p, k := q.Machine.Nodes, q.K
 	q.BF, q.L = cfg.BF, cfg.L
 	lp, pr, err := cholHalf.model(q)
 	if err != nil {
@@ -127,8 +117,7 @@ func RunCholesky(cfg CholConfig) (*CholResult, error) {
 	cr := &cholRun{cfg: cfg, sys: sys, lp: lp, nb: cfg.N / cfg.B, bf: bf, l: l, stripes: cfg.B / k}
 	// Per-job charges are the LU opMM charges; SYRK (diagonal) jobs
 	// halve the compute terms at run time.
-	lu := &luRun{cfg: LUConfig{Machine: cfg.Machine, N: cfg.N, B: cfg.B, Mode: cfg.Mode}, sys: sys, lp: lp, lpLive: lp, gemmRate: proc.Rate(cpu.DGEMM), bf: bf, stripes: cr.stripes}
-	cr.charge = lu.chargeForBF(bf)
+	cr.charge = opmmCharge(lp, q.Proc.Rate(cpu.DGEMM), bf, false)
 	_, _, _, tcomm := lp.StripeTimes(bf)
 	cr.sendTime = float64(cr.stripes) * tcomm
 
@@ -175,26 +164,12 @@ func RunCholesky(cfg CholConfig) (*CholResult, error) {
 		})
 	}
 
-	end, err := sys.Run()
-	if err != nil {
-		return nil, fmt.Errorf("core: cholesky simulation: %w", err)
-	}
 	n := float64(cfg.N)
-	flops := n * n * n / 3
-	cpuBusy, fpgaBusy := collectBusy(sys)
-	res := &CholResult{
-		Result: Result{
-			App: "chol", Mode: cfg.Mode, N: cfg.N, B: cfg.B,
-			Seconds: end, Flops: flops, GFLOPS: flops / end / 1e9,
-			NetworkBytes:  sys.Fab.Bytes(),
-			Coordinations: collectCoordinations(sys),
-			CPUBusy:       cpuBusy, FPGABusy: fpgaBusy,
-		},
-		BF: bf, BP: cfg.B - bf, L: l, K: k,
-		Model:      lp,
-		Prediction: pr.Prediction,
+	res := &CholResult{Result: Result{App: "chol", Mode: cfg.Mode, N: cfg.N, B: cfg.B},
+		BF: bf, BP: cfg.B - bf, L: l, K: k, Model: lp, Prediction: pr.Prediction}
+	if err := m.finish("cholesky", n*n*n/3, &res.Result); err != nil {
+		return nil, err
 	}
-	summarizeTelemetry(rec, end, &res.Result)
 	if cfg.Functional && ref != nil {
 		res.Checked = true
 		res.MaxResidual = matrix.ExtractLower(cr.a).MaxDiff(matrix.ExtractLower(ref))

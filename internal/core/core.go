@@ -1,10 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"codesign/internal/machine"
-	"codesign/internal/sim"
 	"codesign/internal/trace"
 )
 
@@ -99,10 +99,10 @@ type Result struct {
 	MaxResidual float64
 	// Checked reports whether a functional comparison was performed.
 	Checked bool
-	// Telemetry is the structured span digest of the run — per-process
-	// utilization, bytes moved, and the overlap decomposition against
-	// the model's Tp/Tf/Tmem/Tcomm terms. Nil unless the run's config
-	// enabled Telemetry.
+	// Telemetry is the run's span summary, folded from a trace.Recorder
+	// when the engine stops: per-process utilization, bytes moved, and
+	// the overlap decomposition against the model's Tp/Tf/Tmem/Tcomm
+	// terms. Nil unless the run's config enabled Telemetry.
 	Telemetry *trace.Summary
 	// Repartitions lists every mid-run re-solve of the partition
 	// equations a fault injector triggered, in order. Empty without
@@ -125,47 +125,98 @@ func (r *Result) Utilization(busy []float64) float64 {
 	return s / (float64(len(busy)) * r.Seconds)
 }
 
-func collectBusy(sys *machine.System) (cpu, fpga []float64) {
-	for _, n := range sys.Nodes {
-		cpu = append(cpu, n.CPUBusy.BusySeconds())
-		if n.Accel != nil {
-			fpga = append(fpga, n.Accel.Array.BusySeconds())
-		} else {
-			fpga = append(fpga, 0)
+// machineRun is a started run: the machine with the app's design
+// installed and its faults armed, the recorder finish summarizes (nil
+// unless the run asked for Telemetry), and the run's Pricing at the
+// installed design.
+type machineRun struct {
+	sys *machine.System
+	rec *trace.Recorder
+	q   Pricing
+}
+
+// start is every run's prologue, in order: default to one XD1 chassis,
+// resolve the PE count (s.PEs, or the app's rule when 0) and check the
+// app's geometry, run the app's own input check valid (nil for none),
+// build the machine, attach s.Observer and then, under s.Telemetry, the
+// recorder, install the design, gate and install s.Faults, and price
+// the design installed on node 0. Nothing is built before the checks
+// pass. The run reads its defaulted machine back from the Pricing.
+func (a App) start(s Spec, valid func() error) (machineRun, error) {
+	var r machineRun
+	if s.Machine.Nodes == 0 {
+		s.Machine = machine.XD1()
+	}
+	k := s.PEs
+	if k == 0 {
+		k = a.MaxPEs(s.Machine.Device, s.B)
+	}
+	if k < 1 {
+		return r, fmt.Errorf("core: no %s PE array fits %s", a.Name, s.Machine.Device.Name)
+	}
+	if err := a.Check(s.Machine.Nodes, s.N, s.B, k); err != nil {
+		return r, fmt.Errorf("core: %w", err)
+	}
+	if valid != nil {
+		if err := valid(); err != nil {
+			return r, err
 		}
 	}
-	return cpu, fpga
-}
-
-func collectCoordinations(sys *machine.System) int64 {
-	var c int64
-	for _, n := range sys.Nodes {
-		if n.Accel != nil {
-			c += n.Accel.Coordinations()
+	sys, err := machine.New(s.Machine)
+	if err != nil {
+		return r, err
+	}
+	if s.Observer != nil {
+		sys.Eng.Observe(s.Observer)
+	}
+	if s.Telemetry {
+		r.rec = trace.NewRecorder()
+		sys.Eng.Observe(r.rec)
+	}
+	if err := sys.InstallDesign(a.Design(k)); err != nil {
+		return r, err
+	}
+	if f := s.Faults; f != nil {
+		switch {
+		case s.Functional:
+			return r, errors.New("core: functional checking cannot run under fault injection")
+		case a.killErr != "" && f.HasDeaths():
+			return r, errors.New("core: " + a.killErr)
+		}
+		if err := sys.InstallFaults(f); err != nil {
+			return r, err
 		}
 	}
-	return c
+	node := sys.Nodes[0]
+	r.sys = sys
+	r.q = Pricing{Machine: s.Machine, Proc: node.Proc, N: s.N, B: s.B, K: k,
+		Ff: node.Accel.Placed.FreqHz, Bd: node.Accel.DRAM.BandwidthBytes, Mode: s.Mode}
+	return r, nil
 }
 
-// setupTelemetry registers any caller-provided observer on the engine
-// and, when summarize is set, also an internal recorder whose digest
-// the run attaches to its Result.Telemetry.
-func setupTelemetry(eng *sim.Engine, summarize bool, obs sim.Observer) *trace.Recorder {
-	if obs != nil {
-		eng.Observe(obs)
+// finish is every run's epilogue: it runs the engine to completion,
+// reporting a failure as "core: <what> simulation: ...", and fills res
+// with what the machine measured — the makespan, flops and GFLOPS,
+// network bytes, coordinations, per-node busy time and, when start
+// attached a recorder, its span summary.
+func (r *machineRun) finish(what string, flops float64, res *Result) error {
+	end, err := r.sys.Run()
+	if err != nil {
+		return fmt.Errorf("core: %s simulation: %w", what, err)
 	}
-	if !summarize {
-		return nil
+	res.Seconds, res.Flops, res.GFLOPS = end, flops, flops/end/1e9
+	res.NetworkBytes = r.sys.Fab.Bytes()
+	res.CPUBusy = make([]float64, len(r.sys.Nodes))
+	res.FPGABusy = make([]float64, len(r.sys.Nodes))
+	for i, n := range r.sys.Nodes {
+		res.CPUBusy[i] = n.CPUBusy.BusySeconds()
+		if n.Accel != nil {
+			res.FPGABusy[i] = n.Accel.Array.BusySeconds()
+			res.Coordinations += n.Accel.Coordinations()
+		}
 	}
-	rec := trace.NewRecorder()
-	eng.Observe(rec)
-	return rec
-}
-
-// summarizeTelemetry fills r.Telemetry from the recorder (no-op when
-// telemetry was not enabled).
-func summarizeTelemetry(rec *trace.Recorder, end float64, r *Result) {
-	if rec != nil {
-		r.Telemetry = rec.Summarize(end)
+	if r.rec != nil {
+		res.Telemetry = r.rec.Summarize(end)
 	}
+	return nil
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"codesign/internal/machine"
@@ -368,12 +371,36 @@ func TestCGCoordinationPerIteration(t *testing.T) {
 	}
 }
 
+// TestCGValidation also requires cg to make spmv's input checks before
+// anything is built: a density outside [0,1] fails with spmv's text,
+// and an operator whose dense n×n matrix is over the input cap (cg
+// builds one at every density) fails with the cap error, having
+// allocated almost nothing.
 func TestCGValidation(t *testing.T) {
 	if _, err := RunCG(CGConfig{N: 0}); err == nil {
 		t.Fatal("zero n accepted")
 	}
 	if _, err := RunCG(CGConfig{N: 64, RowsFPGA: 100}); err == nil {
 		t.Fatal("rows > n accepted")
+	}
+	for _, d := range []float64{math.NaN(), -3, 7} {
+		_, spmvErr := RunSpMV(SpMVConfig{N: 64, Density: d})
+		_, err := RunCG(CGConfig{N: 64, Density: d})
+		if want := fmt.Sprintf("core: density %g out of [0,1]", d); err == nil || err.Error() != want || spmvErr.Error() != want {
+			t.Errorf("density %g: cg err = %v, spmv err = %v, want %q", d, err, spmvErr, want)
+		}
+	}
+	for _, d := range []float64{0, 1e-3} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := RunCG(CGConfig{N: 200000, Density: d})
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, errMVInputTooLarge) {
+			t.Errorf("n=200000 density %g: err %v, want the input cap error", d, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Errorf("rejecting n=200000 density %g allocated %d bytes", d, alloc)
+		}
 	}
 }
 

@@ -227,28 +227,66 @@ func TestFWCPUSlowRepartitions(t *testing.T) {
 	}
 }
 
-// FW cannot shed a node: its contiguous block-column distribution has
-// no surviving owner for a dead node's columns, so kill specs must be
-// rejected up front.
+// FW, MM and SpMV cannot shed a node — FW's contiguous block-column
+// distribution and MM's result columns have no surviving owner for a
+// dead node's share, and SpMV runs on one node — so kill specs must be
+// rejected up front, each with its reason.
 func TestFWNodeKillRejected(t *testing.T) {
-	spec := &fault.Spec{Events: []fault.Event{{Kind: fault.NodeKill, Node: 1, Start: 10}}}
-	_, err := RunFW(FWConfig{N: 9216, B: 256, L1: -1, Mode: Hybrid,
-		Faults: mustInjector(t, spec, 6)})
-	if err == nil {
-		t.Fatal("FW accepted a node-kill spec")
+	kill := func() *fault.Injector {
+		spec := &fault.Spec{Events: []fault.Event{{Kind: fault.NodeKill, Node: 1, Start: 10}}}
+		return mustInjector(t, spec, 6)
+	}
+	for _, c := range []struct {
+		app  string
+		run  func() error
+		want string
+	}{
+		{"fw", func() error {
+			_, err := RunFW(FWConfig{N: 9216, B: 256, L1: -1, Mode: Hybrid, Faults: kill()})
+			return err
+		}, "core: fw cannot survive node kills: the contiguous block-column distribution has no surviving owner for a dead node's columns"},
+		{"mm", func() error {
+			_, err := RunMM(MMConfig{N: 96, PEs: 4, BF: -1, Mode: Hybrid, Faults: kill()})
+			return err
+		}, "core: mm has no surviving owner for a dead node's result columns"},
+		{"spmv", func() error {
+			_, err := RunSpMV(SpMVConfig{N: 64, Density: 0.1, RowsFPGA: -1, Faults: kill()})
+			return err
+		}, "core: spmv runs on a single node and cannot survive node kills"},
+	} {
+		if err := c.run(); err == nil || err.Error() != c.want {
+			t.Errorf("%s with a node kill: err = %v, want %q", c.app, err, c.want)
+		}
 	}
 }
 
 // Functional checking carries real matrices; degraded mode reshapes the
 // schedule underneath them, so the combination is rejected.
 func TestFunctionalWithFaultsRejected(t *testing.T) {
-	inj := mustInjector(t, &fault.Spec{}, 6)
-	if _, err := RunLU(LUConfig{N: 300, B: 60, PEs: 4, BF: -1, L: -1, Mode: Hybrid,
-		Functional: true, Seed: 1, Faults: inj}); err == nil {
-		t.Fatal("LU accepted Functional together with Faults")
-	}
-	if _, err := RunFW(FWConfig{N: 96, B: 8, PEs: 4, L1: -1, Mode: Hybrid,
-		Functional: true, Seed: 1, Faults: mustInjector(t, &fault.Spec{}, 6)}); err == nil {
-		t.Fatal("FW accepted Functional together with Faults")
+	const want = "core: functional checking cannot run under fault injection"
+	none := func() *fault.Injector { return mustInjector(t, &fault.Spec{}, 6) }
+	for _, c := range []struct {
+		app string
+		run func() error
+	}{
+		{"lu", func() error {
+			_, err := RunLU(LUConfig{N: 300, B: 60, PEs: 4, BF: -1, L: -1, Mode: Hybrid,
+				Functional: true, Seed: 1, Faults: none()})
+			return err
+		}},
+		{"fw", func() error {
+			_, err := RunFW(FWConfig{N: 96, B: 8, PEs: 4, L1: -1, Mode: Hybrid,
+				Functional: true, Seed: 1, Faults: none()})
+			return err
+		}},
+		{"mm", func() error {
+			_, err := RunMM(MMConfig{N: 96, PEs: 4, BF: -1, Mode: Hybrid,
+				Functional: true, Seed: 1, Faults: none()})
+			return err
+		}},
+	} {
+		if err := c.run(); err == nil || err.Error() != want {
+			t.Errorf("%s: Functional with Faults: err = %v, want %q", c.app, err, want)
+		}
 	}
 }

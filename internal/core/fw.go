@@ -37,8 +37,9 @@ type FWConfig struct {
 	// Observer, when non-nil, receives the structured telemetry stream
 	// (raw events and typed spans; see internal/trace.Recorder).
 	Observer sim.Observer
-	// Telemetry attaches a span digest — utilization, bytes moved, and
-	// the Tp/Tf/Tmem/Tcomm overlap decomposition — to the result.
+	// Telemetry attaches a span summary (a trace.Summary of every span
+	// the run records) — utilization, bytes moved, and the
+	// Tp/Tf/Tmem/Tcomm overlap decomposition — to the result.
 	Telemetry bool
 	// Seed drives functional graph generation.
 	Seed int64
@@ -152,35 +153,13 @@ func fwModel(q Pricing) (model.FWParams, Priced, error) {
 // design model, simulates the distributed computation and returns the
 // measured results.
 func RunFW(cfg FWConfig) (*FWResult, error) {
-	if cfg.Machine.Nodes == 0 {
-		cfg.Machine = machine.XD1()
-	}
-	p := cfg.Machine.Nodes
-	k, err := fwApp.geometry(cfg.Machine, cfg.N, cfg.B, cfg.PEs)
+	m, err := fwApp.start(Spec{Machine: cfg.Machine, N: cfg.N, B: cfg.B, PEs: cfg.PEs, Mode: cfg.Mode,
+		Functional: cfg.Functional, Observer: cfg.Observer, Telemetry: cfg.Telemetry, Faults: cfg.Faults}, nil)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := machine.New(cfg.Machine)
-	if err != nil {
-		return nil, err
-	}
-	rec := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
-	design := fpga.NewFW(k)
-	if err := sys.InstallDesign(design); err != nil {
-		return nil, err
-	}
-	if cfg.Faults != nil {
-		if cfg.Functional {
-			return nil, fmt.Errorf("core: functional checking cannot run under fault injection")
-		}
-		if cfg.Faults.HasDeaths() {
-			return nil, fmt.Errorf("core: fw cannot survive node kills: the contiguous block-column distribution has no surviving owner for a dead node's columns")
-		}
-		if err := sys.InstallFaults(cfg.Faults); err != nil {
-			return nil, err
-		}
-	}
-	q := installed(cfg.Machine, sys, cfg.N, cfg.B, k, cfg.Mode)
+	sys, q := m.sys, m.q
+	p, k := q.Machine.Nodes, q.K
 	q.L1 = cfg.L1
 	fp, pr, err := fwModel(q)
 	if err != nil {
@@ -197,7 +176,7 @@ func RunFW(cfg FWConfig) (*FWResult, error) {
 	}
 	fr.colsPer = fr.cols.PerNode()
 	fr.tp, fr.tf, fr.tmem, fr.tcomm = fp.BlockTimes()
-	fr.blockCycles = design.Cycles(cfg.B)
+	fr.blockCycles = fpga.NewFW(k).Cycles(cfg.B)
 
 	var ref *matrix.Dense
 	if cfg.Functional {
@@ -229,27 +208,15 @@ func RunFW(cfg FWConfig) (*FWResult, error) {
 		})
 	}
 
-	end, err := sys.Run()
-	if err != nil {
-		return nil, fmt.Errorf("core: fw simulation: %w", err)
-	}
-
 	n := float64(cfg.N)
-	flops := 2 * n * n * n
-	cpuBusy, fpgaBusy := collectBusy(sys)
-	res := &FWResult{
-		Result: Result{
-			App: "fw", Mode: cfg.Mode, N: cfg.N, B: cfg.B,
-			Seconds: end, Flops: flops, GFLOPS: flops / end / 1e9,
-			NetworkBytes:  sys.Fab.Bytes(),
-			Coordinations: collectCoordinations(sys),
-			CPUBusy:       cpuBusy, FPGABusy: fpgaBusy,
-		},
-		L1: fr.l1, L2: fr.l2, K: k,
-		Model: fp,
-		// At the final split: a fault injector may have re-solved it.
-		Prediction: fp.PredictFW(cfg.N, fr.l1, fr.l2),
+	res := &FWResult{Result: Result{App: "fw", Mode: cfg.Mode, N: cfg.N, B: cfg.B}}
+	if err := m.finish("fw", 2*n*n*n, &res.Result); err != nil {
+		return nil, err
 	}
+	res.L1, res.L2, res.K = fr.l1, fr.l2, k
+	res.Model = fp
+	// At the final split: a fault injector may have re-solved it.
+	res.Prediction = fp.PredictFW(cfg.N, fr.l1, fr.l2)
 	prev := 0.0
 	for _, tEnd := range iterEnd {
 		res.IterationSeconds = append(res.IterationSeconds, tEnd-prev)
@@ -258,7 +225,6 @@ func RunFW(cfg FWConfig) (*FWResult, error) {
 	if cfg.Faults != nil {
 		res.Repartitions = fr.repartitions
 	}
-	summarizeTelemetry(rec, end, &res.Result)
 	if cfg.Functional && ref != nil {
 		res.Checked = true
 		res.MaxResidual = fr.d.MaxDiff(ref)

@@ -12,7 +12,6 @@ import (
 	"codesign/internal/model"
 	"codesign/internal/obs"
 	"codesign/internal/sim"
-	"codesign/internal/trace"
 )
 
 // LUConfig configures a distributed block LU decomposition run
@@ -50,8 +49,9 @@ type LUConfig struct {
 	// Observer, when non-nil, receives the structured telemetry stream
 	// (raw events and typed spans; see internal/trace.Recorder).
 	Observer sim.Observer
-	// Telemetry attaches a span digest — utilization, bytes moved, and
-	// the Tp/Tf/Tmem/Tcomm overlap decomposition — to the result.
+	// Telemetry attaches a span summary (a trace.Summary of every span
+	// the run records) — utilization, bytes moved, and the
+	// Tp/Tf/Tmem/Tcomm overlap decomposition — to the result.
 	Telemetry bool
 	// WholeTaskOpMM is the ablation of split-task partitioning: instead
 	// of splitting each opMM's rows between processor and FPGA, whole
@@ -158,8 +158,6 @@ type luRun struct {
 
 	boxes []*sim.Mailbox
 	iters []*luIter
-
-	rec *trace.Recorder // telemetry recorder (nil when disabled)
 
 	a *matrix.Dense // functional matrix (nil when timing-only)
 
@@ -274,45 +272,26 @@ func (f luFamily) model(q Pricing) (model.LUParams, Priced, error) {
 // model, simulates the full distributed factorization and returns the
 // measured results.
 func RunLU(cfg LUConfig) (*LUResult, error) {
-	if cfg.Machine.Nodes == 0 {
-		cfg.Machine = machine.XD1()
-	}
-	p := cfg.Machine.Nodes
-	k, err := luApp.geometry(cfg.Machine, cfg.N, cfg.B, cfg.PEs)
+	m, err := luApp.start(Spec{Machine: cfg.Machine, N: cfg.N, B: cfg.B, PEs: cfg.PEs, Mode: cfg.Mode,
+		Functional: cfg.Functional, Observer: cfg.Observer, Telemetry: cfg.Telemetry, Faults: cfg.Faults}, nil)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := machine.New(cfg.Machine)
-	if err != nil {
-		return nil, err
-	}
-	rec := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
-	if err := sys.InstallDesign(luApp.Design(k)); err != nil {
-		return nil, err
-	}
-	if cfg.Faults != nil {
-		if cfg.Functional {
-			return nil, fmt.Errorf("core: functional checking cannot run under fault injection")
-		}
-		if err := sys.InstallFaults(cfg.Faults); err != nil {
-			return nil, err
-		}
-	}
-	q := installed(cfg.Machine, sys, cfg.N, cfg.B, k, cfg.Mode)
+	sys, q := m.sys, m.q
+	p, k := q.Machine.Nodes, q.K
 	q.BF, q.L = cfg.BF, cfg.L
 	lp, pr, err := luHalf.model(q)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	bf, l := pr.Split.BF, pr.Split.L
-	proc := sys.Nodes[0].Proc
 
-	lr := &luRun{cfg: cfg, sys: sys, lp: lp, nb: cfg.N / cfg.B, bf: bf, bp: cfg.B - bf, l: l, stripes: cfg.B / k, rec: rec}
+	lr := &luRun{cfg: cfg, sys: sys, lp: lp, nb: cfg.N / cfg.B, bf: bf, bp: cfg.B - bf, l: l, stripes: cfg.B / k}
 	lr.cyc, err = dist.CheckedCyclic(lr.nb, p)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	lr.gemmRate = proc.Rate(cpu.DGEMM)
+	lr.gemmRate = q.Proc.Rate(cpu.DGEMM)
 	lr.lpLive = lp
 	if cfg.Faults != nil {
 		lr.inj = cfg.Faults
@@ -360,7 +339,7 @@ func RunLU(cfg LUConfig) (*LUResult, error) {
 		}
 	}
 
-	return lr.execute(ref)
+	return lr.execute(&m, ref)
 }
 
 // jobCharge is the per-opMM cost model on one compute node.
@@ -374,39 +353,45 @@ type jobCharge struct {
 }
 
 // chargeModel derives the per-job costs from the machine parameters.
-// One job is a whole b×b block multiplication; stripe-level pipelining
-// is aggregated (the stripe-granular view is simulated by RunOpMM for
-// Figure 5) with the first stripe's transfer exposed as FPGA start lag.
 // It reads lpLive (nominal rates, live node count) and bf, so a
 // repartition rebuilds the charges by calling it again — always from
 // the NOMINAL parameters: the physical slowdown is applied once, by the
 // dilation hooks, at charge time.
 func (lr *luRun) chargeModel() {
+	charge := func(bf int) jobCharge {
+		return opmmCharge(lr.lpLive, lr.gemmRate, bf, lr.cfg.DisableStripeOverlap)
+	}
 	switch lr.cfg.Mode {
 	case ProcessorOnly:
-		lr.charge = lr.chargeForBF(0)
+		lr.charge = charge(0)
 	case FPGAOnly:
-		lr.charge = lr.chargeForBF(lr.cfg.B)
+		lr.charge = charge(lr.cfg.B)
 	default:
 		if lr.cfg.WholeTaskOpMM {
 			// Ablation: alternate whole jobs between the resources.
-			lr.charge = lr.chargeForBF(lr.cfg.B)
-			alt := lr.chargeForBF(0)
+			lr.charge = charge(lr.cfg.B)
+			alt := charge(0)
 			lr.alt = &alt
 		} else {
-			lr.charge = lr.chargeForBF(lr.bf)
+			lr.charge = charge(lr.bf)
 		}
 	}
 	_, _, _, tcomm := lr.lpLive.StripeTimes(lr.bf)
 	lr.sendTime = float64(lr.stripes) * tcomm // panel node, per job multicast
 }
 
-// chargeForBF builds the per-job charges for a given row split.
-func (lr *luRun) chargeForBF(bf int) jobCharge {
-	b := float64(lr.cfg.B)
-	pm1 := float64(lr.lpLive.P - 1)
-	st := float64(lr.stripes)
-	_, tp, tmem, tcomm := lr.lpLive.StripeTimes(bf)
+// opmmCharge is the per-job cost of one opMM — a whole b×b block
+// multiplication over lp's p-1 compute nodes, b = lp.B in b/k stripes —
+// at FPGA row split bf, with the processor's full dgemm rate gemmRate
+// for an all-software job. Stripe-level pipelining is aggregated (the
+// stripe-granular view is simulated by RunOpMM for Figure 5): the FPGA
+// waits for the first stripe's transfer, or for every stripe's under
+// noOverlap (the DisableStripeOverlap ablation).
+func opmmCharge(lp model.LUParams, gemmRate float64, bf int, noOverlap bool) jobCharge {
+	b := float64(lp.B)
+	pm1 := float64(lp.P - 1)
+	st := float64(lp.B / lp.K)
+	_, tp, tmem, tcomm := lp.StripeTimes(bf)
 
 	var c jobCharge
 	c.cpuRecv = st * tcomm // message unpack
@@ -414,10 +399,10 @@ func (lr *luRun) chargeForBF(bf int) jobCharge {
 	case bf == 0:
 		// All software: one square-ish dgemm at the full library rate;
 		// no DMA, no FPGA.
-		c.cpuGemm = 2 * b * b * b / (pm1 * lr.gemmRate)
-	case bf == lr.cfg.B:
+		c.cpuGemm = 2 * b * b * b / (pm1 * gemmRate)
+	case bf == lp.B:
 		c.cpuDMA = st * tmem
-		c.fpgaCycles = b * b * b / (float64(lr.lpLive.K) * pm1)
+		c.fpgaCycles = b * b * b / (float64(lp.K) * pm1)
 	default:
 		c.cpuDMA = st * tmem
 		c.cpuGemm = st * tp
@@ -429,7 +414,7 @@ func (lr *luRun) chargeForBF(bf int) jobCharge {
 		c.dmaBytes = int64(float64(bf)*b+b*b/pm1) * machine.WordBytes
 	}
 	if c.fpgaCycles > 0 {
-		if lr.cfg.DisableStripeOverlap {
+		if noOverlap {
 			c.fpgaLag = st*tcomm + c.cpuDMA
 		} else {
 			c.fpgaLag = tcomm + c.cpuDMA/st // first stripe only
@@ -539,7 +524,7 @@ func (lr *luRun) applyRepartition(now float64, t int, d model.Degradation, died 
 
 // execute spawns the node programs, runs the simulation, and assembles
 // the results.
-func (lr *luRun) execute(ref *matrix.Dense) (*LUResult, error) {
+func (lr *luRun) execute(m *machineRun, ref *matrix.Dense) (*LUResult, error) {
 	sys := lr.sys
 	p := sys.Cfg.Nodes
 	iterEnd := make([]float64, lr.nb)
@@ -569,30 +554,18 @@ func (lr *luRun) execute(ref *matrix.Dense) (*LUResult, error) {
 		})
 	}
 
-	end, err := sys.Run()
-	if err != nil {
-		return nil, fmt.Errorf("core: lu simulation: %w", err)
+	n := float64(lr.cfg.N)
+	res := &LUResult{Result: Result{App: "lu", Mode: lr.cfg.Mode, N: lr.cfg.N, B: lr.cfg.B}}
+	if err := m.finish("lu", 2.0/3.0*n*n*n, &res.Result); err != nil {
+		return nil, err
 	}
 	if lr.failure != nil {
 		return nil, lr.failure
 	}
-
-	n := float64(lr.cfg.N)
-	flops := 2.0 / 3.0 * n * n * n
-	cpuBusy, fpgaBusy := collectBusy(sys)
-	res := &LUResult{
-		Result: Result{
-			App: "lu", Mode: lr.cfg.Mode, N: lr.cfg.N, B: lr.cfg.B,
-			Seconds: end, Flops: flops, GFLOPS: flops / end / 1e9,
-			NetworkBytes:  sys.Fab.Bytes(),
-			Coordinations: collectCoordinations(sys),
-			CPUBusy:       cpuBusy, FPGABusy: fpgaBusy,
-		},
-		BF: lr.bf, BP: lr.bp, L: lr.l, K: lr.lp.K,
-		Model: lr.lp,
-		// At the final split: a fault injector may have re-solved it.
-		Prediction: luHalf.predict(lr.lp, lr.cfg.N, lr.bf),
-	}
+	res.BF, res.BP, res.L, res.K = lr.bf, lr.bp, lr.l, lr.lp.K
+	res.Model = lr.lp
+	// At the final split: a fault injector may have re-solved it.
+	res.Prediction = luHalf.predict(lr.lp, lr.cfg.N, lr.bf)
 	prev := 0.0
 	for _, t := range iterEnd {
 		res.IterationSeconds = append(res.IterationSeconds, t-prev)
@@ -600,9 +573,8 @@ func (lr *luRun) execute(ref *matrix.Dense) (*LUResult, error) {
 	}
 	if lr.inj != nil {
 		res.Repartitions = lr.repartitions
-		res.DeadNodes = lr.inj.DeadBy(end)
+		res.DeadNodes = lr.inj.DeadBy(res.Seconds)
 	}
-	summarizeTelemetry(lr.rec, end, &res.Result)
 	if lr.cfg.Functional && ref != nil {
 		res.Checked = true
 		res.MaxResidual = lr.a.MaxDiff(ref)

@@ -37,8 +37,9 @@ type MMConfig struct {
 	// Observer, when non-nil, receives the structured telemetry stream
 	// (raw events and typed spans; see internal/trace.Recorder).
 	Observer sim.Observer
-	// Telemetry attaches a span digest — utilization, bytes moved, and
-	// the Tp/Tf/Tmem/Tcomm overlap decomposition — to the result.
+	// Telemetry attaches a span summary (a trace.Summary of every span
+	// the run records) — utilization, bytes moved, and the
+	// Tp/Tf/Tmem/Tcomm overlap decomposition — to the result.
 	Telemetry bool
 	// Faults, when non-nil, is installed into every charging path of
 	// the machine (see machine.System.InstallFaults); incompatible with
@@ -94,34 +95,13 @@ func mmModel(q Pricing) (model.MMParams, Priced, error) {
 
 // RunMM builds the machine and simulates the stripe-pipelined multiply.
 func RunMM(cfg MMConfig) (*MMResult, error) {
-	if cfg.Machine.Nodes == 0 {
-		cfg.Machine = machine.XD1()
-	}
-	p := cfg.Machine.Nodes
-	k, err := mmApp.geometry(cfg.Machine, cfg.N, 0, cfg.PEs)
+	m, err := mmApp.start(Spec{Machine: cfg.Machine, N: cfg.N, PEs: cfg.PEs, Mode: cfg.Mode,
+		Functional: cfg.Functional, Observer: cfg.Observer, Telemetry: cfg.Telemetry, Faults: cfg.Faults}, nil)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := machine.New(cfg.Machine)
-	if err != nil {
-		return nil, err
-	}
-	rec := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
-	if err := sys.InstallDesign(mmApp.Design(k)); err != nil {
-		return nil, err
-	}
-	if cfg.Faults != nil {
-		if cfg.Functional {
-			return nil, fmt.Errorf("core: functional checking cannot run under fault injection")
-		}
-		if cfg.Faults.HasDeaths() {
-			return nil, fmt.Errorf("core: mm has no surviving owner for a dead node's result columns")
-		}
-		if err := sys.InstallFaults(cfg.Faults); err != nil {
-			return nil, err
-		}
-	}
-	q := installed(cfg.Machine, sys, cfg.N, 0, k, cfg.Mode)
+	sys, q := m.sys, m.q
+	p, k := q.Machine.Nodes, q.K
 	q.BF = cfg.BF
 	mp, pr, err := mmModel(q)
 	if err != nil {
@@ -189,26 +169,12 @@ func RunMM(cfg MMConfig) (*MMResult, error) {
 		})
 	}
 
-	end, err := sys.Run()
-	if err != nil {
-		return nil, fmt.Errorf("core: mm simulation: %w", err)
-	}
 	n := float64(cfg.N)
-	flops := 2 * n * n * n
-	cpuBusy, fpgaBusy := collectBusy(sys)
-	res := &MMResult{
-		Result: Result{
-			App: "mm", Mode: cfg.Mode, N: cfg.N, B: k,
-			Seconds: end, Flops: flops, GFLOPS: flops / end / 1e9,
-			NetworkBytes:  sys.Fab.Bytes(),
-			Coordinations: collectCoordinations(sys),
-			CPUBusy:       cpuBusy, FPGABusy: fpgaBusy,
-		},
-		BF: bf, BP: cfg.N - bf, K: k,
-		Model:      mp,
-		Prediction: pr.Prediction,
+	res := &MMResult{Result: Result{App: "mm", Mode: cfg.Mode, N: cfg.N, B: k},
+		BF: bf, BP: cfg.N - bf, K: k, Model: mp, Prediction: pr.Prediction}
+	if err := m.finish("mm", 2*n*n*n, &res.Result); err != nil {
+		return nil, err
 	}
-	summarizeTelemetry(rec, end, &res.Result)
 	if cfg.Functional {
 		res.Checked = true
 		res.MaxResidual = c.MaxDiff(ref)

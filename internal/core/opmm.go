@@ -27,28 +27,19 @@ type OpMMResult struct {
 // consumes stripes from a double-buffered queue. Pipelining across
 // stripes arises naturally from the resource model.
 func RunOpMM(mc machine.Config, b, pes, bf int) (*OpMMResult, error) {
-	if mc.Nodes == 0 {
-		mc = machine.XD1()
-	}
-	p := mc.Nodes
-	// One opMM is one LU block: LU's PE rule and geometry.
-	k, err := luApp.geometry(mc, b, b, pes)
+	// One opMM is one LU block: LU's PE rule, geometry and design.
+	m, err := luApp.start(Spec{Machine: mc, N: b, B: b, PEs: pes}, func() error {
+		if bf < 0 || bf > b {
+			return fmt.Errorf("core: bf=%d out of [0,%d]", bf, b)
+		}
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}
-	if bf < 0 || bf > b {
-		return nil, fmt.Errorf("core: bf=%d out of [0,%d]", bf, b)
-	}
-	sys, err := machine.New(mc)
-	if err != nil {
-		return nil, err
-	}
-	if err := sys.InstallDesign(luApp.Design(k)); err != nil {
-		return nil, err
-	}
-	accel := sys.Nodes[0].Accel
-	proc := sys.Nodes[0].Proc
-	lp := LUModel(mc, proc, b, k, accel.Placed.FreqHz, accel.DRAM.BandwidthBytes)
+	sys, q := m.sys, m.q
+	p, k := q.Machine.Nodes, q.K
+	lp := LUModel(q.Machine, q.Proc, b, k, q.Ff, q.Bd)
 	tf, tp, tmem, tcomm := lp.StripeTimes(bf)
 	stripes := b / k
 	fpgaStripeCycles := float64(bf) * float64(b) / float64(p-1)
@@ -130,13 +121,13 @@ func RunOpMM(mc machine.Config, b, pes, bf int) (*OpMMResult, error) {
 		})
 	}
 
-	end, err := sys.Run()
-	if err != nil {
-		return nil, fmt.Errorf("core: opMM simulation: %w", err)
+	var res Result
+	if err := m.finish("opMM", 0, &res); err != nil {
+		return nil, err
 	}
 	return &OpMMResult{
 		BF: bf, BP: b - bf, B: b, K: k,
-		Seconds:  end,
+		Seconds:  res.Seconds,
 		StripeTf: tf, StripeTp: tp, StripeTmem: tmem, StripeTcomm: tcomm,
 	}, nil
 }

@@ -115,29 +115,6 @@ func (a App) MaxPEs(dev fpga.Device, b int) int {
 	return k
 }
 
-// geometry resolves a run's PE count — pes, or the app's rule when pes
-// is 0 — and checks the app's geometry before anything is built.
-func (a App) geometry(m machine.Config, n, b, pes int) (int, error) {
-	k := pes
-	if k == 0 {
-		k = a.MaxPEs(m.Device, b)
-	}
-	if k < 1 {
-		return 0, fmt.Errorf("core: no %s PE array fits %s", a.Name, m.Device.Name)
-	}
-	if err := a.Check(m.Nodes, n, b, k); err != nil {
-		return 0, fmt.Errorf("core: %w", err)
-	}
-	return k, nil
-}
-
-// installed is a run's Pricing at the design installed on node 0.
-func installed(m machine.Config, sys *machine.System, n, b, k int, mode Mode) Pricing {
-	node := sys.Nodes[0]
-	return Pricing{Machine: m, Proc: node.Proc, N: n, B: b, K: k,
-		Ff: node.Accel.Placed.FreqHz, Bd: node.Accel.DRAM.BandwidthBytes, Mode: mode}
-}
-
 // priceOf adapts a typed model half to App.Price.
 func priceOf[P any](half func(Pricing) (P, Priced, error)) func(Pricing) (Priced, error) {
 	return func(q Pricing) (Priced, error) {

@@ -40,8 +40,9 @@ type QRConfig struct {
 	// Observer, when non-nil, receives the structured telemetry stream
 	// (raw events and typed spans; see internal/trace.Recorder).
 	Observer sim.Observer
-	// Telemetry attaches a span digest — utilization, bytes moved, and
-	// the Tp/Tf/Tmem/Tcomm overlap decomposition — to the result.
+	// Telemetry attaches a span summary (a trace.Summary of every span
+	// the run records) — utilization, bytes moved, and the
+	// Tp/Tf/Tmem/Tcomm overlap decomposition — to the result.
 	Telemetry bool
 }
 
@@ -60,24 +61,13 @@ type qrBcast struct{ t int }
 
 // RunQR simulates the distributed factorization.
 func RunQR(cfg QRConfig) (*QRResult, error) {
-	if cfg.Machine.Nodes == 0 {
-		cfg.Machine = machine.XD1()
-	}
-	p := cfg.Machine.Nodes
-	k, err := qrApp.geometry(cfg.Machine, cfg.N, cfg.B, cfg.PEs)
+	m, err := qrApp.start(Spec{Machine: cfg.Machine, N: cfg.N, B: cfg.B, PEs: cfg.PEs, Mode: cfg.Mode,
+		Functional: cfg.Functional, Observer: cfg.Observer, Telemetry: cfg.Telemetry}, nil)
 	if err != nil {
 		return nil, err
 	}
-	sys, err := machine.New(cfg.Machine)
-	if err != nil {
-		return nil, err
-	}
-	rec := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
-	if err := sys.InstallDesign(qrApp.Design(k)); err != nil {
-		return nil, err
-	}
-	proc := sys.Nodes[0].Proc
-	q := installed(cfg.Machine, sys, cfg.N, cfg.B, k, cfg.Mode)
+	sys, q := m.sys, m.q
+	p, k := q.Machine.Nodes, q.K
 	q.BF = cfg.BF
 	lp, pr, err := qrHalf.model(q)
 	if err != nil {
@@ -92,8 +82,7 @@ func RunQR(cfg QRConfig) (*QRResult, error) {
 	// trailing-column job is collective like opMM: each of the p-1
 	// compute nodes applies the panel to its b/(p-1) column slice,
 	// 4·rows·b²/(p-1) flops — the LU charge scaled by 2·rows/b.
-	lu := &luRun{cfg: LUConfig{Machine: cfg.Machine, N: cfg.N, B: b, Mode: cfg.Mode}, sys: sys, lp: lp, lpLive: lp, gemmRate: proc.Rate(cpu.DGEMM), bf: bf, stripes: b / k}
-	baseCharge := lu.chargeForBF(bf)
+	baseCharge := opmmCharge(lp, q.Proc.Rate(cpu.DGEMM), bf, false)
 	chargeFor := func(rows int) jobCharge {
 		s := 2 * float64(rows) / float64(b)
 		c := baseCharge
@@ -219,26 +208,12 @@ func RunQR(cfg QRConfig) (*QRResult, error) {
 		})
 	}
 
-	end, err := sys.Run()
-	if err != nil {
-		return nil, fmt.Errorf("core: qr simulation: %w", err)
-	}
 	n := float64(cfg.N)
-	flops := 4.0 / 3.0 * n * n * n
-	cpuBusy, fpgaBusy := collectBusy(sys)
-	res := &QRResult{
-		Result: Result{
-			App: "qr", Mode: cfg.Mode, N: cfg.N, B: b,
-			Seconds: end, Flops: flops, GFLOPS: flops / end / 1e9,
-			NetworkBytes:  sys.Fab.Bytes(),
-			Coordinations: collectCoordinations(sys),
-			CPUBusy:       cpuBusy, FPGABusy: fpgaBusy,
-		},
-		BF: bf, BP: b - bf, K: k,
-		Model:      lp,
-		Prediction: pr.Prediction,
+	res := &QRResult{Result: Result{App: "qr", Mode: cfg.Mode, N: cfg.N, B: b},
+		BF: bf, BP: b - bf, K: k, Model: lp, Prediction: pr.Prediction}
+	if err := m.finish("qr", 4.0/3.0*n*n*n, &res.Result); err != nil {
+		return nil, err
 	}
-	summarizeTelemetry(rec, end, &res.Result)
 	if cfg.Functional && ref != nil {
 		res.Checked = true
 		res.MaxResidual = a.MaxDiff(ref)

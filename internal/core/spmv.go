@@ -52,8 +52,9 @@ type SpMVConfig struct {
 	// Observer, when non-nil, receives the structured telemetry stream
 	// (raw events and typed spans; see internal/trace.Recorder).
 	Observer sim.Observer
-	// Telemetry attaches a span digest — utilization, bytes moved, and
-	// the Tp/Tf/Tmem/Tcomm overlap decomposition — to the result.
+	// Telemetry attaches a span summary (a trace.Summary of every span
+	// the run records) — utilization, bytes moved, and the
+	// Tp/Tf/Tmem/Tcomm overlap decomposition — to the result.
 	Telemetry bool
 	// Faults, when non-nil, is installed into every charging path of
 	// the machine (see machine.System.InstallFaults). SpMV has no
@@ -157,36 +158,15 @@ func sramWords(m machine.Config) int {
 }
 
 func runMV(cfg SpMVConfig, applies int) (*SpMVResult, error) {
-	if cfg.Machine.Nodes == 0 {
-		cfg.Machine = machine.XD1()
-	}
-	k, err := spmvApp.geometry(cfg.Machine, cfg.N, 0, cfg.PEs)
+	m, err := spmvApp.start(Spec{Machine: cfg.Machine, N: cfg.N, PEs: cfg.PEs, Mode: cfg.Mode,
+		Observer: cfg.Observer, Telemetry: cfg.Telemetry, Faults: cfg.Faults}, func() error {
+		return checkMVInput("spmv", cfg.N, cfg.Density, mvInputBytes(cfg.N, cfg.Density))
+	})
 	if err != nil {
 		return nil, err
 	}
-	if !(cfg.Density >= 0 && cfg.Density <= 1) { // NaN fails both comparisons
-		return nil, fmt.Errorf("core: density %g out of [0,1]", cfg.Density)
-	}
-	if bytes := mvInputBytes(cfg.N, cfg.Density); bytes > mvInputCap {
-		return nil, fmt.Errorf("core: spmv n=%d density %g: %w (%d bytes, cap %d)",
-			cfg.N, cfg.Density, errMVInputTooLarge, bytes, mvInputCap)
-	}
-	sys, err := machine.New(cfg.Machine)
-	if err != nil {
-		return nil, err
-	}
-	rec := setupTelemetry(sys.Eng, cfg.Telemetry, cfg.Observer)
-	if err := sys.InstallDesign(spmvApp.Design(k)); err != nil {
-		return nil, err
-	}
-	if cfg.Faults != nil {
-		if cfg.Faults.HasDeaths() {
-			return nil, fmt.Errorf("core: spmv runs on a single node and cannot survive node kills")
-		}
-		if err := sys.InstallFaults(cfg.Faults); err != nil {
-			return nil, err
-		}
-	}
+	sys, q := m.sys, m.q
+	k := q.K
 	node := sys.Nodes[0]
 	accel := node.Accel
 
@@ -207,7 +187,6 @@ func runMV(cfg SpMVConfig, applies int) (*SpMVResult, error) {
 		rowWords = func(lo, hi int) int { return (hi - lo) * cfg.N }
 	}
 
-	q := installed(cfg.Machine, sys, cfg.N, 0, k, cfg.Mode)
 	q.BF, q.Density, q.Applies = cfg.RowsFPGA, cfg.Density, applies
 	mvp, priced, err := spmvModel(q)
 	if err != nil {
@@ -216,7 +195,7 @@ func runMV(cfg SpMVConfig, applies int) (*SpMVResult, error) {
 	rf, resident := priced.Split.BF, mvp.Resident
 	if resident {
 		// SRAM capacity clamp on the resident share, exact per row.
-		for rf > 0 && rowWords(0, rf) > sramWords(cfg.Machine) {
+		for rf > 0 && rowWords(0, rf) > sramWords(q.Machine) {
 			rf--
 		}
 	}
@@ -318,29 +297,31 @@ func runMV(cfg SpMVConfig, applies int) (*SpMVResult, error) {
 		}
 	})
 
-	end, err := sys.Run()
-	if err != nil {
-		return nil, fmt.Errorf("core: spmv simulation: %w", err)
-	}
-
-	app := "spmv"
+	res.Result = Result{App: "spmv", Mode: cfg.Mode, N: cfg.N, B: k}
 	if applies > 1 {
-		app = "spmm"
+		res.App = "spmm"
 	}
-	res.Result = Result{
-		App: app, Mode: cfg.Mode, N: cfg.N, B: k,
-		Seconds: end, Flops: mvp.Flops, GFLOPS: mvp.Flops / end / 1e9,
-		NetworkBytes:  sys.Fab.Bytes(),
-		Coordinations: collectCoordinations(sys),
-		MaxResidual:   maxDiff,
-		Checked:       true,
+	if err := m.finish("spmv", mvp.Flops, &res.Result); err != nil {
+		return nil, err
 	}
-	res.CPUBusy, res.FPGABusy = collectBusy(sys)
+	res.MaxResidual, res.Checked = maxDiff, true
 	res.Model = mvp
 	res.Prediction = mvp.PredictSpMV(rf) // at the clamped split
 	res.LoadSeconds = loadDone
-	summarizeTelemetry(rec, end, &res.Result)
 	return res, nil
+}
+
+// checkMVInput rejects an operator density outside [0,1] and an input
+// of the given bytes over mvInputCap, before anything is built.
+func checkMVInput(app string, n int, density float64, bytes int) error {
+	if !(density >= 0 && density <= 1) { // NaN fails both comparisons
+		return fmt.Errorf("core: density %g out of [0,1]", density)
+	}
+	if bytes > mvInputCap {
+		return fmt.Errorf("core: %s n=%d density %g: %w (%d bytes, cap %d)",
+			app, n, density, errMVInputTooLarge, bytes, mvInputCap)
+	}
+	return nil
 }
 
 // mvInputBudget caps the bytes of SpMV inputs the process keeps

@@ -73,35 +73,42 @@ func TestTelemetryBytesMatchIndependentCounters(t *testing.T) {
 	}
 }
 
+// TestTelemetryAllApps runs every registered app's small spec with
+// Telemetry on and pins what every run's shared epilogue fills in:
+// GFLOPS from the flops and the makespan, a span summary whose makespan
+// and network bytes are the run's own, one busy entry per node, and an
+// overlap decomposition that partitions the makespan.
 func TestTelemetryAllApps(t *testing.T) {
-	check := func(name string, res *Result, err error) {
-		t.Helper()
+	for _, app := range Apps() {
+		s := app.Small()
+		s.Telemetry = true
+		r, err := app.Run(s)
 		if err != nil {
-			t.Fatalf("%s: %v", name, err)
+			t.Fatalf("%s: %v", app.Name, err)
 		}
-		s := res.Telemetry
-		if s == nil {
-			t.Fatalf("%s: no telemetry", name)
+		tel := r.Telemetry
+		if tel == nil || tel.Spans == 0 {
+			t.Fatalf("%s: no span summary: %+v", app.Name, tel)
 		}
-		if got := s.Overlap.Sum(); math.Abs(got-s.Makespan) > 1e-6*math.Max(s.Makespan, 1e-12) {
-			t.Fatalf("%s: overlap sum %v != makespan %v", name, got, s.Makespan)
+		if want := r.Flops / r.Seconds / 1e9; r.GFLOPS != want {
+			t.Errorf("%s: GFLOPS %v, want flops/seconds/1e9 = %v", app.Name, r.GFLOPS, want)
 		}
-		if s.Spans == 0 {
-			t.Fatalf("%s: no spans", name)
+		if tel.Makespan != r.Seconds {
+			t.Errorf("%s: summary makespan %v != run seconds %v", app.Name, tel.Makespan, r.Seconds)
+		}
+		if tel.NetworkBytes != r.NetworkBytes {
+			t.Errorf("%s: span network bytes %d != fabric bytes %d", app.Name, tel.NetworkBytes, r.NetworkBytes)
+		}
+		if nodes := s.Machine.Nodes; len(r.CPUBusy) != nodes || len(r.FPGABusy) != nodes {
+			t.Errorf("%s: %d CPU and %d FPGA busy entries, want one per node (%d)",
+				app.Name, len(r.CPUBusy), len(r.FPGABusy), nodes)
+		}
+		// The six exposed components re-sum to the makespan up to float
+		// rounding (mm lands one ulp off).
+		if got := tel.Overlap.Sum(); math.Abs(got-tel.Makespan) > 1e-12*tel.Makespan {
+			t.Errorf("%s: overlap sums to %v, want the makespan %v", app.Name, got, tel.Makespan)
 		}
 	}
-	lu, err := RunLU(LUConfig{N: 120, B: 20, PEs: 4, BF: -1, L: -1, Mode: Hybrid, Telemetry: true})
-	check("lu", &lu.Result, err)
-	fw, err := RunFW(FWConfig{N: 96, B: 8, PEs: 4, L1: -1, Mode: Hybrid, Telemetry: true})
-	check("fw", &fw.Result, err)
-	mm, err := RunMM(MMConfig{N: 96, PEs: 4, BF: -1, Mode: Hybrid, Telemetry: true})
-	check("mm", &mm.Result, err)
-	ch, err := RunCholesky(CholConfig{N: 120, B: 20, PEs: 4, BF: -1, L: -1, Mode: Hybrid, Telemetry: true})
-	check("chol", &ch.Result, err)
-	qr, err := RunQR(QRConfig{N: 120, B: 20, PEs: 4, BF: -1, Mode: Hybrid, Telemetry: true})
-	check("qr", &qr.Result, err)
-	cg, err := RunCG(CGConfig{N: 64, Mode: Hybrid, Seed: 1, Telemetry: true})
-	check("cg", &cg.Result, err)
 }
 
 func TestPerfettoExportDeterministic(t *testing.T) {
