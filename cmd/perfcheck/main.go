@@ -50,7 +50,7 @@ type Entry struct {
 // the benchmark output the CI perf job gates, so following it
 // regenerates every entry the check expects.
 const regenerateNote = "Wall-clock perf baseline. Regenerate: " +
-	"go test -run '^$' -bench 'BenchmarkHeadline|BenchmarkSimEngine|BenchmarkLUFullSimulation|BenchmarkDesignSpaceSweep|BenchmarkSpMVSweep|BenchmarkSolveCached' -benchtime=10x -benchmem . > bench.txt" +
+	"go test -run '^$' -bench 'BenchmarkHeadline|BenchmarkSimEngine|BenchmarkLUFullSimulation|BenchmarkFWFullSimulation|BenchmarkDesignSpaceSweep|BenchmarkSpMVSweep|BenchmarkSolveCached' -benchtime=10x -benchmem . > bench.txt" +
 	" && go test -run '^$' -bench 'BenchmarkScreenedSweep' -benchtime=1x -benchmem . >> bench.txt" +
 	" && go test -run '^$' -bench . -benchtime=100x -benchmem ./internal/sim/ >> bench.txt" +
 	" && go run ./cmd/perfcheck -update bench.txt"

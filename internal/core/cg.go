@@ -187,10 +187,7 @@ func RunCG(cfg CGConfig) (*CGRunResult, error) {
 			// q = A·p, split by rows.
 			var done *sim.Signal
 			if rf > 0 {
-				done = accel.Launch(fmt.Sprintf("cg.mv.%d", it), func(fp *sim.Proc) {
-					fp.SetPhase("apply")
-					accel.Compute(fp, fpgaApply*accel.Placed.FreqHz)
-				})
+				done = accel.Job(fmt.Sprintf("cg.mv.%d", it), "apply", machine.NoFill, fpgaApply*accel.Placed.FreqHz)
 			}
 			if rf < cfg.N {
 				pr.SetPhase("apply")

@@ -285,12 +285,7 @@ func (cr *cholRun) runCompute(pr *sim.Proc, node *machine.Node, me, t int) {
 
 		var done *sim.Signal
 		if ch.fpgaCycles > 0 {
-			a := node.Accel
-			done = a.Launch(sim.Name("chol.fpga", t, j.u, j.v, me), func(fp *sim.Proc) {
-				fp.SetPhase("opmm")
-				a.WaitOperands(fp, ch.fpgaLag)
-				a.Compute(fp, ch.fpgaCycles)
-			})
+			done = node.Accel.Job(sim.Name("chol.fpga", t, j.u, j.v, me), "opmm", ch.fpgaLag, ch.fpgaCycles)
 		}
 		// The three CPU charges fuse into one engine park (ChargeCPUSeq).
 		var seq [3]sim.Charge
@@ -337,18 +332,16 @@ func (cr *cholRun) forwardResult(pr *sim.Proc, me, t int, j *cholJob) {
 	ownerNode := cr.sys.Nodes[owner]
 	it := cr.iters[t]
 	b := cr.cfg.B
-	cr.sys.Eng.Go(sim.Name("chol.opms", t, j.u, j.v), func(mp *sim.Proc) {
-		mp.SetPhase("opms")
-		unpack := float64(b*b*machine.WordBytes) / cr.lp.Bn
-		sub := cpu.SubtractFlops(b)
-		if j.u == j.v {
-			unpack /= 2
-			sub /= 2
-		}
-		ownerNode.ChargeCPUSeq(mp, []sim.Charge{
-			{Cat: sim.CatNetwork, Dt: unpack},
-			{Cat: sim.CatCompute, Dt: ownerNode.Proc.Time(cpu.Subtract, sub)},
-		})
+	unpack := float64(b*b*machine.WordBytes) / cr.lp.Bn
+	sub := cpu.SubtractFlops(b)
+	if j.u == j.v {
+		unpack /= 2
+		sub /= 2
+	}
+	ownerNode.CPUTask(sim.Name("chol.opms", t, j.u, j.v), "opms", []sim.Charge{
+		{Cat: sim.CatNetwork, Dt: unpack},
+		{Cat: sim.CatCompute, Dt: ownerNode.Proc.Time(cpu.Subtract, sub)},
+	}, func() {
 		if cr.a != nil {
 			if j.u == j.v {
 				// Diagonal: symmetric rank-b update, lower only.

@@ -34,12 +34,12 @@ func (d *digestObserver) Span(s sim.SpanEvent) {
 	d.nsp++
 }
 
-// digest folds the event stream, the span stream, the counter snapshot
-// and the run's outcome into one short hex string.
-func (d *digestObserver) digest(ctr *sim.Counters, outcome string) string {
+// digest folds the event stream, the span stream and the run's
+// outcome into one short hex string.
+func (d *digestObserver) digest(outcome string) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "events %d %x\nspans %d %x\ncounters %+v\n%s",
-		d.nev, d.events.Sum(nil), d.nsp, d.spans.Sum(nil), ctr.Snapshot(), outcome)
+	fmt.Fprintf(h, "events %d %x\nspans %d %x\n%s",
+		d.nev, d.events.Sum(nil), d.nsp, d.spans.Sum(nil), outcome)
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
@@ -124,44 +124,30 @@ func engineScenario(e *sim.Engine, seed int64) {
 	}
 }
 
-// TestEngineReferenceDigests pins everything the engine lets an
-// observer see — the raw event stream, the typed span stream, the
-// engine counters and the run's error text — for every registered
-// app's small run and for seeded primitive scenarios. The expected
-// digests were recorded on the engine these runs must keep matching;
-// a scheduler change that reorders one event, draws one sequence
-// number differently or miscounts one handoff changes a digest.
-func TestEngineReferenceDigests(t *testing.T) {
-	want := map[string]string{
-		"app/lu":      "ec607fe351f3a439",
-		"app/fw":      "e49edda4d7817bd6",
-		"app/mm":      "b138148b52fb2b4e",
-		"app/spmv":    "3ce2b6872e97b3fd",
-		"app/chol":    "ec48b45a0e8af3c5",
-		"app/qr":      "d482e2e0e874e4c6",
-		"app/cg":      "3170b379c5464b85",
-		"scenario/1":  "c97f00d52bbe46b8",
-		"scenario/2":  "f0fcdb503733d18e",
-		"scenario/3":  "bab2ef264c6f7ecd",
-		"scenario/4":  "dbe131c0f092d712",
-		"scenario/5":  "828be3f41eec9131",
-		"scenario/6":  "0892c81b6c3e36d0",
-		"scenario/7":  "7e8d27297eb06796",
-		"scenario/8":  "296e90ee08f90b95",
-		"scenario/9":  "c3b94b49c5a93ee1",
-		"scenario/10": "0d7cba87bc7fab3d",
-		"scenario/11": "e40a9a5207423803",
-		"scenario/12": "b2ba41c03dc6f180",
-		"scenario/13": "84f7019740f4afb5",
-		"scenario/14": "a0ba7f79829d929f",
-		"scenario/15": "50f95e4e6e817532",
-		"scenario/16": "28099f76868efc4a",
-		"scenario/17": "3041043fc99c962a",
-	}
+// engineRun is what one reference run leaves: the digest of its
+// event stream, span stream and outcome, and its engine counters.
+type engineRun struct {
+	stream string
+	ctr    sim.CounterSnapshot
+}
 
-	got := map[string]string{}
-	for _, a := range Apps() {
+// engineReferenceRuns runs every registered app's small run and the
+// seeded primitive scenarios under a digest observer and a counter
+// sink.
+func engineReferenceRuns() map[string]engineRun {
+	runs := map[string]engineRun{}
+	// The registered spmv run is dense, so the model keeps every row on
+	// the processor; a sparse repeated apply also drives the
+	// SRAM-resident FPGA share.
+	spmv, _ := LookupApp("spmv")
+	spmv.Name = "spmv-sparse"
+	sparse := spmv.Small()
+	sparse.Density, sparse.RHS = 0.05, 4
+	for _, a := range append(Apps(), spmv) {
 		spec := a.Small()
+		if a.Name == spmv.Name {
+			spec = sparse
+		}
 		obs := newDigestObserver()
 		spec.Observer = obs
 		var ctr sim.Counters
@@ -172,7 +158,7 @@ func TestEngineReferenceDigests(t *testing.T) {
 		if err == nil {
 			outcome = fmt.Sprintf("%v %v", r.Seconds, r.GFLOPS)
 		}
-		got["app/"+a.Name] = obs.digest(&ctr, outcome)
+		runs["app/"+a.Name] = engineRun{obs.digest(outcome), ctr.Snapshot()}
 	}
 	for seed := int64(1); seed <= 17; seed++ {
 		// Odd seeds stop at a horizon, unwinding whatever is still
@@ -195,14 +181,94 @@ func TestEngineReferenceDigests(t *testing.T) {
 			})
 		}
 		err := e.Run(until)
-		got[fmt.Sprintf("scenario/%d", seed)] = obs.digest(&ctr, fmt.Sprintf("%v %v", e.Now(), err))
+		runs[fmt.Sprintf("scenario/%d", seed)] = engineRun{obs.digest(fmt.Sprintf("%v %v", e.Now(), err)), ctr.Snapshot()}
 	}
-	if len(got) != len(want) {
-		t.Errorf("%d runs digested, want %d", len(got), len(want))
-	}
-	for k, g := range got {
-		if want[k] != g {
-			t.Errorf("%q: digest %s, want %s", k, g, want[k])
+	return runs
+}
+
+// TestEngineReferenceDigests pins everything the engine lets an
+// observer see for every registered app's small run and for seeded
+// primitive scenarios, in two parts. The stream part digests the raw
+// event stream, the typed span stream and the run's outcome: a
+// scheduler change that reorders one event or draws one sequence
+// number differently changes a digest. The counter part pins the
+// engine counters, which a change to how the engine runs a process
+// (a coroutine switch, a fused boundary, a task step) legitimately
+// moves while the stream stays put.
+func TestEngineReferenceDigests(t *testing.T) {
+	runs := engineReferenceRuns()
+	t.Run("stream", func(t *testing.T) {
+		want := map[string]string{
+			"app/cg":          "6592ffac0112b5b9",
+			"app/chol":        "11f56437e0adbe49",
+			"app/fw":          "da17385edcc439d9",
+			"app/lu":          "2ebb37c51b7a57b2",
+			"app/mm":          "0b409964a6e831f4",
+			"app/qr":          "af4f632988383dd4",
+			"app/spmv":        "c8134bd1d495fd1c",
+			"app/spmv-sparse": "31f1063756db72c5",
+			"scenario/1":      "f474182b921221a5",
+			"scenario/2":      "a1e1e7e362b46bb6",
+			"scenario/3":      "4851cd3759a55777",
+			"scenario/4":      "86922538afb65374",
+			"scenario/5":      "f5564ed66e8e7944",
+			"scenario/6":      "60604a61c93ae2af",
+			"scenario/7":      "245a7bdf9a4951e3",
+			"scenario/8":      "7f5dc27321ee463b",
+			"scenario/9":      "572f0ec83fdf13b9",
+			"scenario/10":     "71ed6472c1404b36",
+			"scenario/11":     "c66593a91d20d96c",
+			"scenario/12":     "2d21b7b4a1541928",
+			"scenario/13":     "ca03b6d8ea5a6738",
+			"scenario/14":     "717cf76acad3cef6",
+			"scenario/15":     "0e47aabb65bcbcee",
+			"scenario/16":     "95f6927290f5927b",
+			"scenario/17":     "34358c18f770bfc0",
 		}
-	}
+		if len(runs) != len(want) {
+			t.Errorf("%d runs digested, want %d", len(runs), len(want))
+		}
+		for k, r := range runs {
+			if want[k] != r.stream {
+				t.Errorf("%q: stream digest %s, want %s", k, r.stream, want[k])
+			}
+		}
+	})
+	t.Run("counters", func(t *testing.T) {
+		want := map[string]string{
+			"app/cg":          "{EventsPopped:79 Callbacks:0 Handoffs:3 SelfResumes:46 FusedSteps:30 Spawns:17 QueueRecycles:1 Compactions:0 SpansEmitted:46}",
+			"app/chol":        "{EventsPopped:1417 Callbacks:0 Handoffs:525 SelfResumes:20 FusedSteps:850 Spawns:216 QueueRecycles:1 Compactions:25 SpansEmitted:1115}",
+			"app/fw":          "{EventsPopped:5922 Callbacks:0 Handoffs:3317 SelfResumes:13 FusedSteps:2592 Spawns:870 QueueRecycles:1 Compactions:0 SpansEmitted:3468}",
+			"app/lu":          "{EventsPopped:2203 Callbacks:0 Handoffs:770 SelfResumes:28 FusedSteps:1362 Spawns:336 QueueRecycles:1 Compactions:47 SpansEmitted:1778}",
+			"app/mm":          "{EventsPopped:594 Callbacks:0 Handoffs:594 SelfResumes:0 FusedSteps:0 Spawns:12 QueueRecycles:1 Compactions:0 SpansEmitted:432}",
+			"app/qr":          "{EventsPopped:409 Callbacks:0 Handoffs:177 SelfResumes:7 FusedSteps:225 Spawns:81 QueueRecycles:1 Compactions:0 SpansEmitted:302}",
+			"app/spmv":        "{EventsPopped:2 Callbacks:0 Handoffs:1 SelfResumes:1 FusedSteps:0 Spawns:1 QueueRecycles:1 Compactions:0 SpansEmitted:1}",
+			"app/spmv-sparse": "{EventsPopped:16 Callbacks:0 Handoffs:3 SelfResumes:5 FusedSteps:8 Spawns:6 QueueRecycles:1 Compactions:0 SpansEmitted:9}",
+			"scenario/1":      "{EventsPopped:26 Callbacks:0 Handoffs:13 SelfResumes:1 FusedSteps:9 Spawns:8 QueueRecycles:1 Compactions:1 SpansEmitted:18}",
+			"scenario/2":      "{EventsPopped:153 Callbacks:6 Handoffs:84 SelfResumes:9 FusedSteps:35 Spawns:13 QueueRecycles:1 Compactions:7 SpansEmitted:111}",
+			"scenario/3":      "{EventsPopped:59 Callbacks:8 Handoffs:34 SelfResumes:2 FusedSteps:14 Spawns:14 QueueRecycles:1 Compactions:1 SpansEmitted:27}",
+			"scenario/4":      "{EventsPopped:43 Callbacks:1 Handoffs:21 SelfResumes:13 FusedSteps:4 Spawns:5 QueueRecycles:1 Compactions:1 SpansEmitted:32}",
+			"scenario/5":      "{EventsPopped:8 Callbacks:0 Handoffs:5 SelfResumes:0 FusedSteps:3 Spawns:3 QueueRecycles:1 Compactions:0 SpansEmitted:4}",
+			"scenario/6":      "{EventsPopped:29 Callbacks:3 Handoffs:16 SelfResumes:4 FusedSteps:6 Spawns:6 QueueRecycles:1 Compactions:0 SpansEmitted:13}",
+			"scenario/7":      "{EventsPopped:18 Callbacks:2 Handoffs:13 SelfResumes:0 FusedSteps:3 Spawns:7 QueueRecycles:1 Compactions:1 SpansEmitted:7}",
+			"scenario/8":      "{EventsPopped:129 Callbacks:4 Handoffs:84 SelfResumes:5 FusedSteps:29 Spawns:11 QueueRecycles:1 Compactions:8 SpansEmitted:98}",
+			"scenario/9":      "{EventsPopped:47 Callbacks:6 Handoffs:31 SelfResumes:3 FusedSteps:5 Spawns:14 QueueRecycles:1 Compactions:1 SpansEmitted:20}",
+			"scenario/10":     "{EventsPopped:45 Callbacks:0 Handoffs:23 SelfResumes:15 FusedSteps:7 Spawns:5 QueueRecycles:1 Compactions:0 SpansEmitted:33}",
+			"scenario/11":     "{EventsPopped:25 Callbacks:1 Handoffs:12 SelfResumes:5 FusedSteps:6 Spawns:4 QueueRecycles:1 Compactions:0 SpansEmitted:18}",
+			"scenario/12":     "{EventsPopped:82 Callbacks:3 Handoffs:55 SelfResumes:9 FusedSteps:12 Spawns:9 QueueRecycles:1 Compactions:1 SpansEmitted:64}",
+			"scenario/13":     "{EventsPopped:58 Callbacks:2 Handoffs:37 SelfResumes:2 FusedSteps:11 Spawns:9 QueueRecycles:1 Compactions:5 SpansEmitted:43}",
+			"scenario/14":     "{EventsPopped:114 Callbacks:4 Handoffs:68 SelfResumes:10 FusedSteps:26 Spawns:12 QueueRecycles:1 Compactions:1 SpansEmitted:75}",
+			"scenario/15":     "{EventsPopped:19 Callbacks:0 Handoffs:15 SelfResumes:1 FusedSteps:1 Spawns:6 QueueRecycles:1 Compactions:1 SpansEmitted:7}",
+			"scenario/16":     "{EventsPopped:45 Callbacks:2 Handoffs:27 SelfResumes:5 FusedSteps:9 Spawns:5 QueueRecycles:1 Compactions:0 SpansEmitted:29}",
+			"scenario/17":     "{EventsPopped:12 Callbacks:0 Handoffs:11 SelfResumes:0 FusedSteps:1 Spawns:7 QueueRecycles:1 Compactions:0 SpansEmitted:4}",
+		}
+		if len(runs) != len(want) {
+			t.Errorf("%d runs counted, want %d", len(runs), len(want))
+		}
+		for k, r := range runs {
+			if g := fmt.Sprintf("%+v", r.ctr); want[k] != g {
+				t.Errorf("%q: counters\n  got  %s\n  want %s", k, g, want[k])
+			}
+		}
+	})
 }

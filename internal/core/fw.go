@@ -374,14 +374,9 @@ func (fr *fwRun) runOps(pr *sim.Proc, node *machine.Node, t, ph int, ops []fwOp,
 	var seq [2]sim.Charge
 	cs := seq[:0]
 	if len(fpgaOps) > 0 {
-		a := node.Accel
+		// The first block's stream is exposed as the operand fill.
 		cycles := float64(len(fpgaOps)) * fr.blockCycles
-		lag := fr.tmem // first block's stream exposed
-		done = a.Launch(sim.Name("fw.fpga", t, ph, node.ID), func(fp *sim.Proc) {
-			fp.SetPhase("op")
-			a.WaitOperands(fp, lag)
-			a.Compute(fp, cycles)
-		})
+		done = node.Accel.Job(sim.Name("fw.fpga", t, ph, node.ID), "op", fr.tmem, cycles)
 		// The processor streams the FPGA's operand blocks (Eq. 6
 		// charges l2·Tmem to the processor side): 2b² words per block.
 		b := fr.cfg.B

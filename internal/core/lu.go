@@ -715,12 +715,7 @@ func (lr *luRun) runCompute(pr *sim.Proc, node *machine.Node, me, t int, it *luI
 
 		var done *sim.Signal
 		if ch.fpgaCycles > 0 {
-			a := node.Accel
-			done = a.Launch(sim.Name("lu.fpga", t, j.u, j.v, me), func(fp *sim.Proc) {
-				fp.SetPhase("opmm")
-				a.WaitOperands(fp, ch.fpgaLag)
-				a.Compute(fp, ch.fpgaCycles)
-			})
+			done = node.Accel.Job(sim.Name("lu.fpga", t, j.u, j.v, me), "opmm", ch.fpgaLag, ch.fpgaCycles)
 		}
 		// CPU share: unpack the operand messages, stream the FPGA's
 		// operands to it, then run the software half of the multiply.
@@ -777,13 +772,11 @@ func (lr *luRun) forwardResult(pr *sim.Proc, me, t int, j *luJob, it *luIter) {
 	// Last slice in: run opMS on the owner's processor.
 	ownerNode := lr.sys.Nodes[owner]
 	b := lr.cfg.B
-	lr.sys.Eng.Go(sim.Name("lu.opms", t, j.u, j.v), func(mp *sim.Proc) {
-		mp.SetPhase("opms")
-		unpack := float64(lr.cfg.B*lr.cfg.B*machine.WordBytes) / lr.lp.Bn
-		ownerNode.ChargeCPUSeq(mp, []sim.Charge{
-			{Cat: sim.CatNetwork, Dt: unpack},
-			{Cat: sim.CatCompute, Dt: ownerNode.Proc.Time(cpu.Subtract, cpu.SubtractFlops(b))},
-		})
+	unpack := float64(b*b*machine.WordBytes) / lr.lp.Bn
+	ownerNode.CPUTask(sim.Name("lu.opms", t, j.u, j.v), "opms", []sim.Charge{
+		{Cat: sim.CatNetwork, Dt: unpack},
+		{Cat: sim.CatCompute, Dt: ownerNode.Proc.Time(cpu.Subtract, cpu.SubtractFlops(b))},
+	}, func() {
 		if j.e != nil {
 			lr.blk(j.u, j.v).Sub(j.e)
 		}

@@ -167,12 +167,7 @@ func RunQR(cfg QRConfig) (*QRResult, error) {
 				for j := t + 1; j < nb; j++ {
 					var done *sim.Signal
 					if ch.fpgaCycles > 0 {
-						acc := node.Accel
-						done = acc.Launch(sim.Name("qr.fpga", t, j, me), func(fp *sim.Proc) {
-							fp.SetPhase("update")
-							acc.WaitOperands(fp, ch.fpgaLag)
-							acc.Compute(fp, ch.fpgaCycles)
-						})
+						done = node.Accel.Job(sim.Name("qr.fpga", t, j, me), "update", ch.fpgaLag, ch.fpgaCycles)
 					}
 					// The CPU charges fuse into one engine park.
 					var seq [2]sim.Charge

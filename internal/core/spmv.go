@@ -237,10 +237,8 @@ func runMV(cfg SpMVConfig, applies int) (*SpMVResult, error) {
 			var done *sim.Signal
 			if rf > 0 {
 				if resident {
-					done = accel.Launch(fmt.Sprintf("spmv.mv.%d", a), func(fp *sim.Proc) {
-						fp.SetPhase(phase)
-						accel.Compute(fp, float64(fpgaWords)*fpgaPerWord*accel.Placed.FreqHz)
-					})
+					done = accel.Job(fmt.Sprintf("spmv.mv.%d", a), phase, machine.NoFill,
+						float64(fpgaWords)*fpgaPerWord*accel.Placed.FreqHz)
 				} else {
 					fq := sim.NewMailbox(sys.Eng, fmt.Sprintf("spmv.fq.%d", a))
 					done = accel.Launch(fmt.Sprintf("spmv.mv.%d", a), func(fp *sim.Proc) {

@@ -28,7 +28,7 @@ func runMVDigested(t *testing.T, run func(SpMVConfig) (*SpMVResult, error), cfg 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return r, obs.digest(&ctr, "")
+	return r, obs.digest(fmt.Sprintf("%+v", ctr.Snapshot()))
 }
 
 // memoKeys lists the memoized input keys, most recently used first,

@@ -211,18 +211,29 @@ func (n *Node) ChargeCPU(p *sim.Proc, cat sim.Category, bytes int64, dt float64)
 // e.g. unpack, DMA staging, then a GEMM — exactly like calling
 // ChargeCPU once per charge, but through the engine's fused path so
 // the process parks once for the whole sequence (see sim.Resource.
-// UseSeq). With a fault-dilation hook installed it falls back to the
-// per-charge loop, because each charge's degraded duration depends on
-// its own start time; faulted runs therefore stay byte-identical to
-// releases that predate fusing.
+// UseSeq). With a fault-dilation hook installed it sets each charge's
+// Dilate to it, so every charge degrades from its own start time, as
+// ChargeCPU's would.
 func (n *Node) ChargeCPUSeq(p *sim.Proc, charges []sim.Charge) {
 	if n.dilate != nil {
-		for _, c := range charges {
-			n.ChargeCPU(p, c.Cat, c.Bytes, c.Dt)
+		for i := range charges {
+			charges[i].Dilate = n.dilate
 		}
-		return
 	}
 	n.CPUBusy.UseSeq(p, charges)
+}
+
+// CPUTask runs charges on the node processor as an engine task (see
+// sim.Engine.Task): a process named name, in phase, whose body is
+// ChargeCPUSeq(charges) and then the non-blocking hook then. It sets
+// each charge's Res and Dilate. Use it for a processor body with no
+// other blocking step, such as an opMS update.
+func (n *Node) CPUTask(name, phase string, charges []sim.Charge, then func()) {
+	for i := range charges {
+		charges[i].Res = n.CPUBusy
+		charges[i].Dilate = n.dilate
+	}
+	n.sys.Eng.Task(name, phase, sim.DeviceCPU, n.CPUBusy.Name(), charges, then)
 }
 
 // Accelerator is a placed design installed on a node's FPGA, with its
@@ -235,20 +246,30 @@ type Accelerator struct {
 	// Array serializes use of the PE array.
 	Array *sim.Resource
 	// fillName is the precomputed Array.Name()+".fill" stage name:
-	// WaitOperands runs once per FPGA job, so building the string
-	// there showed up in sweep allocation profiles.
-	fillName      string
+	// the fill runs once per FPGA job, so building the string there
+	// showed up in sweep allocation profiles.
+	fillName string
+	// fillDilate is the fill charge's dilation: the DRAM path's hook,
+	// the identity while none is installed. Job builds it on first use,
+	// so accelerators that run no Job allocate nothing for it.
+	fillDilate    func(cat sim.Category, start, dt float64) float64
 	node          *Node
 	coordinations int64
 	jobs          int64
 	// dilate, when non-nil, maps nominal array compute time to its
-	// fault-degraded duration (an FPGA reconfiguration stall).
-	dilate func(start, dt float64) float64
+	// fault-degraded duration (an FPGA reconfiguration stall), in the
+	// form a charge carries.
+	dilate func(cat sim.Category, start, dt float64) float64
 }
 
 // SetDilation installs a fault-injection hook on the accelerator's
 // array compute time. Nil removes it.
-func (a *Accelerator) SetDilation(f func(start, dt float64) float64) { a.dilate = f }
+func (a *Accelerator) SetDilation(f func(start, dt float64) float64) {
+	a.dilate = nil
+	if f != nil {
+		a.dilate = func(_ sim.Category, start, dt float64) float64 { return f(start, dt) }
+	}
+}
 
 // EffectiveBd returns the design-limited DRAM bandwidth.
 func EffectiveBd(raw, freqHz float64) float64 {
@@ -285,10 +306,50 @@ func (s *System) InstallDesign(d fpga.Design) error {
 // device.
 func (a *Accelerator) ConfigTime() float64 { return a.node.Device.ConfigSeconds }
 
+// NoFill is Job's fill argument for a job without an operand-fill
+// stage.
+const NoFill = -1.0
+
+// Job starts a straight-line FPGA job (the processor writing the start
+// register, Section 4.4) and returns a signal that fires when the job
+// is done (the status register), counting coordinations and jobs as
+// Launch does. The job is an engine task (see sim.Engine.Task) named
+// name, in phase, with up to two charges:
+//
+//   - unless fill is NoFill, fill seconds of operand staging —
+//     pipeline-fill lag while the processor streams the first operands
+//     in — as a DMA span against the array's fill stage, so overlap
+//     accounting attributes it to memory traffic, not FPGA compute. The
+//     lag rides the DRAM path, so it degrades with the same Bd faults
+//     as explicit streams;
+//   - cycles of array compute, exactly as Compute charges them.
+//
+// Use Launch when the job body waits on the processor through a
+// mailbox.
+func (a *Accelerator) Job(name, phase string, fill, cycles float64) *sim.Signal {
+	a.coordinations++ // start-register write
+	a.jobs++
+	e := a.node.sys.Eng
+	done := sim.NewSignal(e, name+".done")
+	var buf [2]sim.Charge
+	cs := buf[:0]
+	if fill != NoFill {
+		if a.fillDilate == nil {
+			a.fillDilate = func(_ sim.Category, start, dt float64) float64 { return a.DRAM.Dilated(start, dt) }
+		}
+		cs = append(cs, sim.Charge{Cat: sim.CatDMA, Dt: fill, Dilate: a.fillDilate})
+	}
+	cs = append(cs, sim.Charge{Cat: sim.CatCompute, Dt: a.Placed.CyclesToSeconds(cycles),
+		Res: a.Array, Dilate: a.dilate})
+	e.Task(name, phase, sim.DeviceDRAM, a.fillName, cs, done.Fire)
+	return done
+}
+
 // Launch starts an FPGA job (the processor writing the start register,
 // Section 4.4) and returns a signal that fires when the job is done
 // (the status register). run executes as its own process and should
-// charge Array/DRAM time itself.
+// charge Array/DRAM time itself. A job that only fills and computes is
+// cheaper as a Job.
 func (a *Accelerator) Launch(name string, run func(fp *sim.Proc)) *sim.Signal {
 	a.coordinations++ // start-register write
 	a.jobs++
@@ -318,19 +379,9 @@ func (a *Accelerator) Run(p *sim.Proc, name string, run func(fp *sim.Proc)) {
 func (a *Accelerator) Compute(fp *sim.Proc, cycles float64) {
 	dt := a.Placed.CyclesToSeconds(cycles)
 	if a.dilate != nil {
-		dt = a.dilate(a.node.sys.Eng.Now(), dt)
+		dt = a.dilate(sim.CatCompute, a.node.sys.Eng.Now(), dt)
 	}
 	a.Array.UseCat(fp, sim.CatCompute, 0, dt)
-}
-
-// WaitOperands charges the FPGA job dt seconds of operand staging —
-// pipeline-fill lag while the processor streams the first operands in —
-// emitted as a DMA span against the array's fill stage so overlap
-// accounting attributes it to memory traffic, not FPGA compute. The lag
-// rides the DRAM path, so it degrades with the same Bd faults as
-// explicit streams.
-func (a *Accelerator) WaitOperands(fp *sim.Proc, dt float64) {
-	fp.WaitSpanOn(sim.CatDMA, sim.DeviceDRAM, a.fillName, 0, a.DRAM.Dilated(fp.Now(), dt))
 }
 
 // Stream charges a DRAM<->FPGA transfer of the given bytes.

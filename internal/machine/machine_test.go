@@ -1,10 +1,12 @@
 package machine
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"codesign/internal/cpu"
+	"codesign/internal/fault"
 	"codesign/internal/fpga"
 	"codesign/internal/mpi"
 	"codesign/internal/sim"
@@ -227,6 +229,129 @@ func TestPresetSRAMBandwidth(t *testing.T) {
 		if cfg.SRAMBandwidth <= cfg.RawFPGADRAMBandwidth {
 			t.Fatalf("%s: SRAM (%g) not faster than DRAM path (%g)",
 				cfg.Name, cfg.SRAMBandwidth, cfg.RawFPGADRAMBandwidth)
+		}
+	}
+}
+
+// lineRecorder keeps the interleaved event and span stream.
+type lineRecorder struct{ lines []string }
+
+func (r *lineRecorder) Event(t float64, proc, action string) {
+	r.lines = append(r.lines, fmt.Sprintf("event %v %s %s", t, proc, action))
+}
+
+func (r *lineRecorder) Span(s sim.SpanEvent) {
+	r.lines = append(r.lines, fmt.Sprintf("span %+v", s))
+}
+
+// TestJobAndCPUTaskMatchLaunchedBodies runs the same faulted program
+// twice: FPGA jobs and opMS-style updates as engine tasks (Job,
+// CPUTask), and as the Launch and Go bodies they replace. Jobs queue on
+// the array and updates on the owner's processor, and the fault
+// windows dilate fills, array compute and processor charges mid-run;
+// every event, span, resource integral and coordination count must
+// match.
+func TestJobAndCPUTaskMatchLaunchedBodies(t *testing.T) {
+	spec, err := fault.Parse([]byte(`{"seed": 1, "events": [
+		{"kind": "throttle-bd", "node": 0, "start": 0.1, "duration": 1, "factor": 0.25},
+		{"kind": "cpu-slow", "node": 0, "start": 0.05, "duration": 0.4, "factor": 0.5},
+		{"kind": "fpga-stall", "node": 0, "start": 0.2, "duration": 0.1},
+		{"kind": "fpga-stall", "node": 1, "start": 0.1, "duration": 0.3}]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(asTask bool) (lines []string, end float64, counts string) {
+		s, err := New(XD1())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.InstallDesign(fpga.NewMatMul(8)); err != nil {
+			t.Fatal(err)
+		}
+		inj, err := fault.New(spec, s.Cfg.Nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.InstallFaults(inj); err != nil {
+			t.Fatal(err)
+		}
+		rec := &lineRecorder{}
+		s.Eng.Observe(rec)
+		owner := s.Nodes[0]
+		job := func(a *Accelerator, name string, fill, cycles float64) *sim.Signal {
+			if asTask {
+				return a.Job(name, "opmm", fill, cycles)
+			}
+			return a.Launch(name, func(fp *sim.Proc) {
+				fp.SetPhase("opmm")
+				if fill != NoFill {
+					fp.WaitSpanOn(sim.CatDMA, sim.DeviceDRAM, a.Array.Name()+".fill", 0, a.DRAM.Dilated(fp.Now(), fill))
+				}
+				a.Compute(fp, cycles)
+			})
+		}
+		update := func(name string, charges []sim.Charge, then func()) {
+			if asTask {
+				owner.CPUTask(name, "opms", charges, then)
+				return
+			}
+			s.Eng.Go(name, func(mp *sim.Proc) {
+				mp.SetPhase("opms")
+				owner.ChargeCPUSeq(mp, charges)
+				then()
+			})
+		}
+		updates := 0
+		for i := 0; i < 3; i++ {
+			s.Spawn(i, func(p *sim.Proc, r *mpi.Rank, n *Node) {
+				a := n.Accel
+				cycles := 0.05 * a.Placed.FreqHz
+				for it := 0; it < 6; it++ {
+					fill := 0.02 * float64(it%3)
+					if it == 4 {
+						fill = NoFill
+					}
+					// Two jobs in flight queue on the array.
+					d1 := job(a, sim.Name("job", n.ID, it, 1), fill, cycles)
+					d2 := job(a, sim.Name("job", n.ID, it, 2), fill, cycles/2)
+					n.ChargeCPUSeq(p, []sim.Charge{
+						{Cat: sim.CatNetwork, Dt: 0.01},
+						{Cat: sim.CatDMA, Bytes: 4096, Dt: 0.02},
+						{Cat: sim.CatCompute, Dt: 0.03},
+					})
+					a.AwaitDone(p, d1)
+					a.AwaitDone(p, d2)
+					update(sim.Name("opms", n.ID, it), []sim.Charge{
+						{Cat: sim.CatNetwork, Dt: 0.015},
+						{Cat: sim.CatCompute, Dt: 0.025},
+					}, func() { updates++ })
+				}
+			})
+		}
+		end, err = s.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		counts = fmt.Sprintf("updates=%d", updates)
+		for _, n := range s.Nodes[:3] {
+			counts += fmt.Sprintf(" node%d: coord=%d jobs=%d cpu=%v/%v/%d fpga=%v/%v/%d", n.ID,
+				n.Accel.Coordinations(), n.Accel.Jobs(),
+				n.CPUBusy.BusySeconds(), n.CPUBusy.ContentionSeconds(), n.CPUBusy.Waits(),
+				n.Accel.Array.BusySeconds(), n.Accel.Array.ContentionSeconds(), n.Accel.Array.Waits())
+		}
+		return rec.lines, end, counts
+	}
+	procLines, procEnd, procCounts := run(false)
+	taskLines, taskEnd, taskCounts := run(true)
+	if procEnd != taskEnd || procCounts != taskCounts {
+		t.Fatalf("launched bodies end at %v with %s\ntasks end at %v with %s", procEnd, procCounts, taskEnd, taskCounts)
+	}
+	if len(procLines) != len(taskLines) {
+		t.Errorf("%d stream lines from launched bodies, %d from tasks", len(procLines), len(taskLines))
+	}
+	for i := range min(len(procLines), len(taskLines)) {
+		if procLines[i] != taskLines[i] {
+			t.Fatalf("stream line %d:\n  launched: %s\n  task:     %s", i, procLines[i], taskLines[i])
 		}
 	}
 }

@@ -30,10 +30,12 @@ type Counters struct {
 	// SelfResumes counts self-resume fast-path hits: the parking
 	// process was the next runnable one, so nothing switched.
 	SelfResumes atomic.Int64
-	// FusedSteps counts intermediate fused-sequence boundaries the
-	// engine advanced in scheduler context (see Resource.UseSeq): each
-	// one replaced a park that would otherwise have been a handoff or
-	// self-resume.
+	// FusedSteps counts process events the engine advanced in
+	// scheduler context instead of resuming the process: each hold a
+	// fused sequence starts at an intermediate boundary (see
+	// Resource.UseSeq), and every event of a task (see Engine.Task) —
+	// its start, boundaries, grants and finish. Each one replaced a
+	// resume that would otherwise have been a handoff or self-resume.
 	FusedSteps atomic.Int64
 	// Spawns counts processes started.
 	Spawns atomic.Int64

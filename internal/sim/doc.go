@@ -2,6 +2,11 @@
 // engine. Simulated entities (a node's processor, its FPGA, a DMA
 // engine, a network link) are processes — coroutines that run one at a
 // time under a scheduler and advance a shared virtual clock by waiting.
+// A process whose whole body is a fixed list of charges followed by a
+// non-blocking completion hook (an FPGA job's operand fill and array
+// compute, say) is better spawned as a task (Engine.Task): the engine
+// runs it from its first event to its last without a coroutine, with
+// the same events and spans the coroutine body would produce.
 //
 // The engine is the substrate on which the reconfigurable computing
 // system is modeled: it charges virtual time for computation, DRAM

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -16,8 +17,9 @@ import (
 // inline; if it is the next runnable process it simply continues,
 // otherwise it yields that process to Run, which resumes it — two
 // coroutine switches, no channel and no scheduler pass. Coroutines
-// are pooled across processes and engines. See DESIGN.md "Engine
-// internals".
+// are pooled across processes and engines. A task (see Task) takes no
+// coroutine at all: the engine runs its fixed charge sequence itself.
+// See DESIGN.md "Engine internals".
 type Engine struct {
 	now      float64
 	seq      int64
@@ -242,6 +244,7 @@ type Proc struct {
 	done    bool
 	aborted bool
 	blocked bool
+	task    bool   // run wholly by the engine from the chain state below
 	pv      any    // recovered panic value, if any
 	phase   string // telemetry phase annotation, see SetPhase
 
@@ -252,20 +255,22 @@ type Proc struct {
 	parkDur  float64
 	parkWhy  *parkReason
 
-	// Fused charge-sequence state (see chain.go): while chainLive, the
+	// Charge-sequence state (see chain.go): while chainLive, the
 	// process is parked once across several charges and the engine
 	// advances the boundaries in scheduler context. The buffer is
-	// inline so fusing allocates nothing.
-	chainBuf       [chainCap]Charge
-	chainLen       int
-	chainIdx       int
+	// inline so fusing allocates nothing; the small fields are packed
+	// so a Proc stays in the 320-byte size class. A task runs wholly
+	// from this state; then is its completion hook.
 	chainLive      bool
 	chainAcquiring bool
-	chainRes       *Resource
+	chainLen       int8
+	chainIdx       int8 // -1: a task that has not started
+	chainBuf       [chainCap]Charge
 	chainDev       Device
 	chainResName   string
 	chainStart     float64
 	chainSince     float64
+	then           func()
 }
 
 // Name returns the process name given to Go.
@@ -303,12 +308,35 @@ func (e *Engine) GoAt(t float64, name string, fn func(p *Proc)) *Proc {
 
 func (e *Engine) spawn(t float64, name string, fn func(p *Proc)) *Proc {
 	p := &Proc{eng: e, name: name, fn: fn}
+	if len(e.procs) == cap(e.procs) {
+		e.compactProcs()
+	}
 	e.procs = append(e.procs, p)
 	if e.ctr != nil {
 		e.ctr.Spawns.Add(1)
 	}
 	e.scheduleProc(t, p)
 	return p
+}
+
+// compactProcs drops finished processes from e.procs, keeping the
+// rest in spawn order: Deadlock's "most recently spawned wins" rule and
+// abortBlocked's unwinding order depend on it. It runs when the slice
+// is full, and doubles the capacity when less than half of it was
+// freed, so a spawn costs amortized O(1) and the slice stays within
+// four times the peak number of live processes.
+func (e *Engine) compactProcs() {
+	live := e.procs[:0]
+	for _, p := range e.procs {
+		if !p.done {
+			live = append(live, p)
+		}
+	}
+	clear(e.procs[len(live):])
+	e.procs = live
+	if len(live) > cap(live)/2 {
+		e.procs = slices.Grow(live, cap(live))
+	}
 }
 
 // switchTo resumes p on its coroutine and returns the process to run
@@ -367,8 +395,11 @@ func (e *Engine) dispatch(self *Proc) *Proc {
 		if p.done {
 			continue
 		}
-		if p.chainLive && e.chainStep(p) {
-			continue // intermediate fused-sequence boundary, handled inline
+		if p.chainLive && e.step(p) {
+			if e.failure != nil {
+				return nil
+			}
+			continue // a sequence boundary or task event, handled inline
 		}
 		if p.blocked {
 			p.blocked = false
