@@ -46,13 +46,23 @@ func startDaemon(t *testing.T, o options) (string, func()) {
 	return "", nil
 }
 
-// TestServeSolveAndShutdown boots the daemon, solves a point, scrapes
-// metrics, and shuts down gracefully.
+// TestServeSolveAndShutdown boots the daemon, checks it reports
+// healthy, solves a point, scrapes metrics, and shuts down gracefully.
 func TestServeSolveAndShutdown(t *testing.T) {
 	url, stop := startDaemon(t, options{})
 	defer stop()
 
-	resp, err := http.Post(url+"/v1/solve", "application/json",
+	resp, err := http.Get(url + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	health, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || strings.TrimSpace(string(health)) != "ok" {
+		t.Fatalf("/healthz: %d %q, want 200 ok", resp.StatusCode, health)
+	}
+
+	resp, err = http.Post(url+"/v1/solve", "application/json",
 		strings.NewReader(`{"app":"lu","pes":4}`))
 	if err != nil {
 		t.Fatal(err)

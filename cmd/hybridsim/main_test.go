@@ -56,14 +56,26 @@ func small(app string) options {
 		BF: s.BF, L: s.L, L1: s.L1, Functional: true, Seed: s.Seed, Metrics: true}
 }
 
+// smallRuns is every app's small run plus a sparse spmv one: the
+// registered spmv run is dense, so the model keeps every row on the
+// processor, and only a sparse operator drives its FPGA share.
+func smallRuns() []options {
+	var out []options
+	for _, app := range core.Apps() {
+		out = append(out, small(app.Name))
+	}
+	sparse := small("spmv")
+	sparse.Density, sparse.RHS = 0.05, 4
+	return append(out, sparse)
+}
+
 func TestRunAllApps(t *testing.T) {
 	// End-to-end through the CLI's run path at small sizes, with the
 	// analysis report on to exercise every app's expected-binding path.
-	for _, app := range core.Apps() {
-		o := small(app.Name)
+	for _, o := range smallRuns() {
 		o.Analyze = true
 		if err := run(o); err != nil {
-			t.Fatalf("%s: %v", app.Name, err)
+			t.Fatalf("%s (density %g): %v", o.App, o.Density, err)
 		}
 	}
 	if err := run(options{App: "fft", Machine: "xd1", N: 10, B: 2, Mode: "hybrid", BF: -1, L: -1, L1: -1, Seed: 1}); err == nil {
@@ -72,19 +84,18 @@ func TestRunAllApps(t *testing.T) {
 }
 
 // TestTimelineEveryApp renders -timeline for every app's small run and
-// requires a chart with busy marks: the collector rides the observer
-// stream every app emits.
+// a sparse spmv one, and requires a chart with busy marks: the
+// collector rides the observer stream every app emits.
 func TestTimelineEveryApp(t *testing.T) {
-	for _, app := range core.Apps() {
-		o := small(app.Name)
+	for _, o := range smallRuns() {
 		o.Metrics, o.Timeline = false, true
 		out, err := captureStdout(t, func() error { return run(o) })
 		if err != nil {
-			t.Fatalf("%s: %v", app.Name, err)
+			t.Fatalf("%s (density %g): %v", o.App, o.Density, err)
 		}
 		_, chart, ok := strings.Cut(out, "activity timeline (# = busy):")
 		if !ok || strings.Contains(chart, "(no activity)") || !strings.Contains(chart, "#") {
-			t.Errorf("%s: empty timeline:\n%s", app.Name, out)
+			t.Errorf("%s (density %g): empty timeline:\n%s", o.App, o.Density, out)
 		}
 	}
 }

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"strings"
 	"testing"
 
 	"codesign/internal/obs"
@@ -84,9 +88,13 @@ func TestUniverseIsFeasible(t *testing.T) {
 	}
 }
 
-// TestClosedLoopAgainstServer runs a real duplicate-heavy burst
-// against an in-process codesignd and checks the report's
-// acceptance-style properties: all 200s, majority cache hits.
+// TestClosedLoopAgainstServer drives a seeded duplicate-heavy burst
+// (the default apps and method, -dup 0.8 -seed 1, 2000 requests at
+// concurrency 16) through an in-process codesignd with the daemon's
+// default configuration, and checks that the report and the /metrics
+// surface agree the cache carried the load: clean 200s with no 5xx,
+// majority cache hits, ordered latency percentiles, and every
+// codesignd_* family on the scrape with a nonzero hit counter.
 func TestClosedLoopAgainstServer(t *testing.T) {
 	srv := serve.New(serve.Config{}, obs.NewRegistry())
 	defer srv.Close()
@@ -94,7 +102,7 @@ func TestClosedLoopAgainstServer(t *testing.T) {
 	defer ts.Close()
 
 	o := options{
-		URL: ts.URL, Requests: 400, Concurrency: 8, Mode: "closed",
+		URL: ts.URL, Requests: 2000, Concurrency: 16, Mode: "closed",
 		Dup: 0.8, Seed: 1, Apps: "lu,fw,mm", Method: "model",
 		Quiet: true, Out: "-",
 	}
@@ -110,8 +118,13 @@ func TestClosedLoopAgainstServer(t *testing.T) {
 	if r == nil {
 		t.Fatal("missing results")
 	}
-	if r.Sent != 400 || r.OK != 400 || r.TransportErrors != 0 {
-		t.Fatalf("results = %+v, want 400 clean 200s", r)
+	if r.Sent != 2000 || r.OK != 2000 || r.TransportErrors != 0 {
+		t.Fatalf("results = %+v, want 2000 clean 200s", r)
+	}
+	for code := range r.StatusCounts {
+		if c, err := strconv.Atoi(code); err != nil || c >= 500 {
+			t.Fatalf("status counts %v include a 5xx", r.StatusCounts)
+		}
 	}
 	if r.CacheHitRate <= 0.5 {
 		t.Fatalf("cache hit rate = %v, want > 0.5 on a dup-heavy mix", r.CacheHitRate)
@@ -119,11 +132,47 @@ func TestClosedLoopAgainstServer(t *testing.T) {
 	if r.Sources["cache"]+r.Sources["coalesced"]+r.Sources["computed"] != r.OK {
 		t.Fatalf("sources %v don't add up to %d", r.Sources, r.OK)
 	}
-	if r.Latency.P99 < r.Latency.P50 || r.Latency.Max <= 0 {
+	if r.Latency.P99 < r.Latency.P50 || r.Latency.P50 <= 0 {
 		t.Fatalf("latency summary inconsistent: %+v", r.Latency)
 	}
 	if r.ThroughputRPS <= 0 {
 		t.Fatalf("throughput = %v", r.ThroughputRPS)
+	}
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	scrape, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every line of the scrape follows a newline.
+	metrics := "\n" + string(scrape)
+	for _, name := range []string{
+		"codesignd_requests_total", "codesignd_request_seconds_bucket",
+		"codesignd_inflight", "codesignd_queued", "codesignd_shed_total",
+		"codesignd_deadline_total", "codesignd_solve_cache_hits_total",
+		"codesignd_solve_cache_misses_total", "codesignd_solve_cache_coalesced_total",
+		"codesignd_solve_cache_entries", "codesignd_solve_cache_evictions",
+		"codesignd_solve_cache_hit_rate", "codesignd_memo_place_hit_rate",
+		"codesignd_memo_partition_hit_rate", "codesignd_sweep_jobs_submitted_total",
+		"codesignd_sweep_jobs_running",
+	} {
+		if !strings.Contains(metrics, "\n"+name) {
+			t.Errorf("/metrics has no %s family", name)
+		}
+	}
+	var hits float64
+	for _, line := range strings.Split(metrics, "\n") {
+		if v, ok := strings.CutPrefix(line, "codesignd_solve_cache_hits_total "); ok {
+			hits, _ = strconv.ParseFloat(v, 64)
+			break
+		}
+	}
+	if hits <= 0 {
+		t.Errorf("codesignd_solve_cache_hits_total = %v, want > 0", hits)
 	}
 }
 

@@ -96,7 +96,8 @@ type Spec struct {
 	Seed int64
 	// Observer receives the structured telemetry stream.
 	Observer sim.Observer
-	// Telemetry attaches a span summary (trace.Summary) to the result.
+	// Telemetry attaches a span summary (a trace.Summary folded as the
+	// run emits spans) to the result.
 	Telemetry bool
 	// Faults is the fault injector (apps with App.Faults only).
 	Faults *fault.Injector

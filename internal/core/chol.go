@@ -40,9 +40,10 @@ type CholConfig struct {
 	// Observer, when non-nil, receives the structured telemetry stream
 	// (raw events and typed spans; see internal/trace.Recorder).
 	Observer sim.Observer
-	// Telemetry attaches a span summary (a trace.Summary of every span
-	// the run records) — utilization, bytes moved, and the
-	// Tp/Tf/Tmem/Tcomm overlap decomposition — to the result.
+	// Telemetry attaches a span summary (a trace.Summary folded from
+	// every span as the run emits it, none of them kept) —
+	// utilization, bytes moved, and the Tp/Tf/Tmem/Tcomm overlap
+	// decomposition — to the result.
 	Telemetry bool
 }
 

@@ -99,8 +99,8 @@ type Result struct {
 	MaxResidual float64
 	// Checked reports whether a functional comparison was performed.
 	Checked bool
-	// Telemetry is the run's span summary, folded from a trace.Recorder
-	// when the engine stops: per-process utilization, bytes moved, and
+	// Telemetry is the run's span summary, folded by a trace.Summarizer
+	// as the run emits spans: per-process utilization, bytes moved, and
 	// the overlap decomposition against the model's Tp/Tf/Tmem/Tcomm
 	// terms. Nil unless the run's config enabled Telemetry.
 	Telemetry *trace.Summary
@@ -126,20 +126,20 @@ func (r *Result) Utilization(busy []float64) float64 {
 }
 
 // machineRun is a started run: the machine with the app's design
-// installed and its faults armed, the recorder finish summarizes (nil
-// unless the run asked for Telemetry), and the run's Pricing at the
-// installed design.
+// installed and its faults armed, the summarizer whose Summary finish
+// attaches (nil unless the run asked for Telemetry), and the run's
+// Pricing at the installed design.
 type machineRun struct {
 	sys *machine.System
-	rec *trace.Recorder
+	sum *trace.Summarizer
 	q   Pricing
 }
 
 // start is every run's prologue, in order: default to one XD1 chassis,
 // resolve the PE count (s.PEs, or the app's rule when 0) and check the
 // app's geometry, run the app's own input check valid (nil for none),
-// build the machine, attach s.Observer and then, under s.Telemetry, the
-// recorder, install the design, gate and install s.Faults, and price
+// build the machine, attach s.Observer and then, under s.Telemetry, a
+// summarizer, install the design, gate and install s.Faults, and price
 // the design installed on node 0. Nothing is built before the checks
 // pass. The run reads its defaulted machine back from the Pricing.
 func (a App) start(s Spec, valid func() error) (machineRun, error) {
@@ -170,8 +170,8 @@ func (a App) start(s Spec, valid func() error) (machineRun, error) {
 		sys.Eng.Observe(s.Observer)
 	}
 	if s.Telemetry {
-		r.rec = trace.NewRecorder()
-		sys.Eng.Observe(r.rec)
+		r.sum = new(trace.Summarizer)
+		sys.Eng.Observe(r.sum)
 	}
 	if err := sys.InstallDesign(a.Design(k)); err != nil {
 		return r, err
@@ -198,7 +198,7 @@ func (a App) start(s Spec, valid func() error) (machineRun, error) {
 // reporting a failure as "core: <what> simulation: ...", and fills res
 // with what the machine measured — the makespan, flops and GFLOPS,
 // network bytes, coordinations, per-node busy time and, when start
-// attached a recorder, its span summary.
+// attached a summarizer, its span summary.
 func (r *machineRun) finish(what string, flops float64, res *Result) error {
 	end, err := r.sys.Run()
 	if err != nil {
@@ -215,8 +215,8 @@ func (r *machineRun) finish(what string, flops float64, res *Result) error {
 			res.Coordinations += n.Accel.Coordinations()
 		}
 	}
-	if r.rec != nil {
-		res.Telemetry = r.rec.Summarize(end)
+	if r.sum != nil {
+		res.Telemetry = r.sum.Summary(end)
 	}
 	return nil
 }

@@ -194,7 +194,9 @@ func engineReferenceRuns() map[string]engineRun {
 // number differently changes a digest. The counter part pins the
 // engine counters, which a change to how the engine runs a process
 // (a coroutine switch, a fused boundary, a task step) legitimately
-// moves while the stream stays put.
+// moves while the stream stays put, and checks that every popped event
+// is counted exactly once: as a callback, a handoff, a self-resume or a
+// fused step.
 func TestEngineReferenceDigests(t *testing.T) {
 	runs := engineReferenceRuns()
 	t.Run("stream", func(t *testing.T) {
@@ -237,29 +239,29 @@ func TestEngineReferenceDigests(t *testing.T) {
 	t.Run("counters", func(t *testing.T) {
 		want := map[string]string{
 			"app/cg":          "{EventsPopped:79 Callbacks:0 Handoffs:3 SelfResumes:46 FusedSteps:30 Spawns:17 QueueRecycles:1 Compactions:0 SpansEmitted:46}",
-			"app/chol":        "{EventsPopped:1417 Callbacks:0 Handoffs:525 SelfResumes:20 FusedSteps:850 Spawns:216 QueueRecycles:1 Compactions:25 SpansEmitted:1115}",
+			"app/chol":        "{EventsPopped:1417 Callbacks:0 Handoffs:525 SelfResumes:20 FusedSteps:872 Spawns:216 QueueRecycles:1 Compactions:25 SpansEmitted:1115}",
 			"app/fw":          "{EventsPopped:5922 Callbacks:0 Handoffs:3317 SelfResumes:13 FusedSteps:2592 Spawns:870 QueueRecycles:1 Compactions:0 SpansEmitted:3468}",
-			"app/lu":          "{EventsPopped:2203 Callbacks:0 Handoffs:770 SelfResumes:28 FusedSteps:1362 Spawns:336 QueueRecycles:1 Compactions:47 SpansEmitted:1778}",
+			"app/lu":          "{EventsPopped:2203 Callbacks:0 Handoffs:770 SelfResumes:28 FusedSteps:1405 Spawns:336 QueueRecycles:1 Compactions:47 SpansEmitted:1778}",
 			"app/mm":          "{EventsPopped:594 Callbacks:0 Handoffs:594 SelfResumes:0 FusedSteps:0 Spawns:12 QueueRecycles:1 Compactions:0 SpansEmitted:432}",
 			"app/qr":          "{EventsPopped:409 Callbacks:0 Handoffs:177 SelfResumes:7 FusedSteps:225 Spawns:81 QueueRecycles:1 Compactions:0 SpansEmitted:302}",
 			"app/spmv":        "{EventsPopped:2 Callbacks:0 Handoffs:1 SelfResumes:1 FusedSteps:0 Spawns:1 QueueRecycles:1 Compactions:0 SpansEmitted:1}",
 			"app/spmv-sparse": "{EventsPopped:16 Callbacks:0 Handoffs:3 SelfResumes:5 FusedSteps:8 Spawns:6 QueueRecycles:1 Compactions:0 SpansEmitted:9}",
-			"scenario/1":      "{EventsPopped:26 Callbacks:0 Handoffs:13 SelfResumes:1 FusedSteps:9 Spawns:8 QueueRecycles:1 Compactions:1 SpansEmitted:18}",
-			"scenario/2":      "{EventsPopped:153 Callbacks:6 Handoffs:84 SelfResumes:9 FusedSteps:35 Spawns:13 QueueRecycles:1 Compactions:7 SpansEmitted:111}",
-			"scenario/3":      "{EventsPopped:59 Callbacks:8 Handoffs:34 SelfResumes:2 FusedSteps:14 Spawns:14 QueueRecycles:1 Compactions:1 SpansEmitted:27}",
-			"scenario/4":      "{EventsPopped:43 Callbacks:1 Handoffs:21 SelfResumes:13 FusedSteps:4 Spawns:5 QueueRecycles:1 Compactions:1 SpansEmitted:32}",
+			"scenario/1":      "{EventsPopped:26 Callbacks:0 Handoffs:13 SelfResumes:1 FusedSteps:12 Spawns:8 QueueRecycles:1 Compactions:1 SpansEmitted:18}",
+			"scenario/2":      "{EventsPopped:153 Callbacks:6 Handoffs:84 SelfResumes:9 FusedSteps:54 Spawns:13 QueueRecycles:1 Compactions:7 SpansEmitted:111}",
+			"scenario/3":      "{EventsPopped:59 Callbacks:8 Handoffs:34 SelfResumes:2 FusedSteps:15 Spawns:14 QueueRecycles:1 Compactions:1 SpansEmitted:27}",
+			"scenario/4":      "{EventsPopped:43 Callbacks:1 Handoffs:21 SelfResumes:13 FusedSteps:8 Spawns:5 QueueRecycles:1 Compactions:1 SpansEmitted:32}",
 			"scenario/5":      "{EventsPopped:8 Callbacks:0 Handoffs:5 SelfResumes:0 FusedSteps:3 Spawns:3 QueueRecycles:1 Compactions:0 SpansEmitted:4}",
 			"scenario/6":      "{EventsPopped:29 Callbacks:3 Handoffs:16 SelfResumes:4 FusedSteps:6 Spawns:6 QueueRecycles:1 Compactions:0 SpansEmitted:13}",
 			"scenario/7":      "{EventsPopped:18 Callbacks:2 Handoffs:13 SelfResumes:0 FusedSteps:3 Spawns:7 QueueRecycles:1 Compactions:1 SpansEmitted:7}",
-			"scenario/8":      "{EventsPopped:129 Callbacks:4 Handoffs:84 SelfResumes:5 FusedSteps:29 Spawns:11 QueueRecycles:1 Compactions:8 SpansEmitted:98}",
-			"scenario/9":      "{EventsPopped:47 Callbacks:6 Handoffs:31 SelfResumes:3 FusedSteps:5 Spawns:14 QueueRecycles:1 Compactions:1 SpansEmitted:20}",
+			"scenario/8":      "{EventsPopped:129 Callbacks:4 Handoffs:84 SelfResumes:5 FusedSteps:36 Spawns:11 QueueRecycles:1 Compactions:8 SpansEmitted:98}",
+			"scenario/9":      "{EventsPopped:47 Callbacks:6 Handoffs:31 SelfResumes:3 FusedSteps:7 Spawns:14 QueueRecycles:1 Compactions:1 SpansEmitted:20}",
 			"scenario/10":     "{EventsPopped:45 Callbacks:0 Handoffs:23 SelfResumes:15 FusedSteps:7 Spawns:5 QueueRecycles:1 Compactions:0 SpansEmitted:33}",
-			"scenario/11":     "{EventsPopped:25 Callbacks:1 Handoffs:12 SelfResumes:5 FusedSteps:6 Spawns:4 QueueRecycles:1 Compactions:0 SpansEmitted:18}",
-			"scenario/12":     "{EventsPopped:82 Callbacks:3 Handoffs:55 SelfResumes:9 FusedSteps:12 Spawns:9 QueueRecycles:1 Compactions:1 SpansEmitted:64}",
-			"scenario/13":     "{EventsPopped:58 Callbacks:2 Handoffs:37 SelfResumes:2 FusedSteps:11 Spawns:9 QueueRecycles:1 Compactions:5 SpansEmitted:43}",
-			"scenario/14":     "{EventsPopped:114 Callbacks:4 Handoffs:68 SelfResumes:10 FusedSteps:26 Spawns:12 QueueRecycles:1 Compactions:1 SpansEmitted:75}",
-			"scenario/15":     "{EventsPopped:19 Callbacks:0 Handoffs:15 SelfResumes:1 FusedSteps:1 Spawns:6 QueueRecycles:1 Compactions:1 SpansEmitted:7}",
-			"scenario/16":     "{EventsPopped:45 Callbacks:2 Handoffs:27 SelfResumes:5 FusedSteps:9 Spawns:5 QueueRecycles:1 Compactions:0 SpansEmitted:29}",
+			"scenario/11":     "{EventsPopped:25 Callbacks:1 Handoffs:12 SelfResumes:5 FusedSteps:7 Spawns:4 QueueRecycles:1 Compactions:0 SpansEmitted:18}",
+			"scenario/12":     "{EventsPopped:82 Callbacks:3 Handoffs:55 SelfResumes:9 FusedSteps:15 Spawns:9 QueueRecycles:1 Compactions:1 SpansEmitted:64}",
+			"scenario/13":     "{EventsPopped:58 Callbacks:2 Handoffs:37 SelfResumes:2 FusedSteps:17 Spawns:9 QueueRecycles:1 Compactions:5 SpansEmitted:43}",
+			"scenario/14":     "{EventsPopped:114 Callbacks:4 Handoffs:68 SelfResumes:10 FusedSteps:32 Spawns:12 QueueRecycles:1 Compactions:1 SpansEmitted:75}",
+			"scenario/15":     "{EventsPopped:19 Callbacks:0 Handoffs:15 SelfResumes:1 FusedSteps:3 Spawns:6 QueueRecycles:1 Compactions:1 SpansEmitted:7}",
+			"scenario/16":     "{EventsPopped:45 Callbacks:2 Handoffs:27 SelfResumes:5 FusedSteps:11 Spawns:5 QueueRecycles:1 Compactions:0 SpansEmitted:29}",
 			"scenario/17":     "{EventsPopped:12 Callbacks:0 Handoffs:11 SelfResumes:0 FusedSteps:1 Spawns:7 QueueRecycles:1 Compactions:0 SpansEmitted:4}",
 		}
 		if len(runs) != len(want) {
@@ -268,6 +270,11 @@ func TestEngineReferenceDigests(t *testing.T) {
 		for k, r := range runs {
 			if g := fmt.Sprintf("%+v", r.ctr); want[k] != g {
 				t.Errorf("%q: counters\n  got  %s\n  want %s", k, g, want[k])
+			}
+			c := r.ctr
+			if n := c.Callbacks + c.Handoffs + c.SelfResumes + c.FusedSteps; n != c.EventsPopped {
+				t.Errorf("%q: %d events popped, but callbacks, handoffs, self-resumes and fused steps count %d",
+					k, c.EventsPopped, n)
 			}
 		}
 	})

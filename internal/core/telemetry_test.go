@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"codesign/internal/sim"
@@ -77,10 +78,20 @@ func TestTelemetryBytesMatchIndependentCounters(t *testing.T) {
 // Telemetry on and pins what every run's shared epilogue fills in:
 // GFLOPS from the flops and the makespan, a span summary whose makespan
 // and network bytes are the run's own, one busy entry per node, and an
-// overlap decomposition that partitions the makespan.
+// overlap decomposition that partitions the makespan. The registered
+// spmv run is dense, so the model keeps every row on the processor; a
+// sparse repeated apply is added, and its FPGA share must stream DRAM
+// bytes and keep an array busy.
 func TestTelemetryAllApps(t *testing.T) {
-	for _, app := range Apps() {
+	spmv, _ := LookupApp("spmv")
+	spmv.Name = "spmv-sparse"
+	sparse := spmv.Small()
+	sparse.Density, sparse.RHS = 0.05, 4
+	for _, app := range append(Apps(), spmv) {
 		s := app.Small()
+		if app.Name == spmv.Name {
+			s = sparse
+		}
 		s.Telemetry = true
 		r, err := app.Run(s)
 		if err != nil {
@@ -107,6 +118,11 @@ func TestTelemetryAllApps(t *testing.T) {
 		// rounding (mm lands one ulp off).
 		if got := tel.Overlap.Sum(); math.Abs(got-tel.Makespan) > 1e-12*tel.Makespan {
 			t.Errorf("%s: overlap sums to %v, want the makespan %v", app.Name, got, tel.Makespan)
+		}
+		if app.Name == spmv.Name {
+			if tel.DRAMBytes <= 0 || !slices.ContainsFunc(r.FPGABusy, func(b float64) bool { return b > 0 }) {
+				t.Errorf("%s: FPGA share idle: %d DRAM bytes, FPGA busy %v", app.Name, tel.DRAMBytes, r.FPGABusy)
+			}
 		}
 	}
 }

@@ -209,9 +209,6 @@ func (e *Engine) step(p *Proc) (consumed bool) {
 // bookkeeping mirrors what the unfused body does at the same virtual
 // time.
 func (e *Engine) chainStep(p *Proc) bool {
-	if p.task && e.ctr != nil {
-		e.ctr.FusedSteps.Add(1)
-	}
 	if p.chainIdx < 0 {
 		// A task's first event: its body starts, and from here on it
 		// is parked between its events until it finishes.
@@ -320,9 +317,6 @@ func (e *Engine) chainHold(p *Proc) {
 	p.parkKind, p.parkWhy, p.parkDur = parkWait, nil, dt
 	if e.observing() {
 		e.emitEvent(e.now, p.name, e.waitReason(parkWait, dt).action)
-	}
-	if e.ctr != nil && !p.task {
-		e.ctr.FusedSteps.Add(1)
 	}
 }
 

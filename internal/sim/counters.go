@@ -31,11 +31,13 @@ type Counters struct {
 	// process was the next runnable one, so nothing switched.
 	SelfResumes atomic.Int64
 	// FusedSteps counts process events the engine advanced in
-	// scheduler context instead of resuming the process: each hold a
-	// fused sequence starts at an intermediate boundary (see
-	// Resource.UseSeq), and every event of a task (see Engine.Task) —
-	// its start, boundaries, grants and finish. Each one replaced a
-	// resume that would otherwise have been a handoff or self-resume.
+	// scheduler context instead of resuming the process: each
+	// intermediate boundary of a fused sequence (see Resource.UseSeq),
+	// including the grant of a resource it queued on, and every event
+	// of a task (see Engine.Task) — its start, boundaries, grants and
+	// finish. Each one replaced a resume that would otherwise have been
+	// a handoff or self-resume, so every popped event is exactly one of
+	// a callback, a handoff, a self-resume or a fused step.
 	FusedSteps atomic.Int64
 	// Spawns counts processes started.
 	Spawns atomic.Int64

@@ -396,6 +396,9 @@ func (e *Engine) dispatch(self *Proc) *Proc {
 			continue
 		}
 		if p.chainLive && e.step(p) {
+			if e.ctr != nil {
+				e.ctr.FusedSteps.Add(1)
+			}
 			if e.failure != nil {
 				return nil
 			}

@@ -39,11 +39,11 @@ func TestComputeOverlapAttribution(t *testing.T) {
 }
 
 func TestSummarizeBytesAndStats(t *testing.T) {
-	r := NewRecorder()
-	r.Span(sim.SpanEvent{Category: sim.CatDMA, Proc: "cpu0", Resource: "dram-stream", Bytes: 1000, Start: 0, End: 1})
-	r.Span(sim.SpanEvent{Category: sim.CatNetwork, Proc: "net", Resource: "egress0", Bytes: 300, Start: 0, End: 2})
-	r.Span(sim.SpanEvent{Category: sim.CatSync, Proc: "cpu0", Resource: "dram-stream", Start: 1, End: 3})
-	s := r.Summarize(4)
+	var sum Summarizer
+	sum.Span(sim.SpanEvent{Category: sim.CatDMA, Proc: "cpu0", Resource: "dram-stream", Bytes: 1000, Start: 0, End: 1})
+	sum.Span(sim.SpanEvent{Category: sim.CatNetwork, Proc: "net", Resource: "egress0", Bytes: 300, Start: 0, End: 2})
+	sum.Span(sim.SpanEvent{Category: sim.CatSync, Proc: "cpu0", Resource: "dram-stream", Start: 1, End: 3})
+	s := sum.Summary(4)
 	if s.DRAMBytes != 1000 || s.NetworkBytes != 300 {
 		t.Fatalf("bytes = dram %d net %d", s.DRAMBytes, s.NetworkBytes)
 	}

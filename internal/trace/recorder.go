@@ -10,26 +10,26 @@ import (
 	"codesign/internal/sim"
 )
 
-// Recorder implements sim.Observer: it counts the raw events and
-// captures every typed span for post-run analysis (a Collector keeps
-// the raw events themselves). Register it with
-// Engine.Observe (or pass it through an application config's Observer
-// field). The recorder keeps everything in memory, 88 bytes per span:
-// one sweep-sim design point emits up to 90,369 spans (88,307 of
-// positive length), about 8 MB. Callers that need only the overlap and
-// the phase totals should attach a Digest, which keeps 32 pointer-free
-// bytes per span; the recorder is for whole-span consumers (exporters,
-// the critical path, tracediff, the span archive).
+// Recorder implements sim.Observer: it buffers every typed span, in
+// emission order, for consumers that read whole spans after the run:
+// the Perfetto and CSV exporters, the span archive (WriteSpans), the
+// critical path and tracediff. It ignores raw events (a Collector
+// keeps those). Register it with Engine.Observe (or pass it through an
+// application config's Observer field). The recorder keeps everything
+// in memory, 88 bytes per span: one sweep-sim design point emits up to
+// 90,369 spans (88,307 of positive length), about 8 MB. Callers that
+// need only aggregates fold spans as they are emitted instead: a
+// Summarizer builds the run Summary, and a Digest the overlap and the
+// phase totals in 32 pointer-free bytes per span.
 type Recorder struct {
-	spans   []sim.SpanEvent
-	nEvents int
+	spans []sim.SpanEvent
 }
 
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder { return &Recorder{} }
 
-// Event counts one raw engine action (sim.Observer).
-func (r *Recorder) Event(float64, string, string) { r.nEvents++ }
+// Event ignores raw engine events (sim.Observer).
+func (r *Recorder) Event(float64, string, string) {}
 
 // Span stores one completed typed span (sim.Observer).
 func (r *Recorder) Span(s sim.SpanEvent) { r.spans = append(r.spans, s) }
@@ -49,66 +49,7 @@ func (r *Recorder) Spans() []sim.SpanEvent {
 func (r *Recorder) SpansView() []sim.SpanEvent { return r.spans }
 
 // Reset discards everything recorded so far.
-func (r *Recorder) Reset() {
-	r.spans = r.spans[:0]
-	r.nEvents = 0
-}
-
-// Summarize digests the recorded spans into a Summary: per-process
-// busy/wait, per-resource busy/contention, bytes moved, and the
-// overlap decomposition against the given makespan (pass the engine's
-// final virtual time).
-func (r *Recorder) Summarize(makespan float64) *Summary {
-	s := &Summary{
-		Makespan: makespan,
-		Spans:    len(r.spans),
-		Events:   r.nEvents,
-	}
-	procs := map[string]*ProcStats{}
-	ress := map[string]*ResourceStats{}
-	for _, sp := range r.spans {
-		d := sp.End - sp.Start
-		p := procs[sp.Proc]
-		if p == nil {
-			p = &ProcStats{Name: sp.Proc}
-			procs[sp.Proc] = p
-		}
-		if sp.Category == sim.CatSync {
-			p.Waiting += d
-		} else {
-			p.Busy += d
-			p.Bytes += sp.Bytes
-		}
-		if sp.Resource != "" {
-			res := ress[sp.Resource]
-			if res == nil {
-				res = &ResourceStats{Name: sp.Resource}
-				ress[sp.Resource] = res
-			}
-			res.Spans++
-			if sp.Category == sim.CatSync {
-				res.Contention += d
-			} else {
-				res.Busy += d
-				res.Bytes += sp.Bytes
-			}
-		}
-		switch sp.Category {
-		case sim.CatDMA:
-			s.DRAMBytes += sp.Bytes
-		case sim.CatNetwork:
-			s.NetworkBytes += sp.Bytes
-		}
-	}
-	for _, k := range sortedKeys(procs) {
-		s.Procs = append(s.Procs, *procs[k])
-	}
-	for _, k := range sortedKeys(ress) {
-		s.Resources = append(s.Resources, *ress[k])
-	}
-	s.Overlap = ComputeOverlap(r.spans, makespan)
-	return s
-}
+func (r *Recorder) Reset() { r.spans = r.spans[:0] }
 
 // perfetto trace_event structures. Fields are structs (never maps) so
 // JSON field order — and therefore the exported bytes — is fixed.
@@ -225,16 +166,6 @@ func (r *Recorder) WriteSpansCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ByCategory returns total span seconds per category, a quick
-// aggregate for tests and ad-hoc inspection.
-func (r *Recorder) ByCategory() map[sim.Category]float64 {
-	out := map[sim.Category]float64{}
-	for _, sp := range r.spans {
-		out[sp.Category] += sp.End - sp.Start
-	}
-	return out
 }
 
 func sortedKeys[V any](m map[string]V) []string {

@@ -2,13 +2,15 @@ package trace_test
 
 import (
 	"slices"
+	"sort"
 
 	"codesign/internal/sim"
 	"codesign/internal/trace"
 )
 
-// The straightforward implementation the streaming Digest replaced.
-// Tests compare against it; nothing else runs it.
+// The straightforward implementations the streaming Digest and
+// Summarizer replaced. Tests compare against them; nothing else runs
+// them.
 
 // refEdge is one interval endpoint of the reference sweep.
 type refEdge struct {
@@ -103,4 +105,68 @@ func referenceComputeOverlap(spans []sim.SpanEvent, makespan float64) trace.Over
 	}
 	attribute(prev, makespan)
 	return o
+}
+
+// referenceSummarize is the Summary of a buffered span slice, with
+// events raw engine events: per-process and per-resource tallies in one
+// pass over the spans, then the reference overlap sweep.
+func referenceSummarize(spans []sim.SpanEvent, events int, makespan float64) *trace.Summary {
+	s := &trace.Summary{
+		Makespan: makespan,
+		Spans:    len(spans),
+		Events:   events,
+	}
+	procs := map[string]*trace.ProcStats{}
+	ress := map[string]*trace.ResourceStats{}
+	for _, sp := range spans {
+		d := sp.End - sp.Start
+		p := procs[sp.Proc]
+		if p == nil {
+			p = &trace.ProcStats{Name: sp.Proc}
+			procs[sp.Proc] = p
+		}
+		if sp.Category == sim.CatSync {
+			p.Waiting += d
+		} else {
+			p.Busy += d
+			p.Bytes += sp.Bytes
+		}
+		if sp.Resource != "" {
+			res := ress[sp.Resource]
+			if res == nil {
+				res = &trace.ResourceStats{Name: sp.Resource}
+				ress[sp.Resource] = res
+			}
+			res.Spans++
+			if sp.Category == sim.CatSync {
+				res.Contention += d
+			} else {
+				res.Busy += d
+				res.Bytes += sp.Bytes
+			}
+		}
+		switch sp.Category {
+		case sim.CatDMA:
+			s.DRAMBytes += sp.Bytes
+		case sim.CatNetwork:
+			s.NetworkBytes += sp.Bytes
+		}
+	}
+	for _, k := range sortedNames(procs) {
+		s.Procs = append(s.Procs, *procs[k])
+	}
+	for _, k := range sortedNames(ress) {
+		s.Resources = append(s.Resources, *ress[k])
+	}
+	s.Overlap = referenceComputeOverlap(spans, makespan)
+	return s
+}
+
+func sortedNames[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
