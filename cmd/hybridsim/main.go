@@ -5,7 +5,7 @@
 // Usage:
 //
 //	hybridsim -app lu -n 30000 -b 3000                  # paper headline
-//	hybridsim -app fw -n 18432 -b 256 -mode fpga-only   # a baseline
+//	hybridsim -app fw -mode fpga-only                   # a baseline at fw's default n and b
 //	hybridsim -app lu -n 300 -b 60 -pes 4 -functional   # with real data
 //	hybridsim -app lu -analyze                          # critical path + bottlenecks
 //	hybridsim -app fw -machine xt3 -n 6144 -b 256 -pes 8
@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 	"time"
 
 	"codesign/internal/analysis"
@@ -37,30 +38,7 @@ var log = cli.NewLogger("hybridsim", os.Stderr)
 
 func main() {
 	var o options
-	flag.StringVar(&o.App, "app", "lu", "application: "+core.AppNames("or", false))
-	flag.StringVar(&o.Machine, "machine", "xd1", "machine preset (xd1, xt3, src6, rasc) or a machine JSON `file`")
-	flag.IntVar(&o.N, "n", 30000, "problem size")
-	flag.IntVar(&o.B, "b", 3000, "block size")
-	flag.IntVar(&o.PEs, "pes", 0, "FPGA PE count (0 = largest that fits)")
-	flag.StringVar(&o.Mode, "mode", "hybrid", "design: hybrid, processor-only, fpga-only")
-	flag.IntVar(&o.BF, "bf", -1, "FPGA share: stripe rows, or operator rows for spmv and cg (-1 = solve the model)")
-	flag.IntVar(&o.L, "l", -1, "lu and chol: panel pipeline depth (-1 = solve Eq. 5)")
-	flag.IntVar(&o.L1, "l1", -1, "FW: processor ops per phase (-1 = solve Eq. 6)")
-	flag.Float64Var(&o.Density, "density", 0, "spmv and cg: operator nonzero density in [0,1] (0 = dense operator)")
-	flag.IntVar(&o.RHS, "rhs", 0, "spmv: right-hand sides; >1 runs SpMM as repeated applies (0 = single apply)")
-	flag.BoolVar(&o.Functional, "functional", false, "carry real matrices and verify the result")
-	flag.Int64Var(&o.Seed, "seed", 1, "functional input seed, or the fault spec seed with -faults")
-	flag.StringVar(&o.Faults, "faults", "", "inject faults from spec JSON `file` ("+core.AppNames("and", true)+") and print the resilience report")
-	flag.BoolVar(&o.Timeline, "timeline", false, "print a per-process activity timeline (small runs only)")
-	flag.BoolVar(&o.Metrics, "metrics", false, "print per-run utilization and the Tp/Tf/Tmem/Tcomm overlap report")
-	flag.BoolVar(&o.Analyze, "analyze", false, "print the critical path, per-phase bottleneck attribution and resource timelines")
-	flag.StringVar(&o.TraceOut, "trace-out", "", "write a Chrome/Perfetto trace_event JSON trace of the run to `file`")
-	flag.StringVar(&o.MetricsOut, "metrics-out", "", "write the run's telemetry counters and gauges as CSV to `file`")
-	flag.StringVar(&o.SpansOut, "spans-out", "", "write the raw typed spans as CSV to `file`")
-	flag.StringVar(&o.SpansJSON, "spans-json", "", "write the typed spans with run metadata as JSONL to `file` (tracediff input)")
-	flag.StringVar(&o.DiffAgainst, "diff-against", "", "diff this run against a persisted span `file` (JSONL or CSV) and print the differential analysis")
-	flag.StringVar(&o.Obs, "obs", "", "serve /metrics, /statusz and pprof on `addr` during the run")
-	flag.DurationVar(&o.ObsHold, "obs-hold", 0, "keep the -obs server up this long after the run completes")
+	bind(flag.CommandLine, &o)
 	log.AddFlags(flag.CommandLine)
 	flag.Parse()
 	flag.Visit(func(f *flag.Flag) {
@@ -73,6 +51,34 @@ func main() {
 		log.Errorf("%v", err)
 		os.Exit(1)
 	}
+}
+
+// bind registers every run flag on fs, bound to o's fields.
+func bind(fs *flag.FlagSet, o *options) {
+	fs.StringVar(&o.App, "app", "lu", "application: "+core.AppNames("or", false))
+	fs.StringVar(&o.Machine, "machine", "xd1", "machine preset (xd1, xt3, src6, rasc) or a machine JSON `file`")
+	fs.IntVar(&o.N, "n", 0, "problem size (0 = the app's default: "+defaults(func(a core.App) int { return a.N })+")")
+	fs.IntVar(&o.B, "b", 0, "block size (0 = the app's default: "+defaults(func(a core.App) int { return a.B })+")")
+	fs.IntVar(&o.PEs, "pes", 0, "FPGA PE count (0 = largest that fits)")
+	fs.StringVar(&o.Mode, "mode", "hybrid", "design: hybrid, processor-only, fpga-only")
+	fs.IntVar(&o.BF, "bf", -1, "FPGA share: stripe rows, or operator rows for spmv and cg (-1 = solve the model)")
+	fs.IntVar(&o.L, "l", -1, "lu and chol: panel pipeline depth (-1 = solve Eq. 5)")
+	fs.IntVar(&o.L1, "l1", -1, "FW: processor ops per phase (-1 = solve Eq. 6)")
+	fs.Float64Var(&o.Density, "density", 0, "spmv and cg: operator nonzero density in [0,1] (0 = dense operator)")
+	fs.IntVar(&o.RHS, "rhs", 0, "spmv: right-hand sides; >1 runs SpMM as repeated applies (0 = single apply)")
+	fs.BoolVar(&o.Functional, "functional", false, "carry real matrices and verify the result")
+	fs.Int64Var(&o.Seed, "seed", 1, "functional input seed, or the fault spec seed with -faults")
+	fs.StringVar(&o.Faults, "faults", "", "inject faults from spec JSON `file` ("+core.AppNames("and", true)+") and print the resilience report")
+	fs.BoolVar(&o.Timeline, "timeline", false, "print a per-process activity timeline (small runs only)")
+	fs.BoolVar(&o.Metrics, "metrics", false, "print per-run utilization and the Tp/Tf/Tmem/Tcomm overlap report")
+	fs.BoolVar(&o.Analyze, "analyze", false, "print the critical path, per-phase bottleneck attribution and resource timelines")
+	fs.StringVar(&o.TraceOut, "trace-out", "", "write a Chrome/Perfetto trace_event JSON trace of the run to `file`")
+	fs.StringVar(&o.MetricsOut, "metrics-out", "", "write the run's telemetry counters and gauges as CSV to `file`")
+	fs.StringVar(&o.SpansOut, "spans-out", "", "write the raw typed spans as CSV to `file`")
+	fs.StringVar(&o.SpansJSON, "spans-json", "", "write the typed spans with run metadata as JSONL to `file` (tracediff input)")
+	fs.StringVar(&o.DiffAgainst, "diff-against", "", "diff this run against a persisted span `file` (JSONL or CSV) and print the differential analysis")
+	fs.StringVar(&o.Obs, "obs", "", "serve /metrics, /statusz and pprof on `addr` during the run")
+	fs.DurationVar(&o.ObsHold, "obs-hold", 0, "keep the -obs server up this long after the run completes")
 }
 
 // options bundles every CLI knob run needs; tests construct it
@@ -107,6 +113,30 @@ type options struct {
 	ObsHold     time.Duration
 }
 
+// defaults lists the registered apps' nonzero default sizes for a flag's
+// help text.
+func defaults(size func(core.App) int) string {
+	var out []string
+	for _, a := range core.Apps() {
+		if v := size(a); v > 0 {
+			out = append(out, fmt.Sprintf("%s %d", a.Name, v))
+		}
+	}
+	return strings.Join(out, ", ")
+}
+
+// sized returns o with an unset (0) problem or block size replaced by
+// the app's registry default.
+func (o options) sized(app core.App) options {
+	if o.N == 0 {
+		o.N = app.N
+	}
+	if o.B == 0 {
+		o.B = app.B
+	}
+	return o
+}
+
 func machineByName(name string) (machine.Config, error) {
 	return machine.Resolve(name)
 }
@@ -125,6 +155,7 @@ func run(o options) error {
 	if err != nil {
 		return err
 	}
+	o = o.sized(app)
 
 	// -faults runs the app three ways: nominal (the baseline), with the
 	// spec's faults under observed-telemetry detection (the run that is

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"encoding/csv"
 	"encoding/hex"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -80,6 +82,36 @@ func TestRunAllApps(t *testing.T) {
 	}
 	if err := run(options{App: "fft", Machine: "xd1", N: 10, B: 2, Mode: "hybrid", BF: -1, L: -1, L1: -1, Seed: 1}); err == nil {
 		t.Fatal("unknown app accepted")
+	}
+}
+
+// TestUnsetSizeIsAppDefault checks that -n and -b left at 0 resolve to
+// each registered app's default size, that explicit sizes stand, and
+// that fw and spmv, whose defaults differ from lu's, run with only -app.
+func TestUnsetSizeIsAppDefault(t *testing.T) {
+	for _, a := range core.Apps() {
+		if o := (options{}).sized(a); o.N != a.N || o.B != a.B {
+			t.Errorf("%s: unset size resolved to n=%d b=%d, want n=%d b=%d", a.Name, o.N, o.B, a.N, a.B)
+		}
+		if o := (options{N: 96, B: 8}).sized(a); o.N != 96 || o.B != 8 {
+			t.Errorf("%s: explicit n=96 b=8 became n=%d b=%d", a.Name, o.N, o.B)
+		}
+	}
+	for _, app := range []string{"fw", "spmv"} {
+		fs := flag.NewFlagSet("hybridsim", flag.ContinueOnError)
+		var o options
+		bind(fs, &o)
+		if err := fs.Parse([]string{"-app", app}); err != nil {
+			t.Fatal(err)
+		}
+		a, _ := core.LookupApp(app)
+		out, err := captureStdout(t, func() error { return run(o) })
+		if err != nil {
+			t.Fatalf("-app %s: %v", app, err)
+		}
+		if want := fmt.Sprintf("n=%d", a.N); !strings.Contains(out, want) {
+			t.Errorf("-app %s did not run at %s:\n%s", app, want, out)
+		}
 	}
 }
 

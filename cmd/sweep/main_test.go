@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -306,5 +307,51 @@ func TestScreenedMatchesFullFrontierJSON(t *testing.T) {
 		if !got[idx] {
 			t.Errorf("frontier index %d missing from screened output", idx)
 		}
+	}
+}
+
+// TestScreenPrunesScaleGrid screens the 26,488-point mm grid (11 sizes
+// × 4 PE counts × every bf in [-1, 600]) with the sim method, and
+// requires the screen to keep its promise at scale: the whole grid is
+// model-ranked, fewer than half of its points survive to simulation,
+// and exactly the survivors are reported.
+func TestScreenPrunesScaleGrid(t *testing.T) {
+	bf := make([]string, 0, 602)
+	for v := -1; v <= 600; v++ {
+		bf = append(bf, strconv.Itoa(v))
+	}
+	path := filepath.Join(t.TempDir(), "screen.json")
+	err := run(options{
+		Apps: "mm", Machines: "xd1", Modes: "hybrid", Nodes: "0", Density: "0", B: "0", L: "-1",
+		N:   "480,540,600,660,720,780,840,900,960,1020,1080",
+		PEs: "2,4,6,8", BF: strings.Join(bf, ","),
+		Method: "sim", Screen: true, JSONOut: path, Quiet: true,
+	}, io.Discard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var res struct {
+		Screen struct {
+			Points     int `json:"points"`
+			Candidates int `json:"candidates"`
+		} `json:"screen"`
+		Results []json.RawMessage `json:"results"`
+	}
+	if err := json.Unmarshal(raw, &res); err != nil {
+		t.Fatal(err)
+	}
+	s := res.Screen
+	if s.Points < 20000 {
+		t.Errorf("screened %d points, want >= 20000", s.Points)
+	}
+	if s.Candidates <= 0 || 2*s.Candidates >= s.Points {
+		t.Errorf("%d candidates of %d points, want 0 < 2·candidates < points", s.Candidates, s.Points)
+	}
+	if s.Candidates != len(res.Results) {
+		t.Errorf("%d candidates but %d results", s.Candidates, len(res.Results))
 	}
 }

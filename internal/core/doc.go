@@ -7,8 +7,8 @@
 // executing on a simulated reconfigurable computing system built by
 // internal/machine. The extension applications the paper's conclusion
 // calls for ride on the same engine: hybrid matrix multiplication
-// (the pure Equation 1 case), Cholesky, Householder QR and conjugate
-// gradient.
+// (the pure Equation 1 case), Cholesky (LU's pipeline with a symmetric
+// update), Householder QR and conjugate gradient.
 //
 // Every run is a discrete-event simulation of the full distributed
 // schedule: panel factorizations, stripe broadcasts, DRAM streaming,

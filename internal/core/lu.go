@@ -88,8 +88,9 @@ type LUResult struct {
 	Prediction model.Prediction
 }
 
-// luJob is one b×b block multiplication A'_uv = L10_u × U01_v
-// distributed over the p-1 compute nodes.
+// luJob is one b×b block multiplication A'_uv = L10_u × U01_v (or
+// L_u,t × L_v,tᵀ for a symmetric update) distributed over the p-1
+// compute nodes.
 type luJob struct {
 	t, u, v int
 	e       *matrix.Dense // functional accumulator (nil when timing-only)
@@ -141,21 +142,53 @@ func (it *luIter) first() int {
 	return it.members[0]
 }
 
+// factorization is what sets one lu-family factorization apart on the
+// shared panel/opMM/opMS pipeline (Section 5.1.3): its registry row,
+// model half and simulation label, the names of its engine objects and
+// tasks, and whether its trailing update is symmetric. The names are
+// constant formats and prefixes, so naming an object costs no more than
+// the name itself.
+type factorization struct {
+	app   *App
+	half  luFamily
+	label string
+	// boxes, done and bar format the node job mailboxes and each
+	// iteration's done-signal and barrier; fpga and opms prefix the
+	// FPGA job and opMS update task names.
+	boxes, done, bar string
+	fpga, opms       string
+	// symmetric is Cholesky's update of a symmetric matrix (A = L·Lᵀ):
+	// the panel factors the diagonal block (opPOTRF, half of opLU's
+	// flops) and solves each panel block once (opTRSM instead of the
+	// opL/opU pair), only the lower triangle's jobs exist, a diagonal
+	// job (opSYRK) costs half an opMM and updates with Syrk, and the
+	// right operand of job (u, v) is L_v,tᵀ instead of U_t,v.
+	symmetric bool
+}
+
+// The lu family's pipelined factorizations.
+var (
+	luFactorization = factorization{app: &luApp, half: luHalf, label: "lu",
+		boxes: "lu.jobs%d", done: "lu.iter%d.done", bar: "lu.iter%d.bar", fpga: "lu.fpga", opms: "lu.opms"}
+	cholFactorization = factorization{app: &cholApp, half: cholHalf, label: "cholesky",
+		boxes: "chol.jobs%d", done: "chol.iter%d.done", bar: "chol.iter%d.bar", fpga: "chol.fpga", opms: "chol.opms",
+		symmetric: true}
+)
+
 // luRun bundles everything the node processes need.
 type luRun struct {
-	cfg     LUConfig
-	sys     *machine.System
-	lp      model.LUParams
-	nb      int
-	bf, bp  int
-	l       int
-	stripes int
+	f      factorization
+	cfg    LUConfig
+	sys    *machine.System
+	lp     model.LUParams
+	nb     int
+	bf, bp int
+	l      int
 
 	// per-job charge model (seconds / cycles)
 	charge jobCharge
 	// alt, when non-nil, charges odd jobs (whole-task ablation).
-	alt      *jobCharge
-	sendTime float64
+	alt *jobCharge
 
 	boxes []*sim.Mailbox
 	iters []*luIter
@@ -273,24 +306,37 @@ func (f luFamily) model(q Pricing) (model.LUParams, Priced, error) {
 // model, simulates the full distributed factorization and returns the
 // measured results.
 func RunLU(cfg LUConfig) (*LUResult, error) {
-	m, err := luApp.start(Spec{Machine: cfg.Machine, N: cfg.N, B: cfg.B, PEs: cfg.PEs, Mode: cfg.Mode,
+	res, a, ref, err := luFactorization.run(cfg)
+	if err == nil && a != nil {
+		res.Checked, res.MaxResidual = true, a.MaxDiff(ref)
+	}
+	return res, err
+}
+
+// run is every lu-family factorization's prologue: the row's start, the
+// model split, the per-job charges, the functional input and its
+// sequential reference, and the iteration state. It then simulates the
+// factorization and returns its result with the factored matrix and
+// the reference (both nil when timing-only).
+func (f factorization) run(cfg LUConfig) (*LUResult, *matrix.Dense, *matrix.Dense, error) {
+	m, err := f.app.start(Spec{Machine: cfg.Machine, N: cfg.N, B: cfg.B, PEs: cfg.PEs, Mode: cfg.Mode,
 		Functional: cfg.Functional, Observer: cfg.Observer, Telemetry: cfg.Telemetry, Faults: cfg.Faults}, nil)
 	if err != nil {
-		return nil, err
+		return nil, nil, nil, err
 	}
 	sys, q := m.sys, m.q
-	p, k := q.Machine.Nodes, q.K
+	p := q.Machine.Nodes
 	q.BF, q.L = cfg.BF, cfg.L
-	lp, pr, err := luHalf.model(q)
+	lp, pr, err := f.half.model(q)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, nil, nil, fmt.Errorf("core: %w", err)
 	}
 	bf, l := pr.Split.BF, pr.Split.L
 
-	lr := &luRun{cfg: cfg, sys: sys, lp: lp, nb: cfg.N / cfg.B, bf: bf, bp: cfg.B - bf, l: l, stripes: cfg.B / k}
+	lr := &luRun{f: f, cfg: cfg, sys: sys, lp: lp, nb: cfg.N / cfg.B, bf: bf, bp: cfg.B - bf, l: l}
 	lr.cyc, err = dist.CheckedCyclic(lr.nb, p)
 	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
+		return nil, nil, nil, fmt.Errorf("core: %w", err)
 	}
 	lr.gemmRate = q.Proc.Rate(cpu.DGEMM)
 	lr.lpLive = lp
@@ -309,10 +355,15 @@ func RunLU(cfg LUConfig) (*LUResult, error) {
 	var ref *matrix.Dense
 	if cfg.Functional {
 		rng := rand.New(rand.NewSource(cfg.Seed))
-		lr.a = matrix.RandomDiagDominant(cfg.N, rng)
+		factor := matrix.BlockLU
+		if f.symmetric {
+			lr.a, factor = matrix.RandomSPD(cfg.N, rng), matrix.BlockCholesky
+		} else {
+			lr.a = matrix.RandomDiagDominant(cfg.N, rng)
+		}
 		ref = lr.a.Clone()
-		if err := matrix.BlockLU(ref, cfg.B); err != nil {
-			return nil, fmt.Errorf("core: reference factorization: %w", err)
+		if err := factor(ref, cfg.B); err != nil {
+			return nil, nil, nil, fmt.Errorf("core: reference factorization: %w", err)
 		}
 	}
 
@@ -322,25 +373,46 @@ func RunLU(cfg LUConfig) (*LUResult, error) {
 	// schedules no engine events, so an injector with no faults stays
 	// byte-identical to this eager path).
 	for i := 0; i < p; i++ {
-		lr.boxes = append(lr.boxes, sim.NewMailbox(sys.Eng, fmt.Sprintf("lu.jobs%d", i)))
+		lr.boxes = append(lr.boxes, sim.NewMailbox(sys.Eng, fmt.Sprintf(f.boxes, i)))
 	}
 	if lr.inj == nil {
 		for t := 0; t < lr.nb; t++ {
-			rem := lr.nb - 1 - t
-			it := &luIter{
-				pending: rem * rem,
-				done:    sim.NewSignal(sys.Eng, fmt.Sprintf("lu.iter%d.done", t)),
-				bar:     sim.NewBarrier(sys.Eng, fmt.Sprintf("lu.iter%d.bar", t), p),
-				panel:   t % p,
-			}
-			if it.pending == 0 {
-				it.done.Fire()
-			}
-			lr.iters = append(lr.iters, it)
+			lr.iters = append(lr.iters, lr.newIter(t, nil))
 		}
 	}
 
-	return lr.execute(&m, ref)
+	res, err := lr.execute(&m)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return res, lr.a, ref, nil
+}
+
+// newIter builds iteration t's coordination state over members (nil:
+// every node, the static schedule). Its done-signal fires once all of
+// the iteration's opMS updates have run: rem² of them, or the
+// rem·(rem+1)/2 of the lower triangle for a symmetric update.
+func (lr *luRun) newIter(t int, members []int) *luIter {
+	rem := lr.nb - 1 - t
+	jobs := rem * rem
+	if lr.f.symmetric {
+		jobs = rem * (rem + 1) / 2
+	}
+	nodes, panel := lr.sys.Cfg.Nodes, t%lr.sys.Cfg.Nodes
+	if members != nil {
+		nodes, panel = len(members), members[t%len(members)]
+	}
+	it := &luIter{
+		pending: jobs,
+		done:    sim.NewSignal(lr.sys.Eng, fmt.Sprintf(lr.f.done, t)),
+		bar:     sim.NewBarrier(lr.sys.Eng, fmt.Sprintf(lr.f.bar, t), nodes),
+		panel:   panel,
+		members: members,
+	}
+	if it.pending == 0 {
+		it.done.Fire()
+	}
+	return it
 }
 
 // jobCharge is the per-opMM cost model on one compute node.
@@ -351,6 +423,36 @@ type jobCharge struct {
 	// dmaBytes is the operand volume the cpuDMA charge streams to the
 	// FPGA, for telemetry byte accounting.
 	dmaBytes int64
+}
+
+// scaled is c for a job s times the work of c's: every charge, the FPGA
+// cycles and the operand bytes scale by s; the FPGA's start lag does
+// not.
+func (c jobCharge) scaled(s float64) jobCharge {
+	c.cpuRecv *= s
+	c.cpuDMA *= s
+	c.dmaBytes = int64(s * float64(c.dmaBytes))
+	c.cpuGemm *= s
+	c.fpgaCycles *= s
+	return c
+}
+
+// cpuCharges appends c's processor share, in order, to buf: unpack the
+// operand messages (no bytes: the wire span already counted the
+// payload), stream the FPGA's operands to it (the DMA charge carries
+// their volume), then run the software half of the multiply. Zero
+// charges are left out.
+func (c jobCharge) cpuCharges(buf []sim.Charge) []sim.Charge {
+	if c.cpuRecv > 0 {
+		buf = append(buf, sim.Charge{Cat: sim.CatNetwork, Dt: c.cpuRecv})
+	}
+	if c.cpuDMA > 0 {
+		buf = append(buf, sim.Charge{Cat: sim.CatDMA, Bytes: c.dmaBytes, Dt: c.cpuDMA})
+	}
+	if c.cpuGemm > 0 {
+		buf = append(buf, sim.Charge{Cat: sim.CatCompute, Dt: c.cpuGemm})
+	}
+	return buf
 }
 
 // chargeModel derives the per-job costs from the machine parameters.
@@ -377,8 +479,6 @@ func (lr *luRun) chargeModel() {
 			lr.charge = charge(lr.bf)
 		}
 	}
-	_, _, _, tcomm := lr.lpLive.StripeTimes(lr.bf)
-	lr.sendTime = float64(lr.stripes) * tcomm // panel node, per job multicast
 }
 
 // opmmCharge is the per-job cost of one opMM — a whole b×b block
@@ -424,14 +524,21 @@ func opmmCharge(lp model.LUParams, gemmRate float64, bf int, noOverlap bool) job
 	return c
 }
 
-// chargeFor selects the charge set for a job (whole-task ablation
-// alternates by job parity).
+// chargeFor selects the charge set for a job: the whole-task ablation
+// alternates by job parity, and an opSYRK job costs half an opMM.
 func (lr *luRun) chargeFor(j *luJob) jobCharge {
-	if lr.alt != nil && (j.u+j.v)%2 == 1 {
+	switch {
+	case lr.alt != nil && (j.u+j.v)%2 == 1:
 		return *lr.alt
+	case lr.syrk(j):
+		return lr.charge.scaled(0.5)
 	}
 	return lr.charge
 }
+
+// syrk reports that j is a diagonal job of a symmetric update (opSYRK):
+// one panel block's operands, half the arithmetic, half the result.
+func (lr *luRun) syrk(j *luJob) bool { return lr.f.symmetric && j.u == j.v }
 
 // iter returns iteration t's coordination state — pre-built on the
 // fault-free path, created lazily at the iteration boundary in degraded
@@ -452,18 +559,7 @@ func (lr *luRun) iter(t int) *luIter {
 	if lr.failure != nil {
 		return nil
 	}
-	members := lr.live
-	rem := lr.nb - 1 - t
-	it := &luIter{
-		pending: rem * rem,
-		done:    sim.NewSignal(lr.sys.Eng, fmt.Sprintf("lu.iter%d.done", t)),
-		bar:     sim.NewBarrier(lr.sys.Eng, fmt.Sprintf("lu.iter%d.bar", t), len(members)),
-		panel:   members[t%len(members)],
-		members: members,
-	}
-	if it.pending == 0 {
-		it.done.Fire()
-	}
+	it := lr.newIter(t, lr.live)
 	lr.dyn[t] = it
 	return it
 }
@@ -525,7 +621,7 @@ func (lr *luRun) applyRepartition(now float64, t int, d model.Degradation, died 
 
 // execute spawns the node programs, runs the simulation, and assembles
 // the results.
-func (lr *luRun) execute(m *machineRun, ref *matrix.Dense) (*LUResult, error) {
+func (lr *luRun) execute(m *machineRun) (*LUResult, error) {
 	sys := lr.sys
 	p := sys.Cfg.Nodes
 	iterEnd := make([]float64, lr.nb)
@@ -556,8 +652,12 @@ func (lr *luRun) execute(m *machineRun, ref *matrix.Dense) (*LUResult, error) {
 	}
 
 	n := float64(lr.cfg.N)
-	res := &LUResult{Result: Result{App: "lu", Mode: lr.cfg.Mode, N: lr.cfg.N, B: lr.cfg.B}}
-	if err := m.finish("lu", 2.0/3.0*n*n*n, &res.Result); err != nil {
+	flops := 2.0 / 3.0 * n * n * n
+	if lr.f.symmetric {
+		flops = n * n * n / 3
+	}
+	res := &LUResult{Result: Result{App: lr.f.app.Name, Mode: lr.cfg.Mode, N: lr.cfg.N, B: lr.cfg.B}}
+	if err := m.finish(lr.f.label, flops, &res.Result); err != nil {
 		return nil, err
 	}
 	if lr.failure != nil {
@@ -566,7 +666,7 @@ func (lr *luRun) execute(m *machineRun, ref *matrix.Dense) (*LUResult, error) {
 	res.BF, res.BP, res.L, res.K = lr.bf, lr.bp, lr.l, lr.lp.K
 	res.Model = lr.lp
 	// At the final split: a fault injector may have re-solved it.
-	res.Prediction = luHalf.predict(lr.lp, lr.cfg.N, lr.bf)
+	res.Prediction = lr.f.half.predict(lr.lp, lr.cfg.N, lr.bf)
 	prev := 0.0
 	for _, t := range iterEnd {
 		res.IterationSeconds = append(res.IterationSeconds, t-prev)
@@ -576,29 +676,31 @@ func (lr *luRun) execute(m *machineRun, ref *matrix.Dense) (*LUResult, error) {
 		res.Repartitions = lr.repartitions
 		res.DeadNodes = lr.inj.DeadBy(res.Seconds)
 	}
-	if lr.cfg.Functional && ref != nil {
-		res.Checked = true
-		res.MaxResidual = lr.a.MaxDiff(ref)
-	}
 	return res, nil
 }
 
 // runPanel is iteration t on the panel node: opLU, then the opL/opU
-// sequence, releasing opMM jobs to the compute nodes l at a time
+// sequence (opPOTRF, then one opTRSM per panel block, for a symmetric
+// update), releasing opMM jobs to the compute nodes l at a time
 // (Equation 5's pipeline).
 func (lr *luRun) runPanel(pr *sim.Proc, node *machine.Node, t int, it *luIter) {
-	cfg := lr.cfg
-	b := cfg.B
+	b := lr.cfg.B
 	nb := lr.nb
+	sym := lr.f.symmetric
 	dsts := lr.computeNodes(it)
 	pr.SetPhase("panel")
 	defer pr.SetPhase("")
 
-	// opLU.
-	node.ComputeCPU(pr, cpu.DGETRF, cpu.DgetrfFlops(b))
+	// opLU, or opPOTRF at half its (2/3)b³ flops, both at the
+	// factorization routine rate.
+	op, flops, factor, solve := "opLU", cpu.DgetrfFlops(b), matrix.LU, matrix.TrsmUpperRight
+	if sym {
+		op, flops, factor, solve = "opPOTRF", flops/2, matrix.Cholesky, matrix.TrsmRightLowerT
+	}
+	node.ComputeCPU(pr, cpu.DGETRF, flops)
 	if lr.a != nil {
-		if err := matrix.LU(lr.blk(t, t)); err != nil {
-			panic(fmt.Sprintf("opLU iteration %d: %v", t, err))
+		if err := factor(lr.blk(t, t)); err != nil {
+			panic(fmt.Sprintf("%s iteration %d: %v", op, t, err))
 		}
 	}
 
@@ -618,23 +720,28 @@ func (lr *luRun) runPanel(pr *sim.Proc, node *machine.Node, t int, it *luIter) {
 	}
 
 	for c := t + 1; c < nb; c++ {
-		// opL on block (c, t).
+		// opL (opTRSM for a symmetric update) on block (c, t).
 		node.ComputeCPU(pr, cpu.DTRSM, cpu.DtrsmFlops(b))
 		if lr.a != nil {
-			matrix.TrsmUpperRight(lr.blk(t, t), lr.blk(c, t))
+			solve(lr.blk(t, t), lr.blk(c, t))
 		}
-		send(lr.l)
-		// opU on block (t, c).
-		node.ComputeCPU(pr, cpu.DTRSM, cpu.DtrsmFlops(b))
-		if lr.a != nil {
-			matrix.TrsmLowerUnitLeft(lr.blk(t, t), lr.blk(t, c))
+		if !sym {
+			send(lr.l)
+			// opU on block (t, c).
+			node.ComputeCPU(pr, cpu.DTRSM, cpu.DtrsmFlops(b))
+			if lr.a != nil {
+				matrix.TrsmLowerUnitLeft(lr.blk(t, t), lr.blk(t, c))
+			}
 		}
-		// Jobs whose operands are now both available: max(u,v) == c.
+		// Jobs whose operands are now both available: max(u,v) == c,
+		// only v <= c for a symmetric update's lower triangle.
 		for v := t + 1; v <= c; v++ {
 			ready = append(ready, lr.newJob(t, c, v))
 		}
-		for u := t + 1; u < c; u++ {
-			ready = append(ready, lr.newJob(t, u, c))
+		if !sym {
+			for u := t + 1; u < c; u++ {
+				ready = append(ready, lr.newJob(t, u, c))
+			}
 		}
 		send(lr.l)
 	}
@@ -649,26 +756,27 @@ func (lr *luRun) runPanel(pr *sim.Proc, node *machine.Node, t int, it *luIter) {
 	}
 }
 
+// newJob is the job A'_uv of iteration t, with a functional
+// accumulator unless it is timing-only or an opSYRK, which the owner
+// applies straight from the panel block.
 func (lr *luRun) newJob(t, u, v int) *luJob {
 	j := &luJob{t: t, u: u, v: v}
-	if lr.a != nil {
+	if lr.a != nil && !lr.syrk(j) {
 		j.e = matrix.New(lr.cfg.B, lr.cfg.B)
 	}
 	return j
 }
 
-// sendJob multicasts one job's operand stripes (2b² words) to the
-// compute nodes and enqueues the job. With InterruptibleRoutines the
-// send proceeds asynchronously (the ablation of the atomic-routine
-// serialization the paper blames for its 86% prediction ratio) and a
-// completion signal is returned so the caller can drain before sending
-// the iteration sentinel.
+// sendJob multicasts one job's operand stripes (2b² words, b² for an
+// opSYRK) to the compute nodes and enqueues the job. With
+// InterruptibleRoutines the send proceeds asynchronously (the ablation
+// of the atomic-routine serialization the paper blames for its 86%
+// prediction ratio) and a completion signal is returned so the caller
+// can drain before sending the iteration sentinel.
 func (lr *luRun) sendJob(pr *sim.Proc, node *machine.Node, t int, j *luJob, dsts []int) *sim.Signal {
 	bytes := 2 * lr.cfg.B * lr.cfg.B * machine.WordBytes
-	deliver := func() {
-		for _, dst := range dsts {
-			lr.boxes[dst].Put(j)
-		}
+	if lr.syrk(j) {
+		bytes /= 2
 	}
 	if lr.cfg.InterruptibleRoutines {
 		src := node.ID
@@ -676,7 +784,7 @@ func (lr *luRun) sendJob(pr *sim.Proc, node *machine.Node, t int, j *luJob, dsts
 		lr.sys.Eng.Go(sim.Name("lu.send", t, j.u, j.v), func(sp *sim.Proc) {
 			sp.SetPhase("broadcast")
 			lr.sys.Fab.Multicast(sp, src, dsts, bytes)
-			deliver()
+			lr.deliver(j, dsts)
 			done.Fire()
 		})
 		return done
@@ -685,8 +793,15 @@ func (lr *luRun) sendJob(pr *sim.Proc, node *machine.Node, t int, j *luJob, dsts
 	pr.SetPhase("broadcast")
 	lr.sys.Fab.Multicast(pr, node.ID, dsts, bytes)
 	pr.SetPhase(prevPhase)
-	deliver()
+	lr.deliver(j, dsts)
 	return nil
+}
+
+// deliver enqueues j on every compute node in dsts.
+func (lr *luRun) deliver(j *luJob, dsts []int) {
+	for _, dst := range dsts {
+		lr.boxes[dst].Put(j)
+	}
 }
 
 // runCompute is iteration t on a compute node: process the job stream —
@@ -716,31 +831,18 @@ func (lr *luRun) runCompute(pr *sim.Proc, node *machine.Node, me, t int, it *luI
 
 		var done *sim.Signal
 		if ch.fpgaCycles > 0 {
-			done = node.Accel.Job(sim.Name("lu.fpga", t, j.u, j.v, me), "opmm", ch.fpgaLag, ch.fpgaCycles)
+			done = node.Accel.Job(sim.Name(lr.f.fpga, t, j.u, j.v, me), "opmm", ch.fpgaLag, ch.fpgaCycles)
 		}
-		// CPU share: unpack the operand messages, stream the FPGA's
-		// operands to it, then run the software half of the multiply.
-		// Unpack carries no bytes (the wire span already counted the
-		// payload); the DMA charge carries the FPGA's operand volume.
-		// The three charges fuse into one engine park (ChargeCPUSeq).
+		// CPU share, its charges fused into one engine park.
 		var seq [3]sim.Charge
-		cs := seq[:0]
-		if ch.cpuRecv > 0 {
-			cs = append(cs, sim.Charge{Cat: sim.CatNetwork, Dt: ch.cpuRecv})
-		}
-		if ch.cpuDMA > 0 {
-			cs = append(cs, sim.Charge{Cat: sim.CatDMA, Bytes: ch.dmaBytes, Dt: ch.cpuDMA})
-		}
-		if ch.cpuGemm > 0 {
-			cs = append(cs, sim.Charge{Cat: sim.CatCompute, Dt: ch.cpuGemm})
-		}
-		node.ChargeCPUSeq(pr, cs)
+		node.ChargeCPUSeq(pr, ch.cpuCharges(seq[:0]))
 		if j.e != nil {
 			// Functional: this node produces its column slice of
-			// E = L10_u × U01_v (both the CPU's bp rows and the
-			// FPGA's bf rows — the arithmetic is identical).
+			// E = L10_u × U01_v, or L_u,t × L_v,tᵀ for a symmetric
+			// update (both the CPU's bp rows and the FPGA's bf rows —
+			// the arithmetic is identical).
 			eSlice := j.e.View(0, ci*w, lr.cfg.B, w)
-			dSlice := lr.blk(j.t, j.v).View(0, ci*w, lr.cfg.B, w)
+			dSlice := lr.operand(j).View(0, ci*w, lr.cfg.B, w)
 			matrix.Gemm(1, lr.blk(j.u, j.t), dSlice, 0, eSlice)
 		}
 		if done != nil {
@@ -750,10 +852,20 @@ func (lr *luRun) runCompute(pr *sim.Proc, node *machine.Node, me, t int, it *luI
 	}
 }
 
+// operand is job j's right factor: U_t,v, or L_v,tᵀ for a symmetric
+// update.
+func (lr *luRun) operand(j *luJob) *matrix.Dense {
+	if lr.f.symmetric {
+		return lr.blk(j.v, j.t).Transpose()
+	}
+	return lr.blk(j.t, j.v)
+}
+
 // forwardResult sends this node's slice of the job result to the opMS
 // owner (t” = max{u,v} in the paper's data distribution) and, once all
-// slices arrive, schedules the subtraction on the owner's processor. A
-// dead owner's update is remapped onto a surviving node.
+// slices arrive, schedules the subtraction on the owner's processor
+// (half an opMS for an opSYRK, a rank-b update of the lower triangle).
+// A dead owner's update is remapped onto a surviving node.
 func (lr *luRun) forwardResult(pr *sim.Proc, me, t int, j *luJob, it *luIter) {
 	p := lr.sys.Cfg.Nodes
 	owner := lr.cyc.UpdateOwner(j.u, j.v)
@@ -762,6 +874,9 @@ func (lr *luRun) forwardResult(pr *sim.Proc, me, t int, j *luJob, it *luIter) {
 	}
 	nc := it.count(p) - 1 // compute nodes contributing a slice
 	sliceBytes := lr.cfg.B * lr.cfg.B / nc * machine.WordBytes
+	if lr.syrk(j) {
+		sliceBytes /= 2
+	}
 	prevPhase := pr.Phase()
 	pr.SetPhase("scatter")
 	lr.sys.Fab.Transfer(pr, me, owner, sliceBytes)
@@ -774,11 +889,19 @@ func (lr *luRun) forwardResult(pr *sim.Proc, me, t int, j *luJob, it *luIter) {
 	ownerNode := lr.sys.Nodes[owner]
 	b := lr.cfg.B
 	unpack := float64(b*b*machine.WordBytes) / lr.lp.Bn
-	ownerNode.CPUTask(sim.Name("lu.opms", t, j.u, j.v), "opms", []sim.Charge{
+	sub := cpu.SubtractFlops(b)
+	if lr.syrk(j) {
+		unpack /= 2
+		sub /= 2
+	}
+	ownerNode.CPUTask(sim.Name(lr.f.opms, t, j.u, j.v), "opms", []sim.Charge{
 		{Cat: sim.CatNetwork, Dt: unpack},
-		{Cat: sim.CatCompute, Dt: ownerNode.Proc.Time(cpu.Subtract, cpu.SubtractFlops(b))},
+		{Cat: sim.CatCompute, Dt: ownerNode.Proc.Time(cpu.Subtract, sub)},
 	}, func() {
-		if j.e != nil {
+		switch {
+		case lr.syrk(j) && lr.a != nil:
+			matrix.Syrk(lr.blk(j.u, j.t), lr.blk(j.u, j.u))
+		case j.e != nil:
 			lr.blk(j.u, j.v).Sub(j.e)
 		}
 		it.pending--

@@ -85,13 +85,8 @@ func RunQR(cfg QRConfig) (*QRResult, error) {
 	// 4·rows·b²/(p-1) flops — the LU charge scaled by 2·rows/b.
 	baseCharge := opmmCharge(lp, q.Proc.Rate(cpu.DGEMM), bf, false)
 	chargeFor := func(rows int) jobCharge {
-		s := 2 * float64(rows) / float64(b)
-		c := baseCharge
+		c := baseCharge.scaled(2 * float64(rows) / float64(b))
 		c.cpuRecv = 0 // operands are node-local; only the panel arrives
-		c.cpuDMA *= s
-		c.dmaBytes = int64(s * float64(c.dmaBytes))
-		c.cpuGemm *= s
-		c.fpgaCycles *= s
 		return c
 	}
 
@@ -171,15 +166,8 @@ func RunQR(cfg QRConfig) (*QRResult, error) {
 						done = node.Accel.Job(sim.Name("qr.fpga", t, j, me), "update", ch.fpgaLag, ch.fpgaCycles)
 					}
 					// The CPU charges fuse into one engine park.
-					var seq [2]sim.Charge
-					cs := seq[:0]
-					if ch.cpuDMA > 0 {
-						cs = append(cs, sim.Charge{Cat: sim.CatDMA, Bytes: ch.dmaBytes, Dt: ch.cpuDMA})
-					}
-					if ch.cpuGemm > 0 {
-						cs = append(cs, sim.Charge{Cat: sim.CatCompute, Dt: ch.cpuGemm})
-					}
-					node.ChargeCPUSeq(pr, cs)
+					var seq [3]sim.Charge
+					node.ChargeCPUSeq(pr, ch.cpuCharges(seq[:0]))
 					if a != nil {
 						applyPanelSlice(a, tau, t, b, j*b+ci*w, w)
 					}
