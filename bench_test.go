@@ -547,11 +547,13 @@ func BenchmarkDesignSpaceSweep(b *testing.B) {
 // through the FPGA, Bd-bound) across the three design variants. Each
 // point takes its operator from the process-wide SpMV input memo,
 // solves the Equation (1) row split, and verifies the split apply bit
-// for bit against matrix.CSR.Apply. The b.N = 1 probe run that testing
-// makes before the timed runs generates the four operators, so every
-// timed iteration finds them memoized: ns/op tracks the sparse
-// pipeline without operator generation (BenchmarkRandomSparse
-// measures that).
+// for bit against the operator's sequential Apply. The b.N = 1 probe
+// run that testing makes before the timed runs generates the three
+// CSR operators, so every timed iteration finds them memoized: ns/op
+// tracks the sparse pipeline without CSR generation
+// (BenchmarkRandomSparse measures that). The dense operator is a
+// matrix.RandomDenseOp, whose entries each dense point regenerates as
+// it applies, so that cost stays in ns/op.
 // Tracked in BENCH_speed.json next to the DesignSpaceSweep sim
 // headline.
 func BenchmarkSpMVSweep(b *testing.B) {

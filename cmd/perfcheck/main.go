@@ -53,6 +53,7 @@ const regenerateNote = "Wall-clock perf baseline. Regenerate: " +
 	"go test -run '^$' -bench 'BenchmarkHeadline|BenchmarkSimEngine|BenchmarkLUFullSimulation|BenchmarkFWFullSimulation|BenchmarkDesignSpaceSweep|BenchmarkSpMVSweep|BenchmarkSolveCached' -benchtime=10x -benchmem . > bench.txt" +
 	" && go test -run '^$' -bench 'BenchmarkScreenedSweep' -benchtime=1x -benchmem . >> bench.txt" +
 	" && go test -run '^$' -bench . -benchtime=100x -benchmem ./internal/sim/ >> bench.txt" +
+	" && go test -run '^$' -bench 'BenchmarkRandomSparse' -benchtime=10x -benchmem ./internal/matrix/ >> bench.txt" +
 	" && go run ./cmd/perfcheck -update bench.txt"
 
 // parseBench extracts "<pkg>.<BenchmarkName>" -> Entry from `go test

@@ -44,10 +44,11 @@ type SpMVConfig struct {
 	RowsFPGA int
 	// Mode selects hybrid or a baseline.
 	Mode Mode
-	// Seed drives input generation. SpMV is always functional: every
-	// apply is verified against matrix.CSR.Apply (or the dense MatVec).
-	// Inputs are memoized process-wide by (N, Density, Seed); see
-	// loadMVInput.
+	// Seed drives input generation: the sparse operator and x0 are
+	// math/rand draws of it, and the dense operator is
+	// matrix.RandomDenseOp keyed by it. SpMV is always functional: every
+	// apply is verified against the operator's sequential Apply. Inputs
+	// are memoized process-wide by (N, Density, Seed); see loadMVInput.
 	Seed int64
 	// Observer, when non-nil, receives the structured telemetry stream
 	// (raw events and typed spans; see internal/trace.Recorder).
@@ -161,7 +162,7 @@ func sramWords(m machine.Config) int {
 func runMV(cfg SpMVConfig, applies int) (*SpMVResult, error) {
 	m, err := spmvApp.start(Spec{Machine: cfg.Machine, N: cfg.N, PEs: cfg.PEs, Mode: cfg.Mode,
 		Observer: cfg.Observer, Telemetry: cfg.Telemetry, Faults: cfg.Faults}, func() error {
-		return checkMVInput("spmv", cfg.N, cfg.Density, mvInputBytes(cfg.N, cfg.Density))
+		return checkMVInput("spmv", cfg.N, cfg.Density, mvNotionalBytes(cfg.N, cfg.Density))
 	})
 	if err != nil {
 		return nil, err
@@ -178,6 +179,12 @@ func runMV(cfg SpMVConfig, applies int) (*SpMVResult, error) {
 		return nil, err
 	}
 	op := in.op
+	if d, ok := op.(matrix.RandomDenseOp); ok && applies > 1 {
+		// Repeated applies would regenerate every entry twice per
+		// apply; this run's own stored copy, never memoized, keeps them
+		// at a stored matrix's speed.
+		op = matrix.DenseOp{A: d.Dense()}
+	}
 	var rowWords func(lo, hi int) int
 	var nnz int
 	if sp, ok := op.(*matrix.CSR); ok {
@@ -325,23 +332,29 @@ func checkMVInput(app string, n int, density float64, bytes int) error {
 
 // mvInputBudget caps the bytes of SpMV inputs the process keeps
 // between runs. It is sized to hold every sparse operator of a sweep's
-// SpMV grids at once; a dense n=2048 operator (32 MiB) exceeds it.
+// SpMV grids at once; a dense input weighs only its x0 (16 KiB at
+// n=2048), so it is memoized beside them.
 const mvInputBudget = 16 << 20
 
-// mvInputCap caps the bytes of one SpMV input (operator plus x0), so a
-// single run cannot ask for more memory than a shared process can
-// spare: 1 GiB admits a dense operator up to n = 11,584 and sparse ones
-// far larger. Runs over it fail before anything is allocated.
+// mvInputCap caps the notional bytes of one SpMV input (mvNotionalBytes:
+// operator stored explicitly, plus x0), so a single run cannot ask for
+// more memory or operator work than a shared process can spare: 1 GiB
+// admits a dense operator up to n = 11,584 and sparse ones far larger.
+// Runs over it fail before anything is built.
 const mvInputCap = 1 << 30
 
 // errMVInputTooLarge reports an input over mvInputCap.
 var errMVInputTooLarge = errors.New("input exceeds the SpMV input cap")
 
 // mvInput is the generated input of an SpMV/SpMM run: the operator and
-// the start vector x0, drawn from one rng seeded with the run's seed,
-// operator first. Both are read-only once built.
+// the start vector x0. A sparse operator and x0 are drawn from one rng
+// seeded with the run's seed, operator first; a dense operator draws
+// nothing from it. Both are read-only once built.
 type mvInput struct {
-	op    matrix.MulVec // *matrix.CSR, or matrix.DenseOp when density is 0
+	// op is a *matrix.CSR, or a matrix.RandomDenseOp keyed by the seed
+	// when density is 0, which regenerates its entries on every apply
+	// and stores nothing of size n².
+	op    matrix.MulVec
 	x0    []float64
 	bytes int // mvInputBytes of the key
 }
@@ -358,12 +371,23 @@ type mvKey struct {
 // into one generation, which runs outside the memo's locks.
 var mvInputs = cache.NewWeightedLoading[mvKey, *mvInput](mvInputBudget, func(in *mvInput) int { return in.bytes })
 
-// mvInputBytes returns the heap bytes of the input for (n, density):
-// the CSR arrays (row pointers, column indices, values) or the dense
-// matrix, plus x0. It sizes in float64, which is exact below 2^53 bytes
+// mvInputBytes returns the heap bytes of the input for (n, density),
+// its weight in the memo: the CSR arrays plus x0, or x0 alone for a
+// dense operator. n must already be within mvInputCap.
+func mvInputBytes(n int, density float64) int {
+	if density > 0 {
+		return mvNotionalBytes(n, density)
+	}
+	return 8 * n
+}
+
+// mvNotionalBytes returns the bytes of the input for (n, density) with
+// its operator stored explicitly: the CSR arrays (row pointers, column
+// indices, values) or the n×n dense matrix, plus x0. mvInputCap weighs
+// inputs by it. It sizes in float64, which is exact below 2^53 bytes
 // and cannot overflow, and saturates at math.MaxInt, so any n, however
 // large, compares correctly against mvInputCap.
-func mvInputBytes(n int, density float64) int {
+func mvNotionalBytes(n int, density float64) int {
 	const word = 8
 	fn := float64(n)
 	words := fn*fn + fn
@@ -403,7 +427,7 @@ func buildMVInput(k mvKey, bytes int) *mvInput {
 	if k.density > 0 {
 		in.op = matrix.RandomSparse(k.n, k.density, rng)
 	} else {
-		in.op = matrix.DenseOp{A: matrix.Random(k.n, k.n, rng)}
+		in.op = matrix.RandomDenseOp{N: k.n, Seed: k.seed}
 	}
 	for i := range in.x0 {
 		in.x0[i] = 2*rng.Float64() - 1

@@ -198,26 +198,36 @@ func TestMVInputMemoCoalescesConcurrentMisses(t *testing.T) {
 }
 
 // TestMVInputBytes pins the memo's byte sizing to the arrays a
-// generation actually allocates.
+// generation actually allocates (a dense input holds only x0), and the
+// cap's notional sizing to the same arrays with a dense operator
+// stored as n×n.
 func TestMVInputBytes(t *testing.T) {
-	for _, k := range []mvKey{{1, 0, 1}, {1, 1, 1}, {64, 1, 1}, {300, 0.03, 2}, {512, 0, 3}, {2048, 0.1, 4}} {
+	for _, k := range []mvKey{{1, 0, 1}, {1, 1, 1}, {64, 1, 1}, {300, 0.03, 2}, {512, 0, 3}, {2048, 0, 3}, {2048, 0.1, 4}} {
 		in := buildMVInput(k, mvInputBytes(k.n, k.density))
-		want := 8 * len(in.x0)
-		if sp, ok := in.op.(*matrix.CSR); ok {
-			want += 8*(k.n+1) + 16*sp.NNZ()
-		} else {
-			want += 8 * k.n * k.n
+		want, notional := 8*len(in.x0), 8*len(in.x0)
+		switch op := in.op.(type) {
+		case *matrix.CSR:
+			want += 8*(k.n+1) + 16*op.NNZ()
+			notional = want
+		case matrix.RandomDenseOp:
+			notional += 8 * k.n * k.n
+		default:
+			t.Fatalf("%+v: operator %T", k, op)
 		}
 		if in.bytes != want {
 			t.Errorf("%+v: mvInputBytes = %d, allocated %d", k, in.bytes, want)
+		}
+		if got := mvNotionalBytes(k.n, k.density); got != notional {
+			t.Errorf("%+v: mvNotionalBytes = %d, want %d", k, got, notional)
 		}
 	}
 }
 
 // TestMVInputMemoBudget checks the byte budget: cached bytes never
-// exceed it, eviction drops the least recently used input, and an
-// input larger than the budget (the sweep's dense n=2048 operator)
-// empties the memo and is not cached.
+// exceed it, eviction drops the least recently used input, an input
+// larger than the budget (a sparse n=8192 operator at density 0.02,
+// 21 MiB) empties the memo and is not cached, and a dense input is
+// memoized at its x0 weight beside the sparse ones.
 func TestMVInputMemoBudget(t *testing.T) {
 	mvInputs.Clear()
 	keys := []mvKey{
@@ -245,14 +255,28 @@ func TestMVInputMemoBudget(t *testing.T) {
 		t.Fatalf("memo holds %v, want %v (b evicted as least recently used)", got, want)
 	}
 
-	// The dense n=2048 operator (32 MiB) is over budget.
+	// The dense n=2048 input weighs its 16 KiB x0: it is memoized and
+	// evicts neither sparse input.
 	dense := mvKey{2048, 0, 1}
+	in := mustLoadMVInput(t, dense)
+	if in.bytes != 8*dense.n {
+		t.Fatalf("dense n=2048 input weighs %d bytes, want its x0's %d", in.bytes, 8*dense.n)
+	}
+	if got := mustLoadMVInput(t, dense); got != in {
+		t.Fatal("the dense input was generated again")
+	}
+	if got, want := memoKeys(), []mvKey{dense, c, a}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("memo holds %v, want %v (the dense input evicts nothing)", got, want)
+	}
+
+	// A sparse n=8192 operator at density 0.02 is over budget.
+	big := mvKey{8192, 0.02, 1}
 	var built []*mvInput
 	for i := 0; i < 2; i++ {
-		in := mustLoadMVInput(t, dense)
+		in := mustLoadMVInput(t, big)
 		built = append(built, in)
 		if in.bytes <= mvInputBudget {
-			t.Fatalf("dense n=2048 input is %d bytes, within the %d-byte budget", in.bytes, mvInputBudget)
+			t.Fatalf("%+v input is %d bytes, within the %d-byte budget", big, in.bytes, mvInputBudget)
 		}
 		if mvInputs.Len() != 0 {
 			t.Fatalf("memo holds %v after the over-budget input, want empty", memoKeys())
@@ -260,6 +284,29 @@ func TestMVInputMemoBudget(t *testing.T) {
 	}
 	if built[0] == built[1] {
 		t.Fatal("the over-budget input was served from the memo")
+	}
+}
+
+// TestDenseSpMVAllocatesNoMatrix fails if a dense SpMV run stores its
+// n×n operator again: with the input memoized, one dense n=2048 run
+// (a 32 MiB matrix if stored) allocates under 1 MiB in all.
+func TestDenseSpMVAllocatesNoMatrix(t *testing.T) {
+	cfg := SpMVConfig{N: 2048, Density: 0, RowsFPGA: -1, Mode: Hybrid, Seed: 1}
+	if _, err := RunSpMV(cfg); err != nil { // warms the memo
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, err := RunSpMV(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Errorf("dense n=2048 RunSpMV allocated %d bytes on a warm memo", alloc)
+	}
+	if r.MaxResidual != 0 {
+		t.Errorf("dense split apply differs from the reference by %g", r.MaxResidual)
 	}
 }
 
@@ -314,10 +361,15 @@ func TestSpMVInputCap(t *testing.T) {
 			t.Errorf("n=1<<40 density %g: err %v, want the input cap error", density, err)
 		}
 	}
-	if b := mvInputBytes(11584, 0); b > mvInputCap {
-		t.Errorf("dense n=11584 sizes at %d bytes, over the %d-byte cap", b, mvInputCap)
+	// The cap weighs a dense input by its notional n×n operator, though
+	// the memo weighs it by x0 alone; no such operator is run.
+	if err := checkMVInput("spmv", 11584, 0, mvNotionalBytes(11584, 0)); err != nil {
+		t.Errorf("dense n=11584: %v, want it within the cap", err)
 	}
-	if b := mvInputBytes(11585, 0); b <= mvInputCap {
-		t.Errorf("dense n=11585 sizes at %d bytes, within the %d-byte cap", b, mvInputCap)
+	if err := checkMVInput("spmv", 11585, 0, mvNotionalBytes(11585, 0)); !errors.Is(err, errMVInputTooLarge) {
+		t.Errorf("dense n=11585: err %v, want the input cap error", err)
+	}
+	if b := mvInputBytes(11585, 0); b != 8*11585 {
+		t.Errorf("dense n=11585 weighs %d bytes in the memo, want x0's %d", b, 8*11585)
 	}
 }

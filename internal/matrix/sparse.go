@@ -154,9 +154,9 @@ func SparseRowNNZ(n int, density float64) int {
 
 // RandomSparse returns an n×n CSR matrix with approximately the given
 // off-diagonal density and a dominance-boosted diagonal, built row by
-// row in O(nnz) memory — unlike RandomSparseSPD it never materializes a
-// dense intermediate, so it scales to the operator sizes the sweep and
-// hybridsim use. Each row holds the diagonal plus SparseRowNNZ(n, density)
+// row in O(nnz) memory — unlike RandomSparseSPD it also draws only
+// O(nnz) random numbers, so it scales to the operator sizes the sweep
+// and hybridsim use. Each row holds the diagonal plus SparseRowNNZ(n, density)
 // distinct off-diagonal entries at rng-chosen columns; the result is
 // deterministic for a given seed.
 //
@@ -233,28 +233,70 @@ func RandomSparse(n int, density float64, rng *rand.Rand) *CSR {
 
 // RandomSparseSPD returns a sparse symmetric positive-definite matrix:
 // a symmetric pattern of the given off-diagonal density with a
-// dominance-boosted diagonal.
+// dominance-boosted diagonal (each diagonal entry is its row's absolute
+// off-diagonal sum plus one). The strict lower triangle is drawn row by
+// row, one rng draw per (i, j < i) deciding the entry and one more
+// giving its value, so generation costs O(n²) draws; the CSR is then
+// assembled in O(nnz) memory, the upper triangle as the lower one's
+// transpose.
 func RandomSparseSPD(n int, density float64, rng *rand.Rand) *CSR {
-	d := New(n, n)
+	// The strict lower triangle in CSR order.
+	lowPtr := make([]int, n+1)
+	var lowCol []int
+	var lowVal []float64
 	for i := 0; i < n; i++ {
 		for j := 0; j < i; j++ {
 			if rng.Float64() < density {
-				v := 2*rng.Float64() - 1
-				d.Set(i, j, v)
-				d.Set(j, i, v)
+				// A zero value stores nothing, as in a dense pattern.
+				if v := 2*rng.Float64() - 1; v != 0 {
+					lowCol = append(lowCol, j)
+					lowVal = append(lowVal, v)
+				}
 			}
 		}
+		lowPtr[i+1] = len(lowVal)
+	}
+	// Row i holds its lower entries, the diagonal, then column i of the
+	// lower triangle, which rows below it fill in ascending order;
+	// next[i] is where row i's next upper entry goes.
+	rowPtr := make([]int, n+1)
+	for _, j := range lowCol {
+		rowPtr[j+1]++
 	}
 	for i := 0; i < n; i++ {
+		rowPtr[i+1] += rowPtr[i] + lowPtr[i+1] - lowPtr[i] + 1
+	}
+	colIdx := make([]int, rowPtr[n])
+	vals := make([]float64, rowPtr[n])
+	next := make([]int, n)
+	for i := 0; i < n; i++ {
+		at := rowPtr[i]
+		for k := lowPtr[i]; k < lowPtr[i+1]; k++ {
+			j := lowCol[k]
+			colIdx[at], vals[at] = j, lowVal[k]
+			at++
+			colIdx[next[j]], vals[next[j]] = i, lowVal[k]
+			next[j]++
+		}
+		colIdx[at] = i
+		next[i] = at + 1
+	}
+	// The diagonal sums its row in column order, its own slot still
+	// zero.
+	for i := 0; i < n; i++ {
 		var s float64
-		for _, v := range d.Row(i) {
+		for _, v := range vals[rowPtr[i]:rowPtr[i+1]] {
 			if v < 0 {
 				s -= v
 			} else {
 				s += v
 			}
 		}
-		d.Set(i, i, s+1)
+		vals[rowPtr[i]+lowPtr[i+1]-lowPtr[i]] = s + 1
 	}
-	return FromDense(d)
+	sp, err := NewCSR(n, n, rowPtr, colIdx, vals)
+	if err != nil {
+		panic("matrix: internal RandomSparseSPD construction: " + err.Error())
+	}
+	return sp
 }

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -106,7 +107,9 @@ func BenchmarkRandomSparse(b *testing.B) {
 	}{
 		{"n=2048/d=0.1", 2048, 0.1},
 		{"n=2048/d=0.01", 2048, 0.01},
-		{"n=100000/d=1e-5", 100000, 1e-5},
+		// Written out so that no case name ends in "-<digits>", which
+		// perfcheck would strip as a GOMAXPROCS suffix.
+		{"n=100000/d=0.00001", 100000, 1e-5},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
@@ -121,3 +124,57 @@ func BenchmarkRandomSparse(b *testing.B) {
 // sparseSink keeps the benchmarked construction from being optimized
 // away.
 var sparseSink *CSR
+
+// randomSparseSPDRef is the RandomSparseSPD that filled an n×n dense
+// scratch and compressed it, kept only as the reference
+// TestRandomSparseSPDMatchesReference compares against.
+func randomSparseSPDRef(n int, density float64, rng *rand.Rand) *CSR {
+	d := New(n, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < i; j++ {
+			if rng.Float64() < density {
+				v := 2*rng.Float64() - 1
+				d.Set(i, j, v)
+				d.Set(j, i, v)
+			}
+		}
+	}
+	for i := 0; i < n; i++ {
+		var s float64
+		for _, v := range d.Row(i) {
+			if v < 0 {
+				s -= v
+			} else {
+				s += v
+			}
+		}
+		d.Set(i, i, s+1)
+	}
+	return FromDense(d)
+}
+
+// TestRandomSparseSPDMatchesReference pins the direct CSR build of
+// RandomSparseSPD to the dense-scratch reference: the same structure,
+// bit-identical values, and the rng left at the same position.
+func TestRandomSparseSPDMatchesReference(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 3, 17, 64, 300} {
+		for _, density := range []float64{0, 0.01, 0.1, 0.5, 1} {
+			for seed := int64(1); seed <= 3; seed++ {
+				gotRNG, wantRNG := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+				got := RandomSparseSPD(n, density, gotRNG)
+				want := randomSparseSPDRef(n, density, wantRNG)
+				same := got.rows == want.rows && got.cols == want.cols &&
+					slices.Equal(got.rowPtr, want.rowPtr) && slices.Equal(got.colIdx, want.colIdx) &&
+					slices.EqualFunc(got.vals, want.vals, func(a, b float64) bool {
+						return math.Float64bits(a) == math.Float64bits(b)
+					})
+				if !same {
+					t.Fatalf("n=%d density=%g seed=%d: RandomSparseSPD differs from the reference", n, density, seed)
+				}
+				if g, w := gotRNG.Int63(), wantRNG.Int63(); g != w {
+					t.Fatalf("n=%d density=%g seed=%d: rng left at a different position", n, density, seed)
+				}
+			}
+		}
+	}
+}

@@ -67,6 +67,54 @@ func TestMatVecRangeCoversMatVec(t *testing.T) {
 	}
 }
 
+// TestRandomDenseOpApplies checks the implicit operator against its
+// stored form: a row-split apply and the stored matrix's MatVec both
+// reproduce Apply bit for bit, every entry lies in [-1, 1), and the
+// seed, not the row or column alone, keys the entries.
+func TestRandomDenseOpApplies(t *testing.T) {
+	rng := rand.New(rand.NewSource(503))
+	for _, n := range []int{1, 2, 7, 64, 129} {
+		op := RandomDenseOp{N: n, Seed: 5}
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = 2*rng.Float64() - 1
+		}
+		full := make([]float64, n)
+		op.Apply(x, full)
+		split, stored := make([]float64, n), make([]float64, n)
+		op.ApplyRange(x, split, 0, n/3)
+		op.ApplyRange(x, split, n/3, n)
+		d := op.Dense()
+		MatVec(d, x, stored)
+		for i := range full {
+			if math.Float64bits(split[i]) != math.Float64bits(full[i]) ||
+				math.Float64bits(stored[i]) != math.Float64bits(full[i]) {
+				t.Fatalf("n=%d row %d: Apply %v, split %v, stored %v", n, i, full[i], split[i], stored[i])
+			}
+		}
+		other := RandomDenseOp{N: n, Seed: 6}.Dense()
+		same := 0
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if v := d.At(i, j); !(v >= -1 && v < 1) {
+					t.Fatalf("n=%d entry (%d,%d) = %v, outside [-1, 1)", n, i, j, v)
+				}
+				if d.At(i, j) == other.At(i, j) {
+					same++
+				}
+			}
+		}
+		if same > 0 {
+			t.Fatalf("n=%d: seeds 5 and 6 share %d entries", n, same)
+		}
+	}
+	// Entry (i, j) depends on j within a row and on i within a column.
+	d := RandomDenseOp{N: 3, Seed: 1}.Dense()
+	if d.At(0, 0) == d.At(0, 1) || d.At(0, 0) == d.At(1, 0) {
+		t.Fatalf("entries repeat along a row or column: %v", d)
+	}
+}
+
 func TestCGSolvesDenseSystem(t *testing.T) {
 	rng := rand.New(rand.NewSource(502))
 	a := RandomSPD(40, rng)
