@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	doccheck codesign.go internal/sweep        # the CI invocation
+//	doccheck codesign.go internal/sweep        # CI's doc lint step lists every checked path
 //	doccheck ./internal/...                    # (no pattern expansion; list dirs explicitly)
 //
 // Exit status is 1 when any identifier is undocumented, with one line

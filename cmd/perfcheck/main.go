@@ -58,12 +58,16 @@ const regenerateNote = "Wall-clock perf baseline. Regenerate: " +
 
 // parseBench extracts "<pkg>.<BenchmarkName>" -> Entry from `go test
 // -bench` output. Benchmark names are normalized by stripping the
-// -GOMAXPROCS suffix and any /subtest separator stays intact; "pkg:"
-// lines qualify subsequent benchmarks. A measurement that is not a
-// finite, non-negative number is an error naming its line, since the
-// ratio gates in check would silently pass it.
+// -GOMAXPROCS suffix (see procsSuffix) and any /subtest separator stays
+// intact; "pkg:" lines qualify subsequent benchmarks. A measurement
+// that is not a finite, non-negative number is an error naming its
+// line, since the ratio gates in check would silently pass it.
 func parseBench(r io.Reader) (map[string]Entry, error) {
-	out := map[string]Entry{}
+	type result struct {
+		pkg, name string
+		e         Entry
+	}
+	var results []result
 	pkg := ""
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -79,12 +83,6 @@ func parseBench(r io.Reader) (map[string]Entry, error) {
 		f := strings.Fields(line)
 		if len(f) < 4 {
 			continue
-		}
-		name := f[0]
-		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i]
-			}
 		}
 		e := Entry{}
 		seen := false
@@ -106,16 +104,47 @@ func parseBench(r io.Reader) (map[string]Entry, error) {
 				e.AllocsOp = v
 			}
 		}
-		if !seen {
-			continue
+		if seen {
+			results = append(results, result{pkg, f[0], e})
 		}
-		key := name
-		if pkg != "" {
-			key = pkg + "." + name
-		}
-		out[key] = e
 	}
-	return out, sc.Err()
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	names := make([]string, len(results))
+	for i, res := range results {
+		names[i] = res.name
+	}
+	suffix := procsSuffix(names)
+	out := make(map[string]Entry, len(results))
+	for _, res := range results {
+		key := strings.TrimSuffix(res.name, suffix)
+		if res.pkg != "" {
+			key = res.pkg + "." + key
+		}
+		out[key] = res.e
+	}
+	return out, nil
+}
+
+// procsSuffix returns the "-N" suffix every name ends in, or "" when
+// they do not all end in the same one. `go test` appends -N to every
+// benchmark name when it runs at one GOMAXPROCS N > 1, and nothing at
+// GOMAXPROCS 1, so a name such as BenchmarkX/d=1e-5 keeps its digits
+// unless every other line carries the same suffix too.
+func procsSuffix(names []string) string {
+	suffix := ""
+	for _, name := range names {
+		i := strings.LastIndex(name, "-")
+		if i <= 0 || i == len(name)-1 || strings.Trim(name[i+1:], "0123456789") != "" {
+			return ""
+		}
+		if suffix != "" && name[i:] != suffix {
+			return ""
+		}
+		suffix = name[i:]
+	}
+	return suffix
 }
 
 // check compares measured entries against the baseline and returns the

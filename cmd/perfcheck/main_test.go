@@ -56,6 +56,38 @@ func TestParseBench(t *testing.T) {
 	}
 }
 
+// TestParseBenchProcsSuffix: a -N suffix is stripped only when every
+// benchmark line carries the same one, as `go test` prints at one
+// GOMAXPROCS above 1; at -cpu 1 there is no suffix, so names that end
+// in -<digits> are kept whole.
+func TestParseBenchProcsSuffix(t *testing.T) {
+	names := []string{
+		"BenchmarkRandomSparse/n=100000/d=1e-5",
+		"BenchmarkRandomSparse/n=2048/d=0.01",
+		"BenchmarkSweep/workers-2",
+	}
+	for _, suffix := range []string{"", "-8"} {
+		var in strings.Builder
+		in.WriteString("pkg: codesign/internal/matrix\n")
+		for i, name := range names {
+			fmt.Fprintf(&in, "%s%s   10   %d ns/op   6 allocs/op\n", name, suffix, 1000+i)
+		}
+		got, err := parseBench(strings.NewReader(in.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(names) {
+			t.Errorf("suffix %q: parsed %v, want %d entries", suffix, got, len(names))
+		}
+		for i, name := range names {
+			key := "codesign/internal/matrix." + name
+			if e, ok := got[key]; !ok || e.NsOp != float64(1000+i) {
+				t.Errorf("suffix %q: %s = %+v, %v; want ns_op %d", suffix, key, e, ok, 1000+i)
+			}
+		}
+	}
+}
+
 func TestParseBenchCustomMetricIgnored(t *testing.T) {
 	got, err := parseBench(strings.NewReader(
 		"BenchmarkX-16 100 50 ns/op 123 events/s 7 allocs/op\n"))

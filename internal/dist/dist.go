@@ -8,22 +8,12 @@ import "fmt"
 // equivalently, block (u,v) belongs to the node owning min(u,v) mod p
 // (the cross of rows and columns it anchors).
 type Cyclic struct {
+	// NB is the block-grid dimension and P the node count.
 	NB, P int
 }
 
-// NewCyclic builds the distribution for an nb×nb grid over p nodes.
-// It panics on bad geometry — use CheckedCyclic when nb and p derive
-// from user input.
-func NewCyclic(nb, p int) Cyclic {
-	c, err := CheckedCyclic(nb, p)
-	if err != nil {
-		panic(err.Error())
-	}
-	return c
-}
-
-// CheckedCyclic is NewCyclic returning an error instead of panicking,
-// for geometry derived from user-supplied configuration.
+// CheckedCyclic builds the distribution for an nb×nb grid over p
+// nodes, or returns an error naming the bad geometry.
 func CheckedCyclic(nb, p int) (Cyclic, error) {
 	if nb < 1 || p < 1 {
 		return Cyclic{}, fmt.Errorf("dist: bad cyclic geometry nb=%d p=%d", nb, p)
@@ -47,10 +37,6 @@ func (c Cyclic) check(u, v int) {
 	}
 }
 
-// PanelOwner returns the node that runs iteration t's panel operations
-// (t' = t mod p, the owner of the diagonal block).
-func (c Cyclic) PanelOwner(t int) int { return t % c.P }
-
 // UpdateOwner returns the node the paper routes opMM results to for the
 // trailing update of block (u, v): t” = max{u, v} (mapped onto the p
 // nodes), per Section 5.1.3.
@@ -62,64 +48,17 @@ func (c Cyclic) UpdateOwner(u, v int) int {
 	return u % c.P
 }
 
-// LocalBlocks returns the blocks node i stores, in row-major order.
-func (c Cyclic) LocalBlocks(i int) [][2]int {
-	var out [][2]int
-	for u := 0; u < c.NB; u++ {
-		for v := 0; v < c.NB; v++ {
-			if c.Owner(u, v) == i {
-				out = append(out, [2]int{u, v})
-			}
-		}
-	}
-	return out
-}
-
-// Counts returns the number of blocks stored per node.
-func (c Cyclic) Counts() []int {
-	counts := make([]int, c.P)
-	for u := 0; u < c.NB; u++ {
-		for v := 0; v < c.NB; v++ {
-			counts[c.Owner(u, v)]++
-		}
-	}
-	return counts
-}
-
-// Imbalance returns max/mean of the per-node block counts (1 = perfect).
-func (c Cyclic) Imbalance() float64 {
-	counts := c.Counts()
-	maxC, sum := 0, 0
-	for _, v := range counts {
-		if v > maxC {
-			maxC = v
-		}
-		sum += v
-	}
-	mean := float64(sum) / float64(len(counts))
-	return float64(maxC) / mean
-}
-
 // ColumnBlocks is the Floyd-Warshall design's distribution: node i
 // stores nb/p contiguous block columns (Section 5.2.3: "P_i stores
 // columns in/(bp) ... ((i+1)n/(bp))-1").
 type ColumnBlocks struct {
+	// NB is the number of block columns and P the node count.
 	NB, P int
 }
 
-// NewColumnBlocks builds the distribution; p must divide nb. It panics
-// on bad geometry — use CheckedColumnBlocks when nb and p derive from
-// user input.
-func NewColumnBlocks(nb, p int) ColumnBlocks {
-	d, err := CheckedColumnBlocks(nb, p)
-	if err != nil {
-		panic(err.Error())
-	}
-	return d
-}
-
-// CheckedColumnBlocks is NewColumnBlocks returning an error instead of
-// panicking, for geometry derived from user-supplied configuration.
+// CheckedColumnBlocks builds the distribution of nb block columns over
+// p nodes, or returns an error naming the bad geometry; p must divide
+// nb.
 func CheckedColumnBlocks(nb, p int) (ColumnBlocks, error) {
 	if nb < 1 || p < 1 || nb%p != 0 {
 		return ColumnBlocks{}, fmt.Errorf("dist: bad column geometry nb=%d p=%d", nb, p)
@@ -138,14 +77,3 @@ func (d ColumnBlocks) Owner(v int) int {
 	}
 	return v / d.PerNode()
 }
-
-// Columns returns node i's contiguous column range [lo, hi).
-func (d ColumnBlocks) Columns(i int) (lo, hi int) {
-	if i < 0 || i >= d.P {
-		panic(fmt.Sprintf("dist: node %d outside %d", i, d.P))
-	}
-	return i * d.PerNode(), (i + 1) * d.PerNode()
-}
-
-// PivotOwner returns the node running iteration t's op1/op22 chain.
-func (d ColumnBlocks) PivotOwner(t int) int { return d.Owner(t) }

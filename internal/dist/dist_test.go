@@ -5,8 +5,26 @@ import (
 	"testing/quick"
 )
 
+func cyclic(t *testing.T, nb, p int) Cyclic {
+	t.Helper()
+	c, err := CheckedCyclic(nb, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+func columnBlocks(t *testing.T, nb, p int) ColumnBlocks {
+	t.Helper()
+	d, err := CheckedColumnBlocks(nb, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
 func TestCyclicOwnerSymmetric(t *testing.T) {
-	c := NewCyclic(10, 6)
+	c := cyclic(t, 10, 6)
 	for u := 0; u < 10; u++ {
 		for v := 0; v < 10; v++ {
 			if c.Owner(u, v) != c.Owner(v, u) {
@@ -17,7 +35,7 @@ func TestCyclicOwnerSymmetric(t *testing.T) {
 }
 
 func TestCyclicOwnerIsMinModP(t *testing.T) {
-	c := NewCyclic(10, 6)
+	c := cyclic(t, 10, 6)
 	if c.Owner(3, 7) != 3 || c.Owner(7, 3) != 3 {
 		t.Fatal("owner of (3,7) should be 3")
 	}
@@ -27,56 +45,13 @@ func TestCyclicOwnerIsMinModP(t *testing.T) {
 }
 
 func TestCyclicPanelOwner(t *testing.T) {
-	c := NewCyclic(10, 6)
+	// Iteration t's panel runs on node t mod p, which must store the
+	// diagonal block.
+	c := cyclic(t, 10, 6)
 	for tt := 0; tt < 10; tt++ {
-		if c.PanelOwner(tt) != tt%6 {
-			t.Fatalf("panel owner of %d", tt)
-		}
-		// The panel owner stores the diagonal block.
-		if c.Owner(tt, tt) != c.PanelOwner(tt) {
+		if c.Owner(tt, tt) != tt%6 {
 			t.Fatalf("diagonal block %d not on the panel node", tt)
 		}
-	}
-}
-
-func TestCyclicPartition(t *testing.T) {
-	// Every block is owned by exactly one node and the local lists
-	// cover the grid.
-	c := NewCyclic(8, 3)
-	seen := map[[2]int]int{}
-	for i := 0; i < 3; i++ {
-		for _, b := range c.LocalBlocks(i) {
-			if prev, dup := seen[b]; dup {
-				t.Fatalf("block %v owned by %d and %d", b, prev, i)
-			}
-			seen[b] = i
-			if c.Owner(b[0], b[1]) != i {
-				t.Fatalf("LocalBlocks disagrees with Owner at %v", b)
-			}
-		}
-	}
-	if len(seen) != 64 {
-		t.Fatalf("covered %d of 64 blocks", len(seen))
-	}
-}
-
-func TestCyclicCountsSum(t *testing.T) {
-	c := NewCyclic(12, 5)
-	sum := 0
-	for _, v := range c.Counts() {
-		sum += v
-	}
-	if sum != 144 {
-		t.Fatalf("counts sum %d", sum)
-	}
-}
-
-func TestCyclicImbalance(t *testing.T) {
-	// With nb a multiple of p the cross layout is near balanced; the
-	// imbalance must stay modest.
-	c := NewCyclic(12, 6)
-	if im := c.Imbalance(); im < 1 || im > 2 {
-		t.Fatalf("imbalance = %v", im)
 	}
 }
 
@@ -84,7 +59,10 @@ func TestQuickCyclicOwnerInRange(t *testing.T) {
 	f := func(raw uint32) bool {
 		nb := int(raw%20) + 1
 		p := int(raw/20%6) + 1
-		c := NewCyclic(nb, p)
+		c, err := CheckedCyclic(nb, p)
+		if err != nil {
+			return false
+		}
 		for u := 0; u < nb; u++ {
 			for v := 0; v < nb; v++ {
 				o := c.Owner(u, v)
@@ -100,26 +78,18 @@ func TestQuickCyclicOwnerInRange(t *testing.T) {
 	}
 }
 
-func TestCyclicBadGeometryPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewCyclic(0, 3)
-}
-
 func TestCyclicOutOfRangePanics(t *testing.T) {
+	c := cyclic(t, 4, 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewCyclic(4, 2).Owner(4, 0)
+	c.Owner(4, 0)
 }
 
 func TestColumnBlocks(t *testing.T) {
-	d := NewColumnBlocks(12, 6)
+	d := columnBlocks(t, 12, 6)
 	if d.PerNode() != 2 {
 		t.Fatalf("per node = %d", d.PerNode())
 	}
@@ -129,63 +99,46 @@ func TestColumnBlocks(t *testing.T) {
 			t.Fatalf("owner(%d) = %d, want %d", v, d.Owner(v), want)
 		}
 	}
-	lo, hi := d.Columns(3)
-	if lo != 6 || hi != 8 {
-		t.Fatalf("columns(3) = [%d,%d)", lo, hi)
-	}
-	if d.PivotOwner(7) != 3 {
-		t.Fatalf("pivot owner of 7 = %d", d.PivotOwner(7))
-	}
 }
 
 func TestColumnBlocksPaperExample(t *testing.T) {
 	// Figure 4's setting: nb=8, p=4 → 2 columns per node; iteration
 	// t=2's pivot column is owned by node 1.
-	d := NewColumnBlocks(8, 4)
-	if d.PivotOwner(2) != 1 {
-		t.Fatalf("paper example: pivot owner = %d, want 1", d.PivotOwner(2))
+	d := columnBlocks(t, 8, 4)
+	if d.Owner(2) != 1 {
+		t.Fatalf("paper example: pivot owner = %d, want 1", d.Owner(2))
 	}
 }
 
-func TestColumnBlocksValidation(t *testing.T) {
+func TestColumnBlocksOutOfRange(t *testing.T) {
+	d := columnBlocks(t, 8, 4)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewColumnBlocks(10, 4) // 4 does not divide 10
-}
-
-func TestColumnBlocksOutOfRange(t *testing.T) {
-	d := NewColumnBlocks(8, 4)
-	for _, f := range []func(){
-		func() { d.Owner(8) },
-		func() { d.Columns(4) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
-			}()
-			f()
-		}()
-	}
+	d.Owner(8)
 }
 
 func TestCheckedConstructors(t *testing.T) {
 	if _, err := CheckedCyclic(0, 4); err == nil {
 		t.Error("CheckedCyclic accepted nb=0")
 	}
+	if _, err := CheckedCyclic(4, 0); err == nil {
+		t.Error("CheckedCyclic accepted p=0")
+	}
 	if _, err := CheckedColumnBlocks(10, 4); err == nil {
 		t.Error("CheckedColumnBlocks accepted indivisible geometry")
 	}
+	if _, err := CheckedColumnBlocks(0, 4); err == nil {
+		t.Error("CheckedColumnBlocks accepted nb=0")
+	}
 	c, err := CheckedCyclic(10, 4)
-	if err != nil || c != NewCyclic(10, 4) {
+	if err != nil || c != (Cyclic{NB: 10, P: 4}) {
 		t.Errorf("CheckedCyclic(10,4) = %+v, %v", c, err)
 	}
 	d, err := CheckedColumnBlocks(8, 4)
-	if err != nil || d != NewColumnBlocks(8, 4) {
+	if err != nil || d != (ColumnBlocks{NB: 8, P: 4}) {
 		t.Errorf("CheckedColumnBlocks(8,4) = %+v, %v", d, err)
 	}
 }

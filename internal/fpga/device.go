@@ -34,8 +34,11 @@ func XC4VLX200() Device {
 
 // Usage is the resource consumption of a design instance.
 type Usage struct {
-	Slices      int
-	BlockRAMs   int
+	// Slices is the logic slice count.
+	Slices int
+	// BlockRAMs is the number of 18 kb block RAMs.
+	BlockRAMs int
+	// Multipliers is the number of embedded 18×18 multipliers.
 	Multipliers int
 }
 
@@ -82,7 +85,9 @@ func routingModel(d Design, dev Device) float64 {
 
 // Placed is a design mapped onto a device with a closed clock.
 type Placed struct {
+	// Design is the placed design.
 	Design Design
+	// Device is the part the design was placed on.
 	Device Device
 	// FreqHz is the achieved clock frequency (the model's Ff).
 	FreqHz float64

@@ -4,7 +4,6 @@
 // elements fit and what clock frequency the placed design achieves, the
 // two PE-array designs the paper instantiates (the matrix multiplier of
 // Zhuo-Prasanna [21] and the Floyd-Warshall array of Bondhugula et al.
-// [18]) with their published cycle-count models, bit-exact functional
-// kernels built on internal/fpmath, and the control/status registers
-// the processor uses for coordination (Section 4.4).
+// [18]) with their published cycle-count models, and bit-exact
+// functional kernels built on internal/fpmath.
 package fpga

@@ -12,6 +12,7 @@ import (
 // (Of = 2k). A b×b block operation takes 2b³/k cycles; the design
 // needs 2k² words of on-chip memory and 2b² words of on-board SRAM.
 type FWDesign struct {
+	// K is the PE count.
 	K int
 }
 
@@ -66,9 +67,6 @@ func (d FWDesign) Cycles(b int) float64 {
 	fill := float64(fpmath.Adder64.PipelineStages + fpmath.Comparator64.PipelineStages)
 	return 2*n*n*n/float64(d.K) + fill
 }
-
-// OnChipWords returns the block-RAM working set: 2k² words.
-func (d FWDesign) OnChipWords() int64 { return 2 * int64(d.K) * int64(d.K) }
 
 // SRAMWords returns the on-board working set for block size b: 2b².
 func (d FWDesign) SRAMWords(b int) int64 { return 2 * int64(b) * int64(b) }

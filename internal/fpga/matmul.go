@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"codesign/internal/fpmath"
-	"codesign/internal/matrix"
 )
 
 // MatMulDesign is the linear-array floating-point matrix multiplier of
@@ -14,6 +13,7 @@ import (
 // cycle (Of = 2k). A k×k submatrix multiply has an effective latency of
 // k² cycles.
 type MatMulDesign struct {
+	// K is the PE count.
 	K int
 }
 
@@ -80,33 +80,3 @@ func (d MatMulDesign) Cycles(m, kk, n int) float64 {
 // intermediate C rows for a bf×w result (Section 5.1.3: bf·b/(p-1)
 // words).
 func (d MatMulDesign) SRAMWords(bf, w int) int64 { return int64(bf) * int64(w) }
-
-// Multiply computes C += A·B functionally with host floating point, in
-// the same accumulation order as the hardware array (ascending k for
-// each output element).
-func (d MatMulDesign) Multiply(a, b, c *matrix.Dense) {
-	matrix.Gemm(1, a, b, 1, c)
-}
-
-// MultiplyBitExact computes C += A·B element by element through the
-// bit-exact fpmath cores, mirroring the PE datapath: one multiply and
-// one accumulate per cycle per element, ascending k. Because both the
-// cores and the host are IEEE-754 round-to-nearest, the result is
-// bit-identical to Multiply.
-func (d MatMulDesign) MultiplyBitExact(a, b, c *matrix.Dense) {
-	m, kk := a.Dims()
-	_, n := b.Dims()
-	cr, cc := c.Dims()
-	if cr != m || cc != n {
-		panic(fmt.Sprintf("fpga: result %dx%d for %dx%d * %dx%d", cr, cc, m, kk, kk, n))
-	}
-	for i := 0; i < m; i++ {
-		for j := 0; j < n; j++ {
-			acc := c.At(i, j)
-			for l := 0; l < kk; l++ {
-				acc = fpmath.AddFloat(acc, fpmath.MulFloat(a.At(i, l), b.At(l, j)))
-			}
-			c.Set(i, j, acc)
-		}
-	}
-}

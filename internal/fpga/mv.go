@@ -15,6 +15,7 @@ import (
 // flops per delivered word, so its effective rate is min(2k·Ff,
 // 2·Bd/bw) — on XD1-class systems the DRAM stream is the limit.
 type MVDesign struct {
+	// K is the MAC unit count.
 	K int
 }
 
@@ -64,7 +65,3 @@ func (d MVDesign) Cycles(words int) float64 {
 	fill := float64(fpmath.Adder64.PipelineStages + fpmath.Multiplier64.PipelineStages)
 	return math.Ceil(float64(words)/float64(d.K)) + fill
 }
-
-// VectorWords returns the on-chip storage needed for the x vector of
-// length n (replicated per MAC).
-func (d MVDesign) VectorWords(n int) int64 { return int64(n) * int64(d.K) }

@@ -8,7 +8,6 @@ import (
 	"codesign/internal/fault"
 	"codesign/internal/fpga"
 	"codesign/internal/mem"
-	"codesign/internal/mpi"
 	"codesign/internal/sim"
 )
 
@@ -27,8 +26,9 @@ type Config struct {
 	// effective Bd is the lesser of this and the design's consumption
 	// rate of one word per cycle.
 	RawFPGADRAMBandwidth float64
-	// SRAMBanks and SRAMBankBytes give the per-node QDR-II geometry.
-	SRAMBanks     int
+	// SRAMBanks is the per-node QDR-II bank count.
+	SRAMBanks int
+	// SRAMBankBytes is the capacity of one bank in bytes.
 	SRAMBankBytes int64
 	// SRAMBandwidth is the aggregate FPGA<->SRAM bandwidth in bytes/s
 	// (12.8 GB/s on XD1) — the path iterative designs stream resident
@@ -167,15 +167,20 @@ func (c Config) Validate() error {
 
 // Node is one compute blade.
 type Node struct {
-	ID   int
+	// ID is the node's index in System.Nodes.
+	ID int
+	// Proc is the node's processor model.
 	Proc *cpu.Processor
 	// CPUBusy accounts processor busy time (one processor per node, as
 	// in the paper's implementation).
 	CPUBusy *sim.Resource
-	SRAM    *mem.SRAM
-	Device  fpga.Device
-	Accel   *Accelerator
-	sys     *System
+	// SRAM is the FPGA's on-board memory.
+	SRAM *mem.SRAM
+	// Device is the node's FPGA part.
+	Device fpga.Device
+	// Accel is the installed design; nil until InstallDesign.
+	Accel *Accelerator
+	sys   *System
 	// dilate, when non-nil, maps a nominal processor charge to its
 	// fault-degraded duration, keyed by the charge's span category so
 	// DMA charges can degrade with Bd while compute degrades with the
@@ -239,6 +244,7 @@ func (n *Node) CPUTask(name, phase string, charges []sim.Charge, then func()) {
 // Accelerator is a placed design installed on a node's FPGA, with its
 // effective DRAM streaming channel and coordination counters.
 type Accelerator struct {
+	// Placed is the design as placed on the node's device.
 	Placed *fpga.Placed
 	// DRAM is the streaming channel at the effective Bd =
 	// min(raw path, one word per design cycle).
@@ -395,10 +401,14 @@ func (a *Accelerator) Jobs() int64 { return a.jobs }
 
 // System is a built machine inside a simulation engine.
 type System struct {
-	Cfg   Config
-	Eng   *sim.Engine
-	Fab   *fabric.Fabric
-	World *mpi.World
+	// Cfg is the configuration the system was built from.
+	Cfg Config
+	// Eng is the simulation engine every node, link and resource of
+	// the system runs in.
+	Eng *sim.Engine
+	// Fab is the interconnect between the nodes.
+	Fab *fabric.Fabric
+	// Nodes holds the compute blades, indexed by node ID.
 	Nodes []*Node
 }
 
@@ -412,7 +422,7 @@ func New(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &System{Cfg: cfg, Eng: eng, Fab: fab, World: mpi.NewWorld(eng, fab)}
+	s := &System{Cfg: cfg, Eng: eng, Fab: fab}
 	for i := 0; i < cfg.Nodes; i++ {
 		cpuBusy := sim.NewResource(eng, fmt.Sprintf("cpu%d", i), 1)
 		cpuBusy.SetDevice(sim.DeviceCPU)
@@ -431,8 +441,8 @@ func New(cfg Config) (*System, error) {
 // InstallFaults wires a fault injector into every charging path of the
 // built system: processor charges (CPU straggler / Bd-paced DMA /
 // network unpack), FPGA-DRAM streams and operand fill (Bd throttle),
-// outbound wire time (Bn throttle), array compute (reconfiguration
-// stalls), and MPI rank liveness (node kills). Call it after
+// outbound wire time (Bn throttle) and array compute (reconfiguration
+// stalls). Call it after
 // InstallDesign so the per-node accelerators exist; a nil injector is a
 // no-op. The hooks only dilate charge durations — no engine events are
 // scheduled — so an injector with no configured faults leaves the
@@ -466,23 +476,7 @@ func (s *System) InstallFaults(inj *fault.Injector) error {
 			})
 		}
 	}
-	s.World.SetLiveness(inj.Alive)
 	return nil
-}
-
-// Spawn runs body as node i's processor program, attached to MPI rank i.
-func (s *System) Spawn(i int, body func(p *sim.Proc, r *mpi.Rank, n *Node)) {
-	n := s.Nodes[i]
-	s.Eng.Go(fmt.Sprintf("node%d.cpu", i), func(p *sim.Proc) {
-		body(p, s.World.Attach(p, i), n)
-	})
-}
-
-// SpawnAll runs body on every node.
-func (s *System) SpawnAll(body func(p *sim.Proc, r *mpi.Rank, n *Node)) {
-	for i := range s.Nodes {
-		s.Spawn(i, body)
-	}
 }
 
 // Run drives the simulation to completion and returns the final virtual

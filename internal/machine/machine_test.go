@@ -8,9 +8,14 @@ import (
 	"codesign/internal/cpu"
 	"codesign/internal/fault"
 	"codesign/internal/fpga"
-	"codesign/internal/mpi"
 	"codesign/internal/sim"
 )
+
+// spawn runs body as node i's processor program.
+func spawn(s *System, i int, body func(p *sim.Proc, n *Node)) {
+	n := s.Nodes[i]
+	s.Eng.Go(fmt.Sprintf("node%d.cpu", i), func(p *sim.Proc) { body(p, n) })
+}
 
 func TestXD1Preset(t *testing.T) {
 	cfg := XD1()
@@ -114,7 +119,7 @@ func TestComputeCPUChargesTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Spawn(0, func(p *sim.Proc, r *mpi.Rank, n *Node) {
+	spawn(s, 0, func(p *sim.Proc, n *Node) {
 		n.ComputeCPU(p, cpu.DGEMM, 3.9e9) // exactly one second
 	})
 	end, err := s.Run()
@@ -138,7 +143,7 @@ func TestAcceleratorLaunchOverlapsCPU(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cpuDone, bothDone float64
-	s.Spawn(0, func(p *sim.Proc, r *mpi.Rank, n *Node) {
+	spawn(s, 0, func(p *sim.Proc, n *Node) {
 		a := n.Accel
 		// FPGA job: 2 virtual seconds of array time.
 		done := a.Launch("fpga-job", func(fp *sim.Proc) {
@@ -174,7 +179,7 @@ func TestAcceleratorStreamChargesBd(t *testing.T) {
 	}
 	a := s.Nodes[0].Accel
 	bytes := int(a.DRAM.BandwidthBytes) // exactly one second of streaming
-	s.Spawn(0, func(p *sim.Proc, r *mpi.Rank, n *Node) {
+	spawn(s, 0, func(p *sim.Proc, n *Node) {
 		a.Run(p, "stream-job", func(fp *sim.Proc) {
 			a.Stream(fp, bytes)
 		})
@@ -185,25 +190,6 @@ func TestAcceleratorStreamChargesBd(t *testing.T) {
 	}
 	if math.Abs(end-1) > 1e-9 {
 		t.Fatalf("stream took %v, want 1", end)
-	}
-}
-
-func TestSpawnAllRanksTalk(t *testing.T) {
-	s, err := New(XD1())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := make([]float64, 6)
-	s.SpawnAll(func(p *sim.Proc, r *mpi.Rank, n *Node) {
-		sum[r.ID()] = r.Allreduce(1, float64(r.ID()), "sum")
-	})
-	if _, err := s.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range sum {
-		if v != 15 {
-			t.Fatalf("rank %d allreduce = %v", i, v)
-		}
 	}
 }
 
@@ -303,7 +289,7 @@ func TestJobAndCPUTaskMatchLaunchedBodies(t *testing.T) {
 		}
 		updates := 0
 		for i := 0; i < 3; i++ {
-			s.Spawn(i, func(p *sim.Proc, r *mpi.Rank, n *Node) {
+			spawn(s, i, func(p *sim.Proc, n *Node) {
 				a := n.Accel
 				cycles := 0.05 * a.Placed.FreqHz
 				for it := 0; it < 6; it++ {

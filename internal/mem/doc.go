@@ -2,6 +2,5 @@
 // model: the DRAM the processor owns, the FPGA's streaming access to it
 // over the processor interconnect (the Bd of Section 4.1 — 1.04 GB/s
 // effective for the matrix multiplier reading one word per cycle at
-// 130 MHz), the on-board SRAM the designs stage operands in, and the
-// write-coordination rules of Section 4.4.
+// 130 MHz), and the on-board SRAM the designs stage operands in.
 package mem

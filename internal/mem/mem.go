@@ -2,7 +2,6 @@ package mem
 
 import (
 	"fmt"
-	"sort"
 
 	"codesign/internal/sim"
 )
@@ -82,103 +81,13 @@ func (d *DRAM) AchievedBandwidth() float64 {
 // streaming channel.
 func (d *DRAM) ContentionSeconds() float64 { return d.chann.ContentionSeconds() }
 
-// Agent identifies who touches memory, for hazard checking.
-type Agent int
-
-// The two agents of Section 4.4.
-const (
-	CPU Agent = iota
-	FPGA
-)
-
-func (a Agent) String() string {
-	if a == CPU {
-		return "CPU"
-	}
-	return "FPGA"
-}
-
-type span struct {
-	lo, hi int64 // [lo, hi)
-	agent  Agent
-	write  bool
-}
-
-// Violation records one coordination failure detected by the Tracker.
-type Violation struct {
-	Kind string // "write-write" or "read-after-write"
-	A, B Agent
-	Lo   int64
-	Hi   int64
-}
-
-func (v Violation) String() string {
-	return fmt.Sprintf("%s conflict between %s and %s on [%d,%d)", v.Kind, v.A, v.B, v.Lo, v.Hi)
-}
-
-// Tracker enforces the hardware/software memory-coordination rules of
-// Section 4.4 within one synchronization epoch: the processor and the
-// FPGA must write to disjoint locations, and neither may read a region
-// the other wrote in the same epoch (a read-after-write hazard — the
-// reader needs permission, i.e. a Sync, first). Sync marks a
-// coordination point (start signal / done notification) and opens a new
-// epoch.
-type Tracker struct {
-	spans      []span
-	violations []Violation
-}
-
-// NewTracker returns an empty tracker.
-func NewTracker() *Tracker { return &Tracker{} }
-
-// Write records that agent a writes [lo, hi) in the current epoch.
-func (t *Tracker) Write(a Agent, lo, hi int64) { t.access(a, lo, hi, true) }
-
-// Read records that agent a reads [lo, hi) in the current epoch.
-func (t *Tracker) Read(a Agent, lo, hi int64) { t.access(a, lo, hi, false) }
-
-func (t *Tracker) access(a Agent, lo, hi int64, write bool) {
-	if lo > hi {
-		panic(fmt.Sprintf("mem: bad span [%d,%d)", lo, hi))
-	}
-	for _, s := range t.spans {
-		if s.agent == a || hi <= s.lo || s.hi <= lo {
-			continue
-		}
-		switch {
-		case write && s.write:
-			t.violations = append(t.violations, Violation{
-				Kind: "write-write", A: s.agent, B: a, Lo: maxI(lo, s.lo), Hi: minI(hi, s.hi)})
-		case write != s.write && (write || s.write):
-			// One side wrote, the other reads without a Sync between.
-			t.violations = append(t.violations, Violation{
-				Kind: "read-after-write", A: s.agent, B: a, Lo: maxI(lo, s.lo), Hi: minI(hi, s.hi)})
-		}
-	}
-	t.spans = append(t.spans, span{lo: lo, hi: hi, agent: a, write: write})
-}
-
-// Sync marks a coordination point: the agents have exchanged a
-// start/done signal, so prior accesses no longer conflict with future
-// ones.
-func (t *Tracker) Sync() { t.spans = t.spans[:0] }
-
-// Violations returns all detected conflicts, ordered by detection.
-func (t *Tracker) Violations() []Violation {
-	out := make([]Violation, len(t.violations))
-	copy(out, t.violations)
-	return out
-}
-
-// Ok reports whether no conflict has been detected.
-func (t *Tracker) Ok() bool { return len(t.violations) == 0 }
-
 // SRAM is the FPGA's on-board QDR-II memory: a fixed number of banks of
-// fixed capacity, with an allocator for design buffers.
+// fixed capacity.
 type SRAM struct {
-	Banks        int
+	// Banks is the number of QDR-II banks.
+	Banks int
+	// BytesPerBank is the capacity of one bank in bytes.
 	BytesPerBank int64
-	allocs       map[string]int64
 }
 
 // NewSRAM creates an SRAM with the given geometry.
@@ -186,63 +95,8 @@ func NewSRAM(banks int, bytesPerBank int64) *SRAM {
 	if banks < 1 || bytesPerBank < 1 {
 		panic("mem: bad SRAM geometry")
 	}
-	return &SRAM{Banks: banks, BytesPerBank: bytesPerBank, allocs: make(map[string]int64)}
+	return &SRAM{Banks: banks, BytesPerBank: bytesPerBank}
 }
 
 // TotalBytes returns the total capacity.
 func (s *SRAM) TotalBytes() int64 { return int64(s.Banks) * s.BytesPerBank }
-
-// FreeBytes returns unallocated capacity.
-func (s *SRAM) FreeBytes() int64 {
-	free := s.TotalBytes()
-	for _, b := range s.allocs {
-		free -= b
-	}
-	return free
-}
-
-// Alloc reserves bytes under the given label; it fails when capacity is
-// exhausted or the label is taken.
-func (s *SRAM) Alloc(label string, bytes int64) error {
-	if bytes < 0 {
-		return fmt.Errorf("mem: negative SRAM allocation %d", bytes)
-	}
-	if _, dup := s.allocs[label]; dup {
-		return fmt.Errorf("mem: SRAM label %q already allocated", label)
-	}
-	if bytes > s.FreeBytes() {
-		return fmt.Errorf("mem: SRAM exhausted: need %d bytes, %d free of %d",
-			bytes, s.FreeBytes(), s.TotalBytes())
-	}
-	s.allocs[label] = bytes
-	return nil
-}
-
-// Free releases a labeled allocation.
-func (s *SRAM) Free(label string) {
-	delete(s.allocs, label)
-}
-
-// Allocations lists labels in sorted order (for reports).
-func (s *SRAM) Allocations() []string {
-	out := make([]string, 0, len(s.allocs))
-	for l := range s.allocs {
-		out = append(out, l)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func minI(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxI(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -39,20 +39,65 @@ func runJSON(t *testing.T, g Grid, workers int) []byte {
 	return buf.Bytes()
 }
 
+// TestDeterministicAcrossWorkerCounts runs each grid with 1 and 8
+// workers and the default pool, and requires byte-identical JSON. Besides bigGrid, the cases
+// are the grids `cmd/sweep` builds from these flags:
+//
+//   - unread-axes: -apps lu,fw,mm,spmv,chol,qr -machines xd1,xt3
+//     -density 0,0.05 -b 0,256 -bf -1,512 -l -1,2, a mixed-app grid
+//     sweeping every axis some app never reads, so most points share a
+//     representative's evaluation (DESIGN.md §13) and the output must
+//     not depend on which worker got which one;
+//   - spmv-density: -apps spmv -n 512 -density 0,0.02,0.1 -pes 4,7
+//     -method sim, the grid whose regime flip TestDensityRegimeFlipSim
+//     asserts.
 func TestDeterministicAcrossWorkerCounts(t *testing.T) {
-	g := bigGrid()
-	if n := g.NumPoints(); n < 100 {
-		t.Fatalf("grid has %d points, want >= 100", n)
+	cases := []struct {
+		name   string
+		g      Grid
+		points int
+	}{
+		{"lu-bf-l", bigGrid(), 126},
+		{"unread-axes", Grid{
+			Apps:     []string{"lu", "fw", "mm", "spmv", "chol", "qr"},
+			Machines: []string{"xd1", "xt3"},
+			Modes:    []string{"hybrid"},
+			Nodes:    []int{0},
+			N:        []int{0},
+			Density:  []float64{0, 0.05},
+			B:        []int{0, 256},
+			PEs:      []int{0},
+			BF:       []int{-1, 512},
+			L:        []int{-1, 2},
+			Method:   MethodModel,
+		}, 192},
+		{"spmv-density", Grid{
+			Apps:     []string{"spmv"},
+			Machines: []string{"xd1"},
+			Modes:    []string{"hybrid"},
+			Nodes:    []int{0},
+			N:        []int{512},
+			Density:  []float64{0, 0.02, 0.1},
+			B:        []int{0},
+			PEs:      []int{4, 7},
+			BF:       []int{-1},
+			L:        []int{-1},
+			Method:   MethodSim,
+		}, 6},
 	}
-	one := runJSON(t, g, 1)
-	eight := runJSON(t, g, 8)
-	if !bytes.Equal(one, eight) {
-		t.Fatalf("JSON output differs between -workers=1 (%d bytes) and -workers=8 (%d bytes)", len(one), len(eight))
-	}
-	// A third run with the default pool must also match.
-	def := runJSON(t, g, 0)
-	if !bytes.Equal(one, def) {
-		t.Fatalf("JSON output differs between -workers=1 and default workers")
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if n := c.g.NumPoints(); n != c.points {
+				t.Fatalf("grid has %d points, want %d", n, c.points)
+			}
+			one := runJSON(t, c.g, 1)
+			for _, workers := range []int{8, 0} { // 0 = the default pool
+				if got := runJSON(t, c.g, workers); !bytes.Equal(one, got) {
+					t.Fatalf("JSON output differs between -workers=1 (%d bytes) and -workers=%d (%d bytes)",
+						len(one), workers, len(got))
+				}
+			}
+		})
 	}
 }
 
