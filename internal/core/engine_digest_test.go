@@ -8,6 +8,8 @@ import (
 	"math/rand"
 	"testing"
 
+	"codesign/internal/fault"
+	"codesign/internal/machine"
 	"codesign/internal/sim"
 )
 
@@ -213,6 +215,47 @@ func engineReferenceRuns() map[string]engineRun {
 			return outcome(&r.Result), nil
 		})
 	}
+	// The paths no app run above reaches: the stripe-granular opMM of
+	// Figure 5 at all-software, split and all-FPGA shares; a sparse
+	// single apply, whose FPGA share streams through the chunk loop
+	// rather than sitting in SRAM; and an lu run that loses two nodes
+	// and repartitions onto p-1 = 3 compute nodes, which do not divide
+	// b = 20.
+	for _, bf := range []int{0, 40, 120} {
+		runs[fmt.Sprintf("opmm/bf%d", bf)] = digestRun(func(o sim.Observer) (string, error) {
+			r, err := runOpMM(machine.XD1(), 120, 4, bf, o)
+			if err != nil {
+				return "", err
+			}
+			return fmt.Sprintf("%v %v %v %v %v", r.Seconds, r.StripeTf, r.StripeTp, r.StripeTmem, r.StripeTcomm), nil
+		})
+	}
+	streamed := spmv.Small()
+	streamed.Density, streamed.RHS = 0.05, 1
+	runs["app/spmv-streamed"] = digestRun(func(o sim.Observer) (string, error) {
+		streamed.Observer = o
+		r, err := spmv.Run(streamed)
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("%v %v %+v", r.Seconds, r.GFLOPS, r.Split), nil
+	})
+	runs["app/lu/degraded"] = digestRun(func(o sim.Observer) (string, error) {
+		s := lu.Small()
+		inj, err := fault.New(&fault.Spec{Events: []fault.Event{
+			{Kind: fault.NodeKill, Node: 3, Start: 20e-6},
+			{Kind: fault.NodeKill, Node: 4, Start: 30e-6},
+		}}, s.Machine.Nodes)
+		if err != nil {
+			return "", err
+		}
+		r, err := RunLU(LUConfig{Machine: s.Machine, N: s.N, B: s.B, PEs: s.PEs, BF: s.BF, L: s.L, Seed: s.Seed,
+			Observer: o, Faults: inj})
+		if err != nil {
+			return "", err
+		}
+		return fmt.Sprintf("%v bf=%d l=%d", outcome(&r.Result), r.BF, r.L), nil
+	})
 	for seed := int64(1); seed <= 17; seed++ {
 		// Odd seeds stop at a horizon, unwinding whatever is still
 		// parked; even seeds run until the queue drains. The last one
@@ -264,12 +307,17 @@ func TestEngineReferenceDigests(t *testing.T) {
 			"app/lu/fpga-only":        "9013ca7f7db4fa01",
 			"app/lu/functional":       "b68b10c07cf9ff86",
 			"app/lu/interruptible":    "00fc63e78bb04c33",
+			"app/lu/degraded":         "3ad343625da30050",
 			"app/lu/processor-only":   "fefe66377337c84e",
 			"app/lu/whole-task":       "029751481131170f",
 			"app/mm":                  "0b409964a6e831f4",
 			"app/qr":                  "af4f632988383dd4",
 			"app/spmv":                "c8134bd1d495fd1c",
 			"app/spmv-sparse":         "31f1063756db72c5",
+			"app/spmv-streamed":       "3643ab620dae66ab",
+			"opmm/bf0":                "f1d5ea01c0705ba4",
+			"opmm/bf40":               "f9bd100409c39833",
+			"opmm/bf120":              "0c05f9b70b72197e",
 			"scenario/1":              "f474182b921221a5",
 			"scenario/2":              "a1e1e7e362b46bb6",
 			"scenario/3":              "4851cd3759a55777",
@@ -309,12 +357,17 @@ func TestEngineReferenceDigests(t *testing.T) {
 			"app/lu/fpga-only":        "{EventsPopped:2203 Callbacks:0 Handoffs:770 SelfResumes:28 FusedSteps:1405 Spawns:336 QueueRecycles:1 Compactions:47 SpansEmitted:1778}",
 			"app/lu/functional":       "{EventsPopped:2203 Callbacks:0 Handoffs:770 SelfResumes:28 FusedSteps:1405 Spawns:336 QueueRecycles:1 Compactions:47 SpansEmitted:1778}",
 			"app/lu/interruptible":    "{EventsPopped:2313 Callbacks:0 Handoffs:880 SelfResumes:34 FusedSteps:1399 Spawns:391 QueueRecycles:1 Compactions:29 SpansEmitted:1809}",
+			"app/lu/degraded":         "{EventsPopped:1762 Callbacks:0 Handoffs:551 SelfResumes:57 FusedSteps:1154 Spawns:276 QueueRecycles:1 Compactions:47 SpansEmitted:1455}",
 			"app/lu/processor-only":   "{EventsPopped:1393 Callbacks:0 Handoffs:789 SelfResumes:24 FusedSteps:580 Spawns:61 QueueRecycles:1 Compactions:45 SpansEmitted:1241}",
 			"app/lu/whole-task":       "{EventsPopped:1801 Callbacks:0 Handoffs:755 SelfResumes:29 FusedSteps:1017 Spawns:206 QueueRecycles:1 Compactions:49 SpansEmitted:1520}",
 			"app/mm":                  "{EventsPopped:594 Callbacks:0 Handoffs:594 SelfResumes:0 FusedSteps:0 Spawns:12 QueueRecycles:1 Compactions:0 SpansEmitted:432}",
 			"app/qr":                  "{EventsPopped:409 Callbacks:0 Handoffs:177 SelfResumes:7 FusedSteps:225 Spawns:81 QueueRecycles:1 Compactions:0 SpansEmitted:302}",
 			"app/spmv":                "{EventsPopped:2 Callbacks:0 Handoffs:1 SelfResumes:1 FusedSteps:0 Spawns:1 QueueRecycles:1 Compactions:0 SpansEmitted:1}",
 			"app/spmv-sparse":         "{EventsPopped:16 Callbacks:0 Handoffs:3 SelfResumes:5 FusedSteps:8 Spawns:6 QueueRecycles:1 Compactions:0 SpansEmitted:9}",
+			"app/spmv-streamed":       "{EventsPopped:9 Callbacks:0 Handoffs:7 SelfResumes:2 FusedSteps:0 Spawns:2 QueueRecycles:1 Compactions:0 SpansEmitted:4}",
+			"opmm/bf0":                "{EventsPopped:341 Callbacks:0 Handoffs:177 SelfResumes:14 FusedSteps:150 Spawns:6 QueueRecycles:1 Compactions:40 SpansEmitted:330}",
+			"opmm/bf40":               "{EventsPopped:801 Callbacks:0 Handoffs:651 SelfResumes:0 FusedSteps:150 Spawns:11 QueueRecycles:1 Compactions:35 SpansEmitted:630}",
+			"opmm/bf120":              "{EventsPopped:506 Callbacks:0 Handoffs:352 SelfResumes:4 FusedSteps:150 Spawns:11 QueueRecycles:1 Compactions:95 SpansEmitted:480}",
 			"scenario/1":              "{EventsPopped:26 Callbacks:0 Handoffs:13 SelfResumes:1 FusedSteps:12 Spawns:8 QueueRecycles:1 Compactions:1 SpansEmitted:18}",
 			"scenario/2":              "{EventsPopped:153 Callbacks:6 Handoffs:84 SelfResumes:9 FusedSteps:54 Spawns:13 QueueRecycles:1 Compactions:7 SpansEmitted:111}",
 			"scenario/3":              "{EventsPopped:59 Callbacks:8 Handoffs:34 SelfResumes:2 FusedSteps:15 Spawns:14 QueueRecycles:1 Compactions:1 SpansEmitted:27}",
