@@ -7,6 +7,7 @@ import (
 	"codesign/internal/cpu"
 	"codesign/internal/dist"
 	"codesign/internal/fault"
+	"codesign/internal/fpga"
 	"codesign/internal/machine"
 	"codesign/internal/matrix"
 	"codesign/internal/model"
@@ -489,37 +490,30 @@ func (lr *luRun) chargeModel() {
 // waits for the first stripe's transfer, or for every stripe's under
 // noOverlap (the DisableStripeOverlap ablation).
 func opmmCharge(lp model.LUParams, gemmRate float64, bf int, noOverlap bool) jobCharge {
-	b := float64(lp.B)
-	pm1 := float64(lp.P - 1)
-	st := float64(lp.B / lp.K)
+	st := lp.B / lp.K
+	stripes := float64(st)
 	_, tp, tmem, tcomm := lp.StripeTimes(bf)
 
 	var c jobCharge
-	c.cpuRecv = st * tcomm // message unpack
-	switch {
-	case bf == 0:
+	c.cpuRecv = stripes * tcomm // message unpack
+	if bf == 0 {
 		// All software: one square-ish dgemm at the full library rate;
 		// no DMA, no FPGA.
-		c.cpuGemm = 2 * b * b * b / (pm1 * gemmRate)
-	case bf == lp.B:
-		c.cpuDMA = st * tmem
-		c.fpgaCycles = b * b * b / (float64(lp.K) * pm1)
-	default:
-		c.cpuDMA = st * tmem
-		c.cpuGemm = st * tp
-		c.fpgaCycles = st * float64(bf) * b / pm1 // bf·b/(p-1) cycles per stripe
+		b := float64(lp.B)
+		c.cpuGemm = 2 * b * b * b / (float64(lp.P-1) * gemmRate)
+		return c
 	}
-	if c.cpuDMA > 0 {
-		// Per job the FPGA consumes bf·b stripe words plus its
-		// b²/(p-1) result share (the words behind tmem per stripe).
-		c.dmaBytes = int64(float64(bf)*b+b*b/pm1) * machine.WordBytes
-	}
-	if c.fpgaCycles > 0 {
-		if noOverlap {
-			c.fpgaLag = st*tcomm + c.cpuDMA
-		} else {
-			c.fpgaLag = tcomm + c.cpuDMA/st // first stripe only
-		}
+	// The array's bf rows of every stripe against this node's b/(p-1)
+	// result columns, and the processor's rest (none at bf = b).
+	d := fpga.MatMulDesign{K: lp.K}
+	c.cpuDMA = stripes * tmem
+	c.cpuGemm = stripes * tp
+	c.fpgaCycles = d.StripeCycles(st, bf, lp.B, lp.P-1)
+	c.dmaBytes = int64(d.StripeWords(st, bf, lp.B, lp.P-1)) * machine.WordBytes
+	if noOverlap {
+		c.fpgaLag = stripes*tcomm + c.cpuDMA
+	} else {
+		c.fpgaLag = tcomm + c.cpuDMA/stripes // first stripe only
 	}
 	return c
 }

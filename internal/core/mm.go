@@ -6,6 +6,7 @@ import (
 
 	"codesign/internal/cpu"
 	"codesign/internal/fault"
+	"codesign/internal/fpga"
 	"codesign/internal/machine"
 	"codesign/internal/matrix"
 	"codesign/internal/model"
@@ -113,7 +114,8 @@ func RunMM(cfg MMConfig) (*MMResult, error) {
 	_, tp, tmem := mp.StripeTimes(bf)
 	stripes := cfg.N / k
 	w := mp.Width()
-	fpgaStripeCycles := float64(bf) * float64(w)
+	d := fpga.MatMulDesign{K: k}
+	fpgaStripeCycles := d.StripeCycles(1, bf, w, 1)
 
 	// Functional state.
 	var a, b, c, ref *matrix.Dense
@@ -140,9 +142,7 @@ func RunMM(cfg MMConfig) (*MMResult, error) {
 				}
 			})
 		}
-		// Per-stripe DMA volume: the FPGA's bf·k operand words plus the
-		// k·w result words behind the model's Tmem term.
-		stripeDMABytes := int64(bf*k+k*w) * machine.WordBytes
+		stripeDMABytes := int64(d.StripeWords(1, bf, w, 1)) * machine.WordBytes
 		sys.Eng.Go(fmt.Sprintf("mm.cpu%d", me), func(pr *sim.Proc) {
 			pr.SetPhase("stripe")
 			for s := 0; s < stripes; s++ {

@@ -11,6 +11,7 @@ import (
 	"codesign/internal/cache"
 	"codesign/internal/cpu"
 	"codesign/internal/fault"
+	"codesign/internal/fpga"
 	"codesign/internal/machine"
 	"codesign/internal/matrix"
 	"codesign/internal/model"
@@ -216,6 +217,7 @@ func runMV(cfg SpMVConfig, applies int) (*SpMVResult, error) {
 	// Pipeline granularity for the streamed arrangement: the share
 	// moves in row chunks so DMA and MAC-array compute overlap.
 	chunkRows := 64 * k
+	mv := fpga.MVDesign{K: k}
 	phase := "stream"
 	if resident {
 		phase = "apply"
@@ -257,7 +259,7 @@ func runMV(cfg SpMVConfig, applies int) (*SpMVResult, error) {
 								hi = rf
 							}
 							fq.Get(fp)
-							accel.Compute(fp, float64(rowWords(lo, hi))/float64(k))
+							accel.Compute(fp, mv.ChunkCycles(rowWords(lo, hi)))
 						}
 					})
 					pr.SetPhase(phase)

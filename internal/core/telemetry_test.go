@@ -6,6 +6,8 @@ import (
 	"slices"
 	"testing"
 
+	"codesign/internal/fpga"
+	"codesign/internal/machine"
 	"codesign/internal/sim"
 	"codesign/internal/trace"
 )
@@ -71,6 +73,51 @@ func TestTelemetryBytesMatchIndependentCounters(t *testing.T) {
 	}
 	if r.Telemetry.DRAMBytes <= 0 {
 		t.Fatalf("hybrid run streamed no DRAM bytes")
+	}
+}
+
+// TestDRAMBytesMatchStripeWords checks that the bytes on the
+// simulator's DMA spans are exactly the matmul array's stripe words,
+// summed over every stripe the run streams: b/k stripes per opMM job
+// on each of lu's and chol's p-1 compute nodes (an opSYRK job streams
+// half of one), and n/k stripes on each of mm's p nodes.
+func TestDRAMBytesMatchStripeWords(t *testing.T) {
+	const n, b = 120, 20
+	p := machine.XD1().Nodes
+	var jobs, full, syrk int // lu's opMM jobs; chol's opMM and opSYRK jobs
+	for rem := 1; rem < n/b; rem++ {
+		jobs += rem * rem
+		full += rem * (rem - 1) / 2
+		syrk += rem
+	}
+	jobBytes := func(bf, k int) float64 {
+		return fpga.MatMulDesign{K: k}.StripeWords(b/k, bf, b, p-1) * machine.WordBytes
+	}
+	lu, err := RunLU(LUConfig{N: n, B: b, PEs: 4, BF: -1, L: -1, Telemetry: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	chol, err := RunCholesky(CholConfig{N: n, B: b, PEs: 4, BF: -1, L: -1, Telemetry: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mm, err := RunMM(MMConfig{N: 2400, BF: -1, Telemetry: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mmStripe := fpga.MatMulDesign{K: mm.K}.StripeWords(1, mm.BF, 2400/p, 1) * machine.WordBytes
+	for _, c := range []struct {
+		app       string
+		got       int64
+		want, pin float64
+	}{
+		{"lu", lu.Telemetry.DRAMBytes, float64(jobs*(p-1)) * jobBytes(lu.BF, lu.K), 1056000},
+		{"chol", chol.Telemetry.DRAMBytes, (float64(full) + 0.5*float64(syrk)) * float64(p-1) * jobBytes(chol.BF, chol.K), 528000},
+		{"mm", mm.Telemetry.DRAMBytes, float64(p*2400/mm.K) * mmStripe, 162201600},
+	} {
+		if float64(c.got) != c.want || c.want != c.pin {
+			t.Errorf("%s: simulated DRAM bytes %d, stripe words give %v, pinned %v", c.app, c.got, c.want, c.pin)
+		}
 	}
 }
 

@@ -80,32 +80,34 @@ func TestOpsPerCycle(t *testing.T) {
 
 func TestMatMulCycleModel(t *testing.T) {
 	d := NewMatMul(8)
-	// One k×k submatrix multiply: k² cycles + pipeline fill.
-	fill := d.Cycles(8, 8, 8) - 64
-	if fill <= 0 || fill > 40 {
-		t.Fatalf("pipeline fill = %v cycles", fill)
+	// Section 6.1: b=3000 over p-1=5 compute nodes at bf=1280 — bf·w
+	// cycles and bf·k + k·w words per stripe, w = b/(p-1) = 600.
+	if got := d.StripeCycles(1, 1280, 3000, 5); got != 1280*600 {
+		t.Fatalf("StripeCycles = %v, want %v", got, 1280*600)
 	}
-	// A b×k by k×w multiply tiles into (b/k)(w/k) submatrix products.
-	got := d.Cycles(64, 8, 32) - fill
-	want := float64(8 * 4 * 64)
-	if got != want {
-		t.Fatalf("Cycles(64,8,32) = %v + fill, want %v", got, want)
+	if got := d.StripeWords(1, 1280, 3000, 5); got != 1280*8+8*600 {
+		t.Fatalf("StripeWords = %v, want %v", got, 1280*8+8*600)
 	}
-	if d.Cycles(0, 8, 8) != 0 {
-		t.Fatal("zero-size multiply must cost nothing")
+	// n stripes cost n times one.
+	if got, one := d.StripeCycles(375, 1280, 3000, 5), d.StripeCycles(1, 1280, 3000, 5); got != 375*one {
+		t.Fatalf("375 stripes = %v cycles, want %v", got, 375*one)
+	}
+	if got, one := d.StripeWords(375, 1280, 3000, 5), d.StripeWords(1, 1280, 3000, 5); got != 375*one {
+		t.Fatalf("375 stripes = %v words, want %v", got, 375*one)
+	}
+	// A width that does not divide is rounded once, not truncated.
+	if got := d.StripeCycles(1, 20, 20, 3); got != 400.0/3 {
+		t.Fatalf("StripeCycles(1,20,20,3) = %v, want %v", got, 400.0/3)
 	}
 }
 
 func TestMatMulCyclesMatchThroughput(t *testing.T) {
-	// For large operands the cycle model must approach
-	// flops / OpsPerCycle (the Of·Ff computing-power model).
+	// A whole b×b block's b/k stripes at bf = b run at the array's full
+	// Of: 2·b·b·w flops in b³/(k(p-1)) cycles.
 	d := NewMatMul(8)
-	m, kk, n := 512, 512, 512
-	flops := 2 * float64(m) * float64(kk) * float64(n)
-	cycles := d.Cycles(m, kk, n)
-	ideal := flops / float64(d.OpsPerCycle())
-	if math.Abs(cycles-ideal)/ideal > 0.01 {
-		t.Fatalf("cycles %v vs ideal %v", cycles, ideal)
+	cycles := d.StripeCycles(375, 3000, 3000, 5)
+	if flops := 2.0 * 3000 * 3000 * 600; cycles*float64(d.OpsPerCycle()) != flops {
+		t.Fatalf("full share: %v cycles × Of %d != %v flops", cycles, d.OpsPerCycle(), flops)
 	}
 }
 
@@ -119,20 +121,6 @@ func TestFWCycleModel(t *testing.T) {
 	}
 	if d.Cycles(0) != 0 {
 		t.Fatal("zero-size block must cost nothing")
-	}
-}
-
-func TestFWMemoryFootprints(t *testing.T) {
-	d := NewFW(8)
-	if d.SRAMWords(256) != 2*256*256 {
-		t.Fatalf("SRAMWords = %d", d.SRAMWords(256))
-	}
-}
-
-func TestMatMulSRAMWords(t *testing.T) {
-	d := NewMatMul(8)
-	if d.SRAMWords(1280, 600) != 1280*600 {
-		t.Fatalf("SRAMWords = %d", d.SRAMWords(1280, 600))
 	}
 }
 
@@ -238,14 +226,9 @@ func TestMVDesign(t *testing.T) {
 }
 
 func TestMVCycles(t *testing.T) {
-	d := NewMV(8)
-	// 8000 words through 8 MACs: 1000 cycles + fill.
-	got := d.Cycles(8000)
-	if got < 1000 || got > 1100 {
-		t.Fatalf("Cycles(8000) = %v", got)
-	}
-	if d.Cycles(0) != 0 {
-		t.Fatal("zero words must cost nothing")
+	// 8000 words through 8 MACs: one word per MAC per cycle.
+	if got := NewMV(8).ChunkCycles(8000); got != 1000 {
+		t.Fatalf("ChunkCycles(8000) = %v, want 1000", got)
 	}
 }
 

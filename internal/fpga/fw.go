@@ -68,9 +68,6 @@ func (d FWDesign) Cycles(b int) float64 {
 	return 2*n*n*n/float64(d.K) + fill
 }
 
-// SRAMWords returns the on-board working set for block size b: 2b².
-func (d FWDesign) SRAMWords(b int) int64 { return 2 * int64(b) * int64(b) }
-
 // The functional kernels mirror internal/matrix's loops exactly but run
 // every add through the bit-exact adder core and every compare through
 // the comparator, so tests can prove the hardware datapath agrees with

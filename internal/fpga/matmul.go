@@ -2,7 +2,6 @@ package fpga
 
 import (
 	"fmt"
-	"math"
 
 	"codesign/internal/fpmath"
 )
@@ -11,7 +10,8 @@ import (
 // Zhuo and Prasanna [21]: k PEs, each with one double-precision adder
 // and one multiplier, performing two floating-point operations per
 // cycle (Of = 2k). A k×k submatrix multiply has an effective latency of
-// k² cycles.
+// k² cycles, which StripeCycles and StripeWords turn into the one price
+// every matmul-array workload charges.
 type MatMulDesign struct {
 	// K is the PE count.
 	K int
@@ -63,20 +63,19 @@ func (d MatMulDesign) RoutingDerate() float64 { return 1.0 }
 // does one multiply and one add).
 func (d MatMulDesign) OpsPerCycle() int { return 2 * d.K }
 
-// Cycles returns the cycle count for an (m×kk)·(kk×n) multiply on the
-// array: the operands are tiled into k×k submatrices, each submatrix
-// multiply taking an effective k² cycles [21], plus one pipeline fill.
-func (d MatMulDesign) Cycles(m, kk, n int) float64 {
-	if m <= 0 || kk <= 0 || n <= 0 {
-		return 0
-	}
-	k := d.K
-	tiles := math.Ceil(float64(m)/float64(k)) * math.Ceil(float64(kk)/float64(k)) * math.Ceil(float64(n)/float64(k))
-	fill := float64(fpmath.Adder64.PipelineStages + fpmath.Multiplier64.PipelineStages)
-	return tiles*float64(k*k) + fill
+// StripeCycles returns the array's cycles for n stripes of a bf-row
+// result share, each stripe a (bf×k)·(k×cols/div) product at k² cycles
+// per k×k submatrix product [21]: bf·cols/div per stripe, the Tf of
+// Section 5.1.3 in cycles. It divides last, so a div that does not
+// divide cols (lu's p-1 after a node loss) still rounds once.
+func (d MatMulDesign) StripeCycles(n, bf, cols, div int) float64 {
+	return float64(n*bf) * float64(cols) / float64(div)
 }
 
-// SRAMWords returns the on-board memory the design needs to hold the
-// intermediate C rows for a bf×w result (Section 5.1.3: bf·b/(p-1)
-// words).
-func (d MatMulDesign) SRAMWords(bf, w int) int64 { return int64(bf) * int64(w) }
+// StripeWords returns the words streamed to the array for the same n
+// stripes: each stripe's bf×k operand slice and its k×cols/div share
+// of the other operand, the words behind the Tmem of Section 5.1.3.
+func (d MatMulDesign) StripeWords(n, bf, cols, div int) float64 {
+	nk := float64(n * d.K)
+	return float64(bf)*nk + float64(cols)*nk/float64(div)
+}

@@ -2,7 +2,6 @@ package fpga
 
 import (
 	"fmt"
-	"math"
 
 	"codesign/internal/fpmath"
 )
@@ -56,12 +55,7 @@ func (d MVDesign) RoutingDerate() float64 { return 0.95 }
 // OpsPerCycle returns Of: one multiply and one add per MAC per cycle.
 func (d MVDesign) OpsPerCycle() int { return 2 * d.K }
 
-// Cycles returns the compute cycles to process words matrix elements
-// (dense: rows·n; sparse: nnz) through k MACs, plus pipeline fill.
-func (d MVDesign) Cycles(words int) float64 {
-	if words <= 0 {
-		return 0
-	}
-	fill := float64(fpmath.Adder64.PipelineStages + fpmath.Multiplier64.PipelineStages)
-	return math.Ceil(float64(words)/float64(d.K)) + fill
-}
+// ChunkCycles returns the cycles the k MACs take to retire words
+// streamed matrix elements (dense: rows·n; sparse: CSR stream words),
+// one word per MAC per cycle: words/k.
+func (d MVDesign) ChunkCycles(words int) float64 { return float64(words) / float64(d.K) }

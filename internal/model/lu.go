@@ -3,6 +3,8 @@ package model
 import (
 	"fmt"
 	"math"
+
+	"codesign/internal/fpga"
 )
 
 // LUParams instantiates the design model for the block LU decomposition
@@ -51,9 +53,11 @@ func (lp LUParams) StripeTimes(bf int) (tf, tp, tmem, tcomm float64) {
 	k := float64(lp.K)
 	pm1 := float64(lp.P - 1)
 	bp := b - float64(bf)
+	// bf·b/(p-1) cycles over Ff, written out: dividing once by (p-1)·Ff
+	// rounds differently from the array's StripeCycles/Ff.
 	tf = float64(bf) * b / (pm1 * lp.Ff)
 	tp = 2 * bp * b * k / (pm1 * lp.StripeRate)
-	tmem = (float64(bf)*k + b*k/pm1) * lp.Bw / lp.Bd
+	tmem = fpga.MatMulDesign{K: lp.K}.StripeWords(1, bf, lp.B, lp.P-1) * lp.Bw / lp.Bd
 	tcomm = 2 * b * k * lp.Bw / lp.Bn
 	return tf, tp, tmem, tcomm
 }

@@ -3,6 +3,8 @@ package model
 import (
 	"fmt"
 	"math"
+
+	"codesign/internal/fpga"
 )
 
 // MMParams instantiates the design model for plain hybrid matrix
@@ -47,12 +49,11 @@ func (mp MMParams) Width() int { return mp.N / mp.P }
 // node multiplies an (n×k) stripe of A by a (k×w) stripe of B, the FPGA
 // taking bf rows of the result and the processor n-bf.
 func (mp MMParams) StripeTimes(bf int) (tf, tp, tmem float64) {
-	w := float64(mp.Width())
-	k := float64(mp.K)
-	bp := float64(mp.N - bf)
-	tf = float64(bf) * w / mp.Ff // bf·w cycles per stripe on the array
-	tp = 2 * bp * k * w / mp.StripeRate
-	tmem = (float64(bf)*k + k*w) * mp.Bw / mp.Bd
+	w := mp.Width()
+	d := fpga.MatMulDesign{K: mp.K}
+	tf = d.StripeCycles(1, bf, w, 1) / mp.Ff
+	tp = 2 * float64(mp.N-bf) * float64(mp.K) * float64(w) / mp.StripeRate
+	tmem = d.StripeWords(1, bf, w, 1) * mp.Bw / mp.Bd
 	return tf, tp, tmem
 }
 
