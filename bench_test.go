@@ -15,7 +15,6 @@ import (
 	"codesign/internal/core"
 	"codesign/internal/cpu"
 	"codesign/internal/exper"
-	"codesign/internal/fpmath"
 	"codesign/internal/machine"
 	"codesign/internal/matrix"
 	"codesign/internal/obs"
@@ -302,18 +301,6 @@ func BenchmarkGemmTiled(b *testing.B) {
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e9, "host_GFLOPS")
 }
 
-// BenchmarkGemmParallel measures the parallel host GEMM kernel.
-func BenchmarkGemmParallel(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	a := matrix.Random(256, 256, rng)
-	bb := matrix.Random(256, 256, rng)
-	c := matrix.New(256, 256)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		matrix.GemmParallel(1, a, bb, 0, c, 0)
-	}
-}
-
 // BenchmarkFWKernelHost measures the scalar FW kernel (the paper's 190
 // MFLOPS routine) on the host.
 func BenchmarkFWKernelHost(b *testing.B) {
@@ -326,24 +313,6 @@ func BenchmarkFWKernelHost(b *testing.B) {
 		matrix.FWKernel(work)
 	}
 	b.ReportMetric(flops*float64(b.N)/b.Elapsed().Seconds()/1e6, "host_MFLOPS")
-}
-
-// BenchmarkFPMathAdd measures the bit-exact adder core.
-func BenchmarkFPMathAdd(b *testing.B) {
-	x := fpmath.Add(0x3FF0000000000001, 0x3CA0000000000000)
-	for i := 0; i < b.N; i++ {
-		x = fpmath.Add(x, 0x3CA0000000000000)
-	}
-	_ = x
-}
-
-// BenchmarkFPMathMul measures the bit-exact multiplier core.
-func BenchmarkFPMathMul(b *testing.B) {
-	x := uint64(0x3FF0000000000001)
-	for i := 0; i < b.N; i++ {
-		x = fpmath.Mul(x, 0x3FF0000000000001)
-	}
-	_ = x
 }
 
 // BenchmarkSimEngine measures raw event throughput of the DES engine.
@@ -418,14 +387,6 @@ func BenchmarkSensitivitySweep(b *testing.B) {
 		if _, err := exper.Sensitivity(); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkFPMathSqrt measures the bit-exact square-root core.
-func BenchmarkFPMathSqrt(b *testing.B) {
-	x := uint64(0x4000000000000000)
-	for i := 0; i < b.N; i++ {
-		_ = fpmath.Sqrt(x + uint64(i&1023))
 	}
 }
 

@@ -390,7 +390,7 @@ func printCommon(r *core.Result) {
 	fmt.Printf("utilization:       cpu %.1f%%  fpga %.1f%%\n",
 		100*r.Utilization(r.CPUBusy), 100*r.Utilization(r.FPGABusy))
 	for _, rp := range r.Repartitions {
-		cells := fmt.Sprintf("repartition:       t=%.2fs iter %d (%s, %d live)", rp.Time, rp.Iteration, rp.Reason, rp.Live)
+		cells := fmt.Sprintf("repartition:       t=%.6gs iter %d (%s, %d live)", rp.Time, rp.Iteration, rp.Reason, rp.Live)
 		if rp.L1 > 0 || rp.L2 > 0 {
 			fmt.Printf("%s l1=%d l2=%d\n", cells, rp.L1, rp.L2)
 		} else {

@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"codesign/internal/core"
+	"codesign/internal/fault"
 	"codesign/internal/trace"
 )
 
@@ -253,6 +254,53 @@ func TestRunWithFaults(t *testing.T) {
 	bad.Faults = path
 	if err := run(bad); err == nil {
 		t.Fatal("mm accepted -faults")
+	}
+}
+
+// TestRepartitionTimePrinted checks that a repartition line prints its
+// time at the resilience report's %.6g: a small lu run that loses nodes
+// 3 and 4 at 20 and 30 µs repartitions about 0.23 ms in, which a
+// fixed two-decimal format would print as t=0.00s.
+func TestRepartitionTimePrinted(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "faults.json")
+	spec := `{"events": [
+		{"kind": "node-kill", "node": 3, "start": 20e-6},
+		{"kind": "node-kill", "node": 4, "start": 30e-6}]}`
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o := small("lu")
+	o.Functional, o.Metrics, o.Faults = false, false, path
+	out, err := captureStdout(t, func() error { return run(o) })
+	if err != nil {
+		t.Fatalf("faulted lu run: %v", err)
+	}
+
+	app, err := core.LookupApp("lu")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := fault.Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := app.Small()
+	s.Faults, err = fault.New(fs, s.Machine.Nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := app.Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Repartitions) == 0 {
+		t.Fatal("two node kills caused no repartition")
+	}
+	for _, rp := range r.Repartitions {
+		want := fmt.Sprintf("repartition:       t=%.6gs iter %d (%s, %d live)", rp.Time, rp.Iteration, rp.Reason, rp.Live)
+		if !strings.Contains(out, want) {
+			t.Errorf("stdout lacks %q:\n%s", want, out)
+		}
 	}
 }
 

@@ -33,6 +33,7 @@ import (
 
 // Baseline is the committed BENCH_speed.json document.
 type Baseline struct {
+	// Schema is the file format version; -update writes 1.
 	Schema int `json:"schema"`
 	// Note documents how to regenerate the file.
 	Note string `json:"note"`
@@ -42,7 +43,9 @@ type Baseline struct {
 
 // Entry is one benchmark's committed measurements.
 type Entry struct {
-	NsOp     float64 `json:"ns_op"`
+	// NsOp is the committed ns/op; 0 skips the time gate.
+	NsOp float64 `json:"ns_op"`
+	// AllocsOp is the committed allocs/op; 0 demands none.
 	AllocsOp float64 `json:"allocs_op,omitempty"`
 }
 

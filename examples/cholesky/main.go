@@ -2,9 +2,9 @@
 // to a broader application — block Cholesky factorization, the third
 // routine of the ScaLAPACK set the paper builds on. The trailing
 // symmetric update partitions exactly like LU's opMM (Equation 4 gives
-// the same bf=1280), the panel adds a square-root unit to the FPGA
-// datapath (see internal/fpmath.Sqrt — bit-exact against the host), and
-// the functional run factors a real SPD matrix.
+// the same bf=1280), the panel node factors the diagonal block on its
+// processor (opPOTRF, at half of opLU's flops), and the functional run
+// factors a real SPD matrix.
 package main
 
 import (

@@ -61,18 +61,6 @@ func Analyze(spans []sim.SpanEvent, makespan float64, opts Options) *Report {
 	return r
 }
 
-// Disagreements returns the phases whose measured binding contradicts
-// the model's prediction.
-func (r *Report) Disagreements() []PhaseStats {
-	var out []PhaseStats
-	for _, ps := range r.Phases {
-		if !ps.Agree {
-			out = append(out, ps)
-		}
-	}
-	return out
-}
-
 // WriteReport renders the human-readable analysis the -analyze flag
 // prints: the critical path (middle elided past maxReportHops), the
 // per-phase bottleneck table, and per-resource utilization strips.

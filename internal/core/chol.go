@@ -12,8 +12,8 @@ import (
 // the proposed model to a broader range of applications") and the third
 // routine of the ScaLAPACK set it builds on [10]. It runs on the LU
 // co-design's pipeline (lu.go) with a symmetric update: the panel node
-// factors the diagonal block (opPOTRF, with the square-root unit's
-// datapath) and solves the panel (one opTRSM per block); the trailing
+// factors the diagonal block on its processor (opPOTRF) and solves the
+// panel (one opTRSM per block); the trailing
 // update is split row-wise between processor and FPGA on the other p-1
 // nodes, with only the lower triangle's blocks computed (opSYRK, at
 // half an opMM, on the diagonal, opGEMM below it). LU's ablations and

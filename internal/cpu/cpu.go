@@ -1,12 +1,6 @@
 package cpu
 
-import (
-	"fmt"
-	"math/rand"
-	"time"
-
-	"codesign/internal/matrix"
-)
+import "fmt"
 
 // Routine identifies a kernel class with its own sustained rate.
 type Routine string
@@ -111,10 +105,6 @@ func DgetrfFlops(b int) float64 { n := float64(b); return 2.0 / 3.0 * n * n * n 
 // factor and b right-hand sides: b³.
 func DtrsmFlops(b int) float64 { n := float64(b); return n * n * n }
 
-// GemmFlops returns the flop count of an m×k by k×n multiply-accumulate:
-// 2mkn.
-func GemmFlops(m, k, n int) float64 { return 2 * float64(m) * float64(k) * float64(n) }
-
 // FWBlockFlops returns the flop count of one b×b Floyd-Warshall block
 // operation: b³ additions plus b³ comparisons (Section 5.2.3).
 func FWBlockFlops(b int) float64 { n := float64(b); return 2 * n * n * n }
@@ -125,9 +115,12 @@ func SubtractFlops(b int) float64 { n := float64(b); return n * n }
 // Table1Row is one row of the paper's Table 1: the ACML routine used for
 // an LU task and its modeled latency.
 type Table1Row struct {
+	// Operation is the LU task, e.g. "opLU".
 	Operation string
-	Routine   string
-	LatencyS  float64
+	// Routine is the ACML routine that performs it, e.g. "dgetrf".
+	Routine string
+	// LatencyS is the routine's modeled latency in seconds.
+	LatencyS float64
 }
 
 // Table1 reproduces Table 1 for block size b on processor p.
@@ -136,62 +129,5 @@ func Table1(p *Processor, b int) []Table1Row {
 		{Operation: "opLU", Routine: "dgetrf", LatencyS: p.Time(DGETRF, DgetrfFlops(b))},
 		{Operation: "opL", Routine: "dtrsm", LatencyS: p.Time(DTRSM, DtrsmFlops(b))},
 		{Operation: "opU", Routine: "dtrsm", LatencyS: p.Time(DTRSM, DtrsmFlops(b))},
-	}
-}
-
-// CalibrationResult reports a measured host rate for a kernel class.
-type CalibrationResult struct {
-	Routine Routine
-	Size    int
-	Seconds float64
-	Flops   float64
-	Rate    float64 // FLOP/s
-}
-
-// CalibrateGEMM measures the host's sustained rate on the package's own
-// parallel GEMM at size n and returns the result. Use it to build a
-// Processor that models the machine the simulation runs on.
-func CalibrateGEMM(n int) CalibrationResult {
-	rng := rand.New(rand.NewSource(1))
-	a := matrix.Random(n, n, rng)
-	b := matrix.Random(n, n, rng)
-	c := matrix.New(n, n)
-	start := time.Now()
-	matrix.GemmParallel(1, a, b, 0, c, 0)
-	dt := time.Since(start).Seconds()
-	fl := GemmFlops(n, n, n)
-	return CalibrationResult{Routine: DGEMM, Size: n, Seconds: dt, Flops: fl, Rate: fl / dt}
-}
-
-// CalibrateFW measures the host's sustained rate on the scalar
-// Floyd-Warshall kernel at block size b.
-func CalibrateFW(b int) CalibrationResult {
-	rng := rand.New(rand.NewSource(2))
-	d := matrix.RandomGraph(b, 0.5, rng)
-	start := time.Now()
-	matrix.FWKernel(d)
-	dt := time.Since(start).Seconds()
-	fl := FWBlockFlops(b)
-	return CalibrationResult{Routine: FWKernel, Size: b, Seconds: dt, Flops: fl, Rate: fl / dt}
-}
-
-// Calibrated returns a Processor whose dgemm and FW rates come from host
-// measurements at the given sizes and whose factorization rates are
-// scaled from the dgemm rate with the paper's measured efficiency ratios
-// (dgetrf at ~94%, dtrsm at ~97% of dgemm).
-func Calibrated(gemmN, fwB int) *Processor {
-	g := CalibrateGEMM(gemmN)
-	f := CalibrateFW(fwB)
-	return &Processor{
-		Name:   "host-calibrated",
-		FreqHz: 0,
-		Sustained: map[Routine]float64{
-			DGEMM:       g.Rate,
-			DGEMMStripe: g.Rate * 0.76,
-			DGETRF:      g.Rate * 0.94,
-			DTRSM:       g.Rate * 0.97,
-			FWKernel:    f.Rate,
-			Subtract:    g.Rate * 0.1,
-		},
 	}
 }

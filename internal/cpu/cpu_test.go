@@ -83,9 +83,6 @@ func TestFlopFormulas(t *testing.T) {
 	if DtrsmFlops(3) != 27 {
 		t.Fatalf("DtrsmFlops(3) = %v", DtrsmFlops(3))
 	}
-	if GemmFlops(2, 3, 4) != 48 {
-		t.Fatalf("GemmFlops = %v", GemmFlops(2, 3, 4))
-	}
 	if FWBlockFlops(3) != 54 {
 		t.Fatalf("FWBlockFlops = %v", FWBlockFlops(3))
 	}
@@ -105,31 +102,5 @@ func TestPaperPartitionRatioFW(t *testing.T) {
 	ratio := tp / tf
 	if ratio < 4.5 || ratio > 5.6 {
 		t.Fatalf("Tp/Tf = %v, want ~5", ratio)
-	}
-}
-
-func TestCalibrateGEMM(t *testing.T) {
-	res := CalibrateGEMM(64)
-	if res.Rate <= 0 || res.Seconds <= 0 {
-		t.Fatalf("calibration = %+v", res)
-	}
-	if res.Flops != GemmFlops(64, 64, 64) {
-		t.Fatalf("flops = %v", res.Flops)
-	}
-}
-
-func TestCalibrateFW(t *testing.T) {
-	res := CalibrateFW(32)
-	if res.Rate <= 0 {
-		t.Fatalf("calibration = %+v", res)
-	}
-}
-
-func TestCalibratedProcessorComplete(t *testing.T) {
-	p := Calibrated(48, 32)
-	for _, r := range []Routine{DGEMM, DGETRF, DTRSM, FWKernel, Subtract} {
-		if p.Rate(r) <= 0 {
-			t.Fatalf("calibrated rate for %s missing", r)
-		}
 	}
 }

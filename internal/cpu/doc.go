@@ -3,9 +3,5 @@
 // class (the Op·Fp of Section 4.1), plus the latencies of the vendor
 // library routines the software side calls — the ACML
 // dgemm/dgetrf/dtrsm of Table 1 and the scalar Floyd-Warshall kernel.
-//
-// The model can be backed by measured constants (the paper's numbers
-// for the 2.2 GHz Opteron) or calibrated against the host by timing
-// the real Go kernels in internal/matrix, which exercises the same
-// code path with live data.
+// The rates are the paper's measured constants for the 2.2 GHz Opteron.
 package cpu

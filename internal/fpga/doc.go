@@ -4,6 +4,7 @@
 // elements fit and what clock frequency the placed design achieves, the
 // two PE-array designs the paper instantiates (the matrix multiplier of
 // Zhuo-Prasanna [21] and the Floyd-Warshall array of Bondhugula et al.
-// [18]) with their published cycle-count models, and bit-exact
-// functional kernels built on internal/fpmath.
+// [18]) with their published cycle-count models, and the table of
+// floating-point cores [8] whose clock and area those designs are built
+// from.
 package fpga

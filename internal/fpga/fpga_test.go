@@ -2,10 +2,7 @@ package fpga
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-
-	"codesign/internal/matrix"
 )
 
 func TestMatMulMaxPEsOnXC2VP50(t *testing.T) {
@@ -124,46 +121,6 @@ func TestFWCycleModel(t *testing.T) {
 	}
 }
 
-func TestFWBitExactOpsMatchSoftware(t *testing.T) {
-	rng := rand.New(rand.NewSource(92))
-	d := NewFW(4)
-	b := 8
-
-	diagSW := matrix.RandomGraph(b, 0.5, rng)
-	diagHW := diagSW.Clone()
-	matrix.FWKernel(diagSW)
-	d.Op1BitExact(diagHW)
-	if !diagSW.Equal(diagHW) {
-		t.Fatal("op1 bit-exact mismatch")
-	}
-
-	rowSW := matrix.RandomGraph(b, 0.5, rng)
-	rowHW := rowSW.Clone()
-	matrix.FWRowUpdate(rowSW, diagSW)
-	d.Op21BitExact(rowHW, diagSW)
-	if !rowSW.Equal(rowHW) {
-		t.Fatal("op21 bit-exact mismatch")
-	}
-
-	colSW := matrix.RandomGraph(b, 0.5, rng)
-	colHW := colSW.Clone()
-	matrix.FWColUpdate(colSW, diagSW)
-	d.Op22BitExact(colHW, diagSW)
-	if !colSW.Equal(colHW) {
-		t.Fatal("op22 bit-exact mismatch")
-	}
-
-	aB := matrix.RandomGraph(b, 0.5, rng)
-	bB := matrix.RandomGraph(b, 0.5, rng)
-	cSW := matrix.RandomGraph(b, 0.5, rng)
-	cHW := cSW.Clone()
-	matrix.MinPlusGemm(aB, bB, cSW)
-	d.Op3BitExact(aB, bB, cHW)
-	if !cSW.Equal(cHW) {
-		t.Fatal("op3 bit-exact mismatch")
-	}
-}
-
 func TestPlacedCyclesToSeconds(t *testing.T) {
 	p, err := Place(NewMatMul(8), XC2VP50())
 	if err != nil {
@@ -239,4 +196,15 @@ func TestMVBadPEsPanics(t *testing.T) {
 		}
 	}()
 	NewMV(0)
+}
+
+func TestCoreMetadata(t *testing.T) {
+	for _, c := range []Core{Adder64, Multiplier64, Comparator64} {
+		if c.PipelineStages <= 0 || c.MaxFreqHz <= 0 || c.Slices <= 0 {
+			t.Fatalf("core %s has non-positive metadata: %+v", c.Name, c)
+		}
+	}
+	if Multiplier64.Embedded18x18 == 0 {
+		t.Fatal("multiplier must consume embedded multipliers")
+	}
 }

@@ -1,10 +1,6 @@
 package fpga
 
-import (
-	"fmt"
-
-	"codesign/internal/fpmath"
-)
+import "fmt"
 
 // MatMulDesign is the linear-array floating-point matrix multiplier of
 // Zhuo and Prasanna [21]: k PEs, each with one double-precision adder
@@ -31,30 +27,25 @@ func (d MatMulDesign) Name() string { return "matmul-pe-array" }
 // PEs implements Design.
 func (d MatMulDesign) PEs() int { return d.K }
 
-// perPE is the slice cost of one matmul PE: adder + multiplier +
-// local control and operand registers.
-const matmulPESlices = fpmathAdderSlices + fpmathMultSlices + 180
+// matmulPESlices is the slice cost of one matmul PE: adder +
+// multiplier + local control and operand registers.
+var matmulPESlices = Adder64.Slices + Multiplier64.Slices + 180
 
 // base design overhead: DRAM streaming interface, SRAM controller,
 // global control FSM.
 const matmulBaseSlices = 1200
-
-const (
-	fpmathAdderSlices = 1050
-	fpmathMultSlices  = 1550
-)
 
 // Resources implements Design.
 func (d MatMulDesign) Resources() Usage {
 	return Usage{
 		Slices:      matmulBaseSlices + d.K*matmulPESlices,
 		BlockRAMs:   16 + 2*d.K, // per-PE operand buffers + staging FIFOs
-		Multipliers: d.K * fpmath.Multiplier64.Embedded18x18,
+		Multipliers: d.K * Multiplier64.Embedded18x18,
 	}
 }
 
 // MinCoreFmaxHz implements Design: the multiplier is the slowest core.
-func (d MatMulDesign) MinCoreFmaxHz() float64 { return fpmath.Multiplier64.MaxFreqHz }
+func (d MatMulDesign) MinCoreFmaxHz() float64 { return Multiplier64.MaxFreqHz }
 
 // RoutingDerate implements Design: the linear array routes cleanly.
 func (d MatMulDesign) RoutingDerate() float64 { return 1.0 }

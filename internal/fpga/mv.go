@@ -1,10 +1,6 @@
 package fpga
 
-import (
-	"fmt"
-
-	"codesign/internal/fpmath"
-)
+import "fmt"
 
 // MVDesign is a streaming matrix-vector multiply-accumulate array for
 // the conjugate-gradient extension (after the FPGA-augmented CG of
@@ -32,22 +28,21 @@ func (d MVDesign) Name() string { return "mv-mac-array" }
 // PEs implements Design.
 func (d MVDesign) PEs() int { return d.K }
 
-const (
-	mvPESlices   = fpmathAdderSlices + fpmathMultSlices + 140 // MAC + row accumulator
-	mvBaseSlices = 1800                                       // stream splitter, vector BRAM, CSR index decode
-)
+var mvPESlices = Adder64.Slices + Multiplier64.Slices + 140 // MAC + row accumulator
+
+const mvBaseSlices = 1800 // stream splitter, vector BRAM, CSR index decode
 
 // Resources implements Design.
 func (d MVDesign) Resources() Usage {
 	return Usage{
 		Slices:      mvBaseSlices + d.K*mvPESlices,
 		BlockRAMs:   24 + 2*d.K, // x-vector replicas per MAC
-		Multipliers: d.K * fpmath.Multiplier64.Embedded18x18,
+		Multipliers: d.K * Multiplier64.Embedded18x18,
 	}
 }
 
 // MinCoreFmaxHz implements Design.
-func (d MVDesign) MinCoreFmaxHz() float64 { return fpmath.Multiplier64.MaxFreqHz }
+func (d MVDesign) MinCoreFmaxHz() float64 { return Multiplier64.MaxFreqHz }
 
 // RoutingDerate implements Design: vector broadcast to all MACs.
 func (d MVDesign) RoutingDerate() float64 { return 0.95 }

@@ -1,10 +1,6 @@
 package matrix
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-)
+import "fmt"
 
 // Gemm computes C = alpha*A*B + beta*C using a cache-tiled kernel.
 // Dimensions must satisfy A: m×k, B: k×n, C: m×n.
@@ -20,7 +16,7 @@ func Gemm(alpha float64, a, b *Dense, beta float64, c *Dense) {
 }
 
 // GemmNaive computes C = alpha*A*B + beta*C with the textbook triple
-// loop. It is the oracle against which the tiled and parallel kernels
+// loop. It is the oracle against which the tiled kernel
 // are tested.
 func GemmNaive(alpha float64, a, b *Dense, beta float64, c *Dense) {
 	checkGemmDims(a, b, c)
@@ -36,46 +32,6 @@ func GemmNaive(alpha float64, a, b *Dense, beta float64, c *Dense) {
 			crow[j] = alpha*s + beta*crow[j]
 		}
 	}
-}
-
-// GemmParallel computes C = alpha*A*B + beta*C, splitting rows of C
-// across workers goroutines (<=0 means GOMAXPROCS).
-func GemmParallel(alpha float64, a, b *Dense, beta float64, c *Dense, workers int) {
-	checkGemmDims(a, b, c)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if beta != 1 {
-		scaleOrZero(c, beta)
-	}
-	if alpha == 0 || c.rows == 0 || c.cols == 0 {
-		return
-	}
-	if workers > c.rows {
-		workers = c.rows
-	}
-	if workers <= 1 {
-		gemmTiledRange(alpha, a, b, c, 0, c.rows)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (c.rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > c.rows {
-			hi = c.rows
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			gemmTiledRange(alpha, a, b, c, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 const gemmTile = 64

@@ -22,21 +22,6 @@ func TestGemmMatchesNaive(t *testing.T) {
 	}
 }
 
-func TestGemmParallelMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, workers := range []int{0, 1, 2, 3, 7, 100} {
-		a := Random(33, 21, rng)
-		b := Random(21, 45, rng)
-		want := New(33, 45)
-		GemmNaive(1, a, b, 0, want)
-		got := New(33, 45)
-		GemmParallel(1, a, b, 0, got, workers)
-		if !got.EqualApprox(want, 1e-12) {
-			t.Fatalf("GemmParallel(workers=%d) mismatch", workers)
-		}
-	}
-}
-
 func TestGemmBetaZeroIgnoresGarbage(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	a := Random(4, 4, rng)
@@ -115,5 +100,5 @@ func TestGemmTransposeRelation(t *testing.T) {
 func TestGemmEmpty(t *testing.T) {
 	// Zero-sized operands must be handled without panics.
 	Gemm(1, New(0, 4), New(4, 3), 0, New(0, 3))
-	GemmParallel(1, New(3, 0), New(0, 2), 0, New(3, 2), 4)
+	Gemm(1, New(3, 0), New(0, 2), 0, New(3, 2))
 }

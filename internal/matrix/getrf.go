@@ -59,45 +59,6 @@ func LUPanel(a *Dense) error {
 	return nil
 }
 
-// LUPartialPivot performs in-place LU factorization with partial
-// (row) pivoting: P*A = L*U. It returns the permutation as a slice p
-// where row i of the factored matrix corresponds to row p[i] of the
-// original. This extends the paper's no-pivot assumption so the library
-// is safe on general nonsingular inputs.
-func LUPartialPivot(a *Dense) ([]int, error) {
-	n := checkSquare(a, "LUPartialPivot")
-	perm := make([]int, n)
-	for i := range perm {
-		perm[i] = i
-	}
-	for k := 0; k < n; k++ {
-		// Find the largest magnitude pivot in column k.
-		pRow, pVal := k, abs(a.At(k, k))
-		for i := k + 1; i < n; i++ {
-			if v := abs(a.At(i, k)); v > pVal {
-				pRow, pVal = i, v
-			}
-		}
-		if pVal == 0 {
-			return perm, fmt.Errorf("%w: zero pivot column %d", ErrSingular, k)
-		}
-		if pRow != k {
-			swapRows(a, k, pRow)
-			perm[k], perm[pRow] = perm[pRow], perm[k]
-		}
-		akk := a.At(k, k)
-		for i := k + 1; i < n; i++ {
-			lik := a.At(i, k) / akk
-			a.Set(i, k, lik)
-			ai, ak := a.Row(i), a.Row(k)
-			for j := k + 1; j < n; j++ {
-				ai[j] -= lik * ak[j]
-			}
-		}
-	}
-	return perm, nil
-}
-
 // BlockLU performs the right-looking block LU factorization of Section
 // 5.1.1 in place with block size b: for each iteration t it factors the
 // panel (opLU + opL fused as LUPanel), solves for the U row block (opU),
@@ -142,31 +103,4 @@ func ExtractLU(a *Dense) (l, u *Dense) {
 		}
 	}
 	return l, u
-}
-
-// ApplyPerm returns P*A for the row permutation produced by
-// LUPartialPivot (row i of the result is row perm[i] of a).
-func ApplyPerm(perm []int, a *Dense) *Dense {
-	if len(perm) != a.rows {
-		panic("matrix: permutation length mismatch")
-	}
-	out := New(a.rows, a.cols)
-	for i, p := range perm {
-		copy(out.Row(i), a.Row(p))
-	}
-	return out
-}
-
-func swapRows(a *Dense, i, j int) {
-	ri, rj := a.Row(i), a.Row(j)
-	for k := range ri {
-		ri[k], rj[k] = rj[k], ri[k]
-	}
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

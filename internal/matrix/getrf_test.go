@@ -120,41 +120,6 @@ func TestBlockLUReconstructs(t *testing.T) {
 	}
 }
 
-func TestLUPartialPivot(t *testing.T) {
-	rng := rand.New(rand.NewSource(45))
-	// General random matrix: needs pivoting with high probability.
-	a := Random(20, 20, rng)
-	orig := a.Clone()
-	perm, err := LUPartialPivot(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l, u := ExtractLU(a)
-	pa := ApplyPerm(perm, orig)
-	if got := Mul(l, u); !got.EqualApprox(pa, 1e-9) {
-		t.Fatalf("P*A != L*U, maxdiff %g", got.MaxDiff(pa))
-	}
-}
-
-func TestLUPartialPivotSwapsRows(t *testing.T) {
-	// First pivot is zero; pivoting must rescue the factorization.
-	a := NewFromSlice(2, 2, []float64{0, 1, 1, 0})
-	perm, err := LUPartialPivot(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perm[0] != 1 || perm[1] != 0 {
-		t.Fatalf("perm = %v, want [1 0]", perm)
-	}
-}
-
-func TestLUPartialPivotSingular(t *testing.T) {
-	a := NewFromSlice(2, 2, []float64{0, 1, 0, 2}) // zero column
-	if _, err := LUPartialPivot(a); !errors.Is(err, ErrSingular) {
-		t.Fatalf("err = %v, want ErrSingular", err)
-	}
-}
-
 func TestExtractLUShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(46))
 	a := RandomDiagDominant(6, rng)

@@ -1,100 +1,5 @@
 package matrix
 
-import "fmt"
-
-// Shortest-path reconstruction for the all-pairs problem. The paper's
-// FW design computes distances only; a usable APSP library also returns
-// the paths, so the package provides a predecessor-tracking variant and
-// a reconstruction helper, plus a Bellman-Ford single-source reference
-// that serves as an independent oracle in the tests.
-
-// NoPred marks an unreachable pair in a predecessor matrix.
-const NoPred = -1
-
-// FloydWarshallPaths runs the unblocked algorithm in place on d and
-// returns the predecessor matrix: pred[i][j] is the vertex preceding j
-// on a shortest i→j path (NoPred when j is unreachable from i or i==j).
-func FloydWarshallPaths(d *Dense) [][]int32 {
-	n := checkSquare(d, "FloydWarshallPaths")
-	pred := make([][]int32, n)
-	for i := 0; i < n; i++ {
-		pred[i] = make([]int32, n)
-		for j := 0; j < n; j++ {
-			if i != j && d.At(i, j) < Inf {
-				pred[i][j] = int32(i)
-			} else {
-				pred[i][j] = NoPred
-			}
-		}
-	}
-	for k := 0; k < n; k++ {
-		dk := d.Row(k)
-		pk := pred[k]
-		for i := 0; i < n; i++ {
-			di := d.Row(i)
-			dik := di[k]
-			if dik >= Inf {
-				continue
-			}
-			pi := pred[i]
-			for j := 0; j < n; j++ {
-				if v := dik + dk[j]; v < di[j] {
-					di[j] = v
-					pi[j] = pk[j]
-				}
-			}
-		}
-	}
-	return pred
-}
-
-// Path reconstructs the vertex sequence of a shortest i→j path from a
-// predecessor matrix (inclusive of both endpoints). It returns nil when
-// j is unreachable from i. It panics on a malformed predecessor matrix
-// (cycles longer than n).
-func Path(pred [][]int32, i, j int) []int {
-	n := len(pred)
-	if i < 0 || j < 0 || i >= n || j >= n {
-		panic(fmt.Sprintf("matrix: path endpoints (%d,%d) out of range %d", i, j, n))
-	}
-	if i == j {
-		return []int{i}
-	}
-	if pred[i][j] == NoPred {
-		return nil
-	}
-	rev := []int{j}
-	for at := j; at != i; {
-		at = int(pred[i][at])
-		rev = append(rev, at)
-		if len(rev) > n {
-			panic("matrix: predecessor matrix contains a cycle")
-		}
-	}
-	// Reverse in place.
-	for l, r := 0, len(rev)-1; l < r; l, r = l+1, r-1 {
-		rev[l], rev[r] = rev[r], rev[l]
-	}
-	return rev
-}
-
-// PathLength sums the edge weights of a path over the original
-// adjacency matrix adj; it returns Inf for nil or broken paths.
-func PathLength(adj *Dense, path []int) float64 {
-	if len(path) == 0 {
-		return Inf
-	}
-	var s float64
-	for i := 1; i < len(path); i++ {
-		w := adj.At(path[i-1], path[i])
-		if w >= Inf {
-			return Inf
-		}
-		s += w
-	}
-	return s
-}
-
 // BellmanFord computes single-source shortest distances from src over
 // the adjacency matrix adj (Inf = absent edge). It is an independent
 // O(n³) oracle for the Floyd-Warshall implementations; it returns the

@@ -6,53 +6,6 @@ import (
 	"testing/quick"
 )
 
-func TestFloydWarshallPathsDistancesMatchPlain(t *testing.T) {
-	rng := rand.New(rand.NewSource(300))
-	adj := RandomGraph(25, 0.3, rng)
-	want := adj.Clone()
-	FloydWarshall(want)
-	got := adj.Clone()
-	FloydWarshallPaths(got)
-	if !got.Equal(want) {
-		t.Fatal("path-tracking FW distances differ from plain FW")
-	}
-}
-
-func TestPathReconstructionValid(t *testing.T) {
-	rng := rand.New(rand.NewSource(301))
-	adj := RandomGraph(20, 0.3, rng)
-	d := adj.Clone()
-	pred := FloydWarshallPaths(d)
-	for i := 0; i < 20; i++ {
-		for j := 0; j < 20; j++ {
-			path := Path(pred, i, j)
-			if d.At(i, j) >= Inf {
-				if i != j && path != nil {
-					t.Fatalf("unreachable (%d,%d) produced path %v", i, j, path)
-				}
-				continue
-			}
-			if len(path) == 0 || path[0] != i || path[len(path)-1] != j {
-				t.Fatalf("path (%d,%d) endpoints wrong: %v", i, j, path)
-			}
-			// The reconstructed path must realize the computed distance.
-			if got, want := PathLength(adj, path), d.At(i, j); !approxEq(got, want, 1e-10) {
-				t.Fatalf("path (%d,%d) length %v != distance %v", i, j, got, want)
-			}
-		}
-	}
-}
-
-func TestPathSelf(t *testing.T) {
-	rng := rand.New(rand.NewSource(302))
-	adj := RandomGraph(5, 0.5, rng)
-	pred := FloydWarshallPaths(adj.Clone())
-	p := Path(pred, 3, 3)
-	if len(p) != 1 || p[0] != 3 {
-		t.Fatalf("self path = %v", p)
-	}
-}
-
 func TestBellmanFordOracle(t *testing.T) {
 	// FW distances must equal Bellman-Ford from every source — a fully
 	// independent algorithm over the same graph.
@@ -91,28 +44,4 @@ func TestQuickBlockedFWAgainstBellmanFord(t *testing.T) {
 	if err := quick.Check(f, quickCfg(304)); err != nil {
 		t.Fatal(err)
 	}
-}
-
-func TestPathLengthBrokenPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(305))
-	adj := RandomGraph(4, 0.0, rng) // no edges
-	if PathLength(adj, []int{0, 1}) < Inf {
-		t.Fatal("broken path must be Inf")
-	}
-	if PathLength(adj, nil) < Inf {
-		t.Fatal("nil path must be Inf")
-	}
-	if PathLength(adj, []int{2}) != 0 {
-		t.Fatal("single-vertex path must be 0")
-	}
-}
-
-func TestPathOutOfRangePanics(t *testing.T) {
-	pred := [][]int32{{NoPred}}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	Path(pred, 0, 5)
 }

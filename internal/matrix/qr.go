@@ -170,9 +170,3 @@ func BlockQR(a *Dense, bs int) []float64 {
 // QRFlopsPanel returns the approximate flop count of factoring an
 // rows×b panel: 2·rows·b².
 func QRFlopsPanel(rows, b int) float64 { return 2 * float64(rows) * float64(b) * float64(b) }
-
-// QRFlopsUpdate returns the approximate flop count of applying a b-wide
-// panel's reflectors to an rows×w trailing block: 4·rows·b·w.
-func QRFlopsUpdate(rows, b, w int) float64 {
-	return 4 * float64(rows) * float64(b) * float64(w)
-}

@@ -160,7 +160,4 @@ func TestQRFlopFormulas(t *testing.T) {
 	if QRFlopsPanel(10, 2) != 80 {
 		t.Fatalf("panel flops = %v", QRFlopsPanel(10, 2))
 	}
-	if QRFlopsUpdate(10, 2, 3) != 240 {
-		t.Fatalf("update flops = %v", QRFlopsUpdate(10, 2, 3))
-	}
 }

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
-	"sync"
 )
 
 // Inf is the distance used for absent edges in shortest-path matrices.
@@ -107,38 +105,6 @@ func MinPlusGemm(a, b, c *Dense) {
 			a.rows, a.cols, b.rows, b.cols, c.rows, c.cols))
 	}
 	minPlusRange(a, b, c, 0, c.rows)
-}
-
-// MinPlusGemmParallel is MinPlusGemm with rows of C split across workers
-// goroutines (<=0 means GOMAXPROCS).
-func MinPlusGemmParallel(a, b, c *Dense, workers int) {
-	if a.cols != b.rows || c.rows != a.rows || c.cols != b.cols {
-		panic("matrix: MinPlusGemmParallel dimension mismatch")
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > c.rows {
-		workers = c.rows
-	}
-	if workers <= 1 {
-		minPlusRange(a, b, c, 0, c.rows)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (c.rows + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, min((w+1)*chunk, c.rows)
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			minPlusRange(a, b, c, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 func minPlusRange(a, b, c *Dense, lo, hi int) {

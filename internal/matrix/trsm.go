@@ -10,8 +10,8 @@ import "fmt"
 //   opL: L10 = A10 * inv(U00)  — solve X*U = B with U upper triangular
 //        (TrsmUpperRight).
 //
-// The remaining variants round out the set so the package is usable as a
-// small BLAS-3 substrate in its own right.
+// TrsmUpperLeft is the back substitution the QR and property tests
+// solve R*X = B with.
 
 // TrsmLowerUnitLeft solves L*X = B in place, overwriting B with X.
 // L is n×n lower triangular with an implied unit diagonal (its strict
@@ -77,25 +77,6 @@ func TrsmUpperRight(u, b *Dense) {
 				s -= bi[k] * u.At(k, j)
 			}
 			bi[j] = s / u.At(j, j)
-		}
-	}
-}
-
-// TrsmLowerUnitRight solves X*L = B in place, overwriting B with X.
-// L is n×n lower triangular with an implied unit diagonal; B is m×n.
-func TrsmLowerUnitRight(l, b *Dense) {
-	n := checkSquare(l, "TrsmLowerUnitRight")
-	if b.cols != n {
-		panic(fmt.Sprintf("matrix: TrsmLowerUnitRight B %dx%d vs L %dx%d", b.rows, b.cols, n, n))
-	}
-	for i := 0; i < b.rows; i++ {
-		bi := b.Row(i)
-		for j := n - 1; j >= 0; j-- {
-			s := bi[j]
-			for k := j + 1; k < n; k++ {
-				s -= bi[k] * l.At(k, j)
-			}
-			bi[j] = s
 		}
 	}
 }

@@ -49,17 +49,6 @@ func TestTrsmUpperRight(t *testing.T) {
 	}
 }
 
-func TestTrsmLowerUnitRight(t *testing.T) {
-	l, _ := testFactors(10, 26)
-	rng := rand.New(rand.NewSource(27))
-	b := Random(4, 10, rng)
-	x := b.Clone()
-	TrsmLowerUnitRight(l, x)
-	if got := Mul(x, l); !got.EqualApprox(b, 1e-10) {
-		t.Fatalf("X*L != B, maxdiff %g", got.MaxDiff(b))
-	}
-}
-
 func TestTrsmIgnoresUnitDiagonalStorage(t *testing.T) {
 	// TrsmLowerUnitLeft must not reference the diagonal or upper part.
 	l, _ := testFactors(8, 28)

@@ -67,16 +67,6 @@ func (d *DRAM) BytesStreamed() int64 { return d.bytesStreamed }
 // BusySeconds returns cumulative busy time of the streaming channel.
 func (d *DRAM) BusySeconds() float64 { return d.chann.BusySeconds() }
 
-// AchievedBandwidth returns the average streamed bytes per second of
-// virtual time so far — comparable against the peak BandwidthBytes
-// (Bd) to see how much of the channel the run actually used.
-func (d *DRAM) AchievedBandwidth() float64 {
-	if d.eng.Now() <= 0 {
-		return 0
-	}
-	return float64(d.bytesStreamed) / d.eng.Now()
-}
-
 // ContentionSeconds returns total virtual time processes queued on the
 // streaming channel.
 func (d *DRAM) ContentionSeconds() float64 { return d.chann.ContentionSeconds() }

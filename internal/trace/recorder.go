@@ -176,17 +176,3 @@ func sortedKeys[V any](m map[string]V) []string {
 	sort.Strings(keys)
 	return keys
 }
-
-// sortSpans orders spans by (start, end, proc) — useful for tests that
-// compare span sets irrespective of emission order.
-func SortSpans(spans []sim.SpanEvent) {
-	sort.Slice(spans, func(i, j int) bool {
-		if spans[i].Start != spans[j].Start {
-			return spans[i].Start < spans[j].Start
-		}
-		if spans[i].End != spans[j].End {
-			return spans[i].End < spans[j].End
-		}
-		return spans[i].Proc < spans[j].Proc
-	})
-}
