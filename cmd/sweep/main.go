@@ -114,6 +114,9 @@ type options struct {
 	// obsReady, when non-nil, receives the bound -obs listen address
 	// before the sweep starts (tests use it with an ephemeral :0 port).
 	obsReady func(addr string)
+	// obsDone, when non-nil, receives the same address after the sweep
+	// and before the server closes, so a scrape sees the finished run.
+	obsDone func(addr string)
 }
 
 // grid builds the sweep grid: from the -grid file when given,
@@ -202,6 +205,9 @@ func run(o options, stdout io.Writer) error {
 		log.Infof("serving metrics on http://%s/metrics", srv.Addr)
 		if o.obsReady != nil {
 			o.obsReady(srv.Addr)
+		}
+		if o.obsDone != nil {
+			defer o.obsDone(srv.Addr)
 		}
 		if o.ObsHold > 0 {
 			defer func() {

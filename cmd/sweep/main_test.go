@@ -100,7 +100,18 @@ func TestRunArchiveSpans(t *testing.T) {
 
 func TestRunObsServesMetricsDuringSweep(t *testing.T) {
 	var buf bytes.Buffer
-	fetched := make(chan string, 1)
+	scrape := func(addr string) (string, error) {
+		resp, err := http.Get("http://" + addr + "/metrics")
+		if err != nil {
+			return "", err
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		return string(body), err
+	}
+	stop := make(chan struct{})
+	polled := make(chan int, 1)
+	var body string
 	err := run(options{
 		Apps: "lu", Machines: "xd1", Modes: "hybrid",
 		Nodes: "0", N: "0", B: "0", PEs: "2,4,6,8", BF: "-1", L: "-1",
@@ -125,31 +136,42 @@ func TestRunObsServesMetricsDuringSweep(t *testing.T) {
 					t.Errorf("GET %s: status %d, body missing %q:\n%s", c.path, resp.StatusCode, c.want, body)
 				}
 			}
-			// Poll /metrics while the sweep runs; keep the last body so
-			// the final fetch reflects completed work.
+			// Poll /metrics while the sweep runs, at least once.
 			go func() {
-				var last string
-				for i := 0; i < 200; i++ {
-					resp, err := http.Get("http://" + addr + "/metrics")
-					if err != nil {
-						break // server closed: sweep finished
+				n := 0
+				for {
+					if _, err := scrape(addr); err == nil {
+						n++
 					}
-					body, _ := io.ReadAll(resp.Body)
-					resp.Body.Close()
-					last = string(body)
-					time.Sleep(2 * time.Millisecond)
+					select {
+					case <-stop:
+						polled <- n
+						return
+					case <-time.After(2 * time.Millisecond):
+					}
 				}
-				fetched <- last
 			}()
+		},
+		// The poller stops and the final scrape runs after the sweep,
+		// before the server closes, so it reflects every completed
+		// point.
+		obsDone: func(addr string) {
+			close(stop)
+			if n := <-polled; n == 0 {
+				t.Error("no /metrics scrape succeeded while the server was up")
+			}
+			var err error
+			if body, err = scrape(addr); err != nil {
+				t.Errorf("final /metrics scrape: %v", err)
+			}
 		},
 	}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	body := <-fetched
 	for _, want := range []string{
 		"sweep_points_total 4",
-		"sweep_points_done",
+		"sweep_points_done 4",
 		"sweep_place_hit_rate",
 		"sweep_partition_hit_rate",
 		"sweep_point_seconds_bucket",

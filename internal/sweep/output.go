@@ -17,17 +17,44 @@ import (
 // identical output whatever the worker count.
 //
 // The output is byte-identical to a json.Encoder with SetIndent("",
-// "  "). The per-point records, nearly all of the bytes, go through a
-// single-pass encoder that writes the indentation directly; the small
-// sections keep json.MarshalIndent. The whole document is built before
-// one Write, so an error (a non-finite float) writes nothing.
+// "  "). The per-point records, nearly all of the bytes, go through
+// appendRecord, which writes the indentation directly; the small
+// sections keep json.MarshalIndent. Every record float is checked
+// before any is encoded, and the whole document is built before one
+// Write, so an error (a non-finite float) writes nothing.
 func (r *Result) WriteJSON(w io.Writer) error {
-	e := jsonEncoder{b: make([]byte, 0, 1024+recordBytes*len(r.Records))}
-	e.result(r)
-	if e.err != nil {
-		return e.err
+	b := make([]byte, 0, 1024+recordBytes*len(r.Records))
+	b = append(b, "{\n  \"grid\": "...)
+	b, err := appendIndented(b, r.Grid)
+	if err != nil {
+		return err
 	}
-	_, err := w.Write(e.b)
+	if err := checkFinite(r.Records); err != nil {
+		return err
+	}
+	b = append(b, ",\n  \"results\": "...)
+	b = appendRecords(b, r.Records)
+	sections := [...]struct {
+		key string
+		v   any
+	}{
+		{",\n  \"pareto\": ", r.ParetoIndices},
+		{",\n  \"sensitivity\": ", r.Sensitivity},
+		{",\n  \"stats\": ", r.Stats},
+		{",\n  \"screen\": ", r.Screen},
+	}
+	n := len(sections)
+	if r.Screen == nil {
+		n-- // "screen" is omitempty
+	}
+	for _, s := range sections[:n] {
+		b = append(b, s.key...)
+		if b, err = appendIndented(b, s.v); err != nil {
+			return err
+		}
+	}
+	b = append(b, "\n}\n"...)
+	_, err = w.Write(b)
 	return err
 }
 
@@ -35,185 +62,208 @@ func (r *Result) WriteJSON(w io.Writer) error {
 // buffer up front.
 const recordBytes = 700
 
-// jsonEncoder appends a Result in encoding/json's exact indented form.
-// The first error sets err; the output is then discarded.
-type jsonEncoder struct {
-	b   []byte
-	err error
+// appendIndented appends a small top-level section through
+// encoding/json, indented one level deep.
+func appendIndented(b []byte, v any) ([]byte, error) {
+	s, err := json.MarshalIndent(v, "  ", "  ")
+	return append(b, s...), err
 }
 
-// result appends the document. Its top-level keys follow Result's
-// field order.
-func (e *jsonEncoder) result(r *Result) {
-	e.b = append(e.b, "{\n  \"grid\": "...)
-	e.indented(r.Grid)
-	e.b = append(e.b, ",\n  \"results\": "...)
-	e.records(r.Records)
-	e.b = append(e.b, ",\n  \"pareto\": "...)
-	e.indented(r.ParetoIndices)
-	e.b = append(e.b, ",\n  \"sensitivity\": "...)
-	e.indented(r.Sensitivity)
-	e.b = append(e.b, ",\n  \"stats\": "...)
-	e.indented(r.Stats)
-	if r.Screen != nil {
-		e.b = append(e.b, ",\n  \"screen\": "...)
-		e.indented(r.Screen)
+// checkFinite returns the error encoding/json reports for the first
+// NaN or ±Inf among the record floats, in document order, so that
+// appendRecords never meets one.
+func checkFinite(recs []Record) error {
+	for i := range recs {
+		p, o := &recs[i].Point, &recs[i].Outcome
+		for _, v := range [...]float64{p.Density, o.FfMHz, o.BdGBps, o.GFLOPS,
+			o.Seconds, o.PredictedGFLOPS, o.OverlapEfficiency, o.Margin} {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return &json.UnsupportedValueError{Value: reflect.ValueOf(v), Str: strconv.FormatFloat(v, 'g', -1, 64)}
+			}
+		}
 	}
-	e.b = append(e.b, "\n}\n"...)
+	return nil
 }
 
-// indented appends a small top-level section through encoding/json,
-// indented one level deep.
-func (e *jsonEncoder) indented(v any) {
-	b, err := json.MarshalIndent(v, "  ", "  ")
-	if err != nil && e.err == nil {
-		e.err = err
-	}
-	e.b = append(e.b, b...)
-}
-
-// records appends the "results" array: records at depth 2, their
-// point and outcome fields at depth 4.
-func (e *jsonEncoder) records(recs []Record) {
+// appendRecords appends the "results" array: records at depth 2, their
+// point and outcome fields at depth 4. Every float must be finite.
+func appendRecords(b []byte, recs []Record) []byte {
 	if recs == nil {
-		e.b = append(e.b, "null"...)
-		return
+		return append(b, "null"...)
 	}
 	if len(recs) == 0 {
-		e.b = append(e.b, "[]"...)
-		return
+		return append(b, "[]"...)
 	}
-	e.b = append(e.b, '[')
+	var m floatMemo
+	b = append(b, '[')
 	for i := range recs {
 		if i > 0 {
-			e.b = append(e.b, ',')
+			b = append(b, ',')
 		}
-		e.record(&recs[i])
+		b = appendRecord(b, &recs[i], &m)
 	}
-	e.b = append(e.b, "\n  ]"...)
+	return append(b, "\n  ]"...)
 }
 
-// record appends one Record. Every json-tagged field of Point and
+// appendRecord appends one Record. Every json-tagged field of Point and
 // Outcome appears here, in declaration order, with Outcome's omitempty
 // fields skipped at their zero value; TestWriteJSONEmitsEveryField
 // fails when either type gains a field this list lacks.
-func (e *jsonEncoder) record(rec *Record) {
+func appendRecord(b []byte, rec *Record, m *floatMemo) []byte {
 	p, o := &rec.Point, &rec.Outcome
-	e.b = append(e.b, "\n    {\n      \"point\": {\n        \"index\": "...)
-	e.b = strconv.AppendInt(e.b, int64(p.Index), 10)
-	e.str("app", p.App)
-	e.str("machine", p.Machine)
-	e.str("mode", p.Mode)
-	e.int("nodes", p.Nodes)
-	e.int("n", p.N)
-	e.float("density", p.Density)
-	e.int("b", p.B)
-	e.int("pes", p.PEs)
-	e.int("bf", p.BF)
-	e.int("l", p.L)
-	e.b = append(e.b, "\n      },\n      \"outcome\": {\n        \"ok\": "...)
-	e.b = strconv.AppendBool(e.b, o.OK)
-	e.omitStr("err", o.Err)
-	e.omitInt("k", o.K)
-	e.omitInt("of", o.Of)
-	e.omitFloat("ff_mhz", o.FfMHz)
-	e.omitInt("slices", o.Slices)
-	e.omitInt("brams", o.BlockRAMs)
-	e.omitInt("mults", o.Multipliers)
-	e.omitFloat("bd_gbps", o.BdGBps)
-	e.omitInt("bf", o.BF)
-	e.omitInt("bp", o.BP)
-	e.omitInt("l", o.L)
-	e.omitInt("l1", o.L1)
-	e.omitInt("l2", o.L2)
-	e.omitFloat("gflops", o.GFLOPS)
-	e.omitFloat("seconds", o.Seconds)
-	e.omitFloat("pred_gflops", o.PredictedGFLOPS)
-	e.omitFloat("overlap_eff", o.OverlapEfficiency)
-	e.omitStr("binding", o.Binding)
-	e.omitFloat("margin", o.Margin)
+	b = append(b, "\n    {\n      \"point\": {\n        \"index\": "...)
+	b = strconv.AppendInt(b, int64(p.Index), 10)
+	b = appendStr(b, "app", p.App)
+	b = appendStr(b, "machine", p.Machine)
+	b = appendStr(b, "mode", p.Mode)
+	b = appendInt(b, "nodes", p.Nodes)
+	b = appendInt(b, "n", p.N)
+	b = m.appendFloat(appendKey(b, "density"), p.Density)
+	b = appendInt(b, "b", p.B)
+	b = appendInt(b, "pes", p.PEs)
+	b = appendInt(b, "bf", p.BF)
+	b = appendInt(b, "l", p.L)
+	b = append(b, "\n      },\n      \"outcome\": {\n        \"ok\": "...)
+	b = strconv.AppendBool(b, o.OK)
+	b = appendOmitStr(b, "err", o.Err)
+	b = appendOmitInt(b, "k", o.K)
+	b = appendOmitInt(b, "of", o.Of)
+	b = m.appendOmit(b, "ff_mhz", o.FfMHz)
+	b = appendOmitInt(b, "slices", o.Slices)
+	b = appendOmitInt(b, "brams", o.BlockRAMs)
+	b = appendOmitInt(b, "mults", o.Multipliers)
+	b = m.appendOmit(b, "bd_gbps", o.BdGBps)
+	b = appendOmitInt(b, "bf", o.BF)
+	b = appendOmitInt(b, "bp", o.BP)
+	b = appendOmitInt(b, "l", o.L)
+	b = appendOmitInt(b, "l1", o.L1)
+	b = appendOmitInt(b, "l2", o.L2)
+	b = m.appendOmit(b, "gflops", o.GFLOPS)
+	b = m.appendOmit(b, "seconds", o.Seconds)
+	b = m.appendOmit(b, "pred_gflops", o.PredictedGFLOPS)
+	b = m.appendOmit(b, "overlap_eff", o.OverlapEfficiency)
+	b = appendOmitStr(b, "binding", o.Binding)
+	b = m.appendOmit(b, "margin", o.Margin)
 	if o.Pareto {
-		e.key("pareto")
-		e.b = append(e.b, "true"...)
+		b = append(appendKey(b, "pareto"), "true"...)
 	}
-	e.b = append(e.b, "\n      }\n    }"...)
+	return append(b, "\n      }\n    }"...)
 }
 
-// key starts the record field named k after its predecessor.
-func (e *jsonEncoder) key(k string) {
-	e.b = append(e.b, ",\n        \""...)
-	e.b = append(e.b, k...)
-	e.b = append(e.b, "\": "...)
+// appendKey starts the record field named k after its predecessor.
+func appendKey(b []byte, k string) []byte {
+	b = append(b, ",\n        \""...)
+	b = append(b, k...)
+	return append(b, "\": "...)
 }
 
-func (e *jsonEncoder) int(k string, v int) {
-	e.key(k)
-	e.b = strconv.AppendInt(e.b, int64(v), 10)
+func appendInt(b []byte, k string, v int) []byte {
+	return strconv.AppendInt(appendKey(b, k), int64(v), 10)
 }
 
-func (e *jsonEncoder) str(k, v string) {
-	e.key(k)
-	e.quote(v)
+func appendStr(b []byte, k, v string) []byte {
+	return appendQuoted(appendKey(b, k), v)
 }
 
-// float appends v as encoding/json does: the shortest 'f' form, or 'e'
-// outside [1e-6, 1e21) with a one-digit negative exponent trimmed
-// (e-07 -> e-7). NaN and ±Inf are unsupported values.
-func (e *jsonEncoder) float(k string, v float64) {
-	e.key(k)
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		if e.err == nil {
-			e.err = &json.UnsupportedValueError{Value: reflect.ValueOf(v), Str: strconv.FormatFloat(v, 'g', -1, 64)}
+// appendOmitInt, appendOmitStr and floatMemo.appendOmit skip a zero
+// value as omitempty does; a float -0 counts as zero.
+func appendOmitInt(b []byte, k string, v int) []byte {
+	if v == 0 {
+		return b
+	}
+	return appendInt(b, k, v)
+}
+
+func appendOmitStr(b []byte, k, v string) []byte {
+	if v == "" {
+		return b
+	}
+	return appendStr(b, k, v)
+}
+
+// verbatim marks the bytes appendQuoted may copy unescaped: printable
+// ASCII other than the quote, the backslash and the HTML-sensitive <,
+// > and &.
+var verbatim = func() (t [256]bool) {
+	for c := ' '; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\' && c != '<' && c != '>' && c != '&'
+	}
+	return t
+}()
+
+// appendQuoted appends s as a JSON string. Any byte outside verbatim
+// hands the whole string to json.Marshal, whose escaping of control
+// bytes, U+2028/U+2029 and invalid UTF-8 the output must match.
+func appendQuoted(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if !verbatim[s[i]] {
+			q, _ := json.Marshal(s) // a string always marshals
+			return append(b, q...)
 		}
-		return
 	}
+	b = append(b, '"')
+	b = append(b, s...)
+	return append(b, '"')
+}
+
+// floatMemo is a direct-mapped cache of the JSON text of recent record
+// floats, so repeated values (a density, a clock, a bandwidth, GFLOPS
+// repeated as pred_gflops) skip the shortest-digit search. A slot is
+// keyed and tag-checked on the value's full bit pattern, so a hit
+// copies exactly the text that value formats to (-0 and +0 differ in
+// bits, as in text). A memo lives for one appendRecords call.
+type floatMemo [memoSlots]memoEntry
+
+// memoBits sets the memo size: 1<<memoBits slots.
+const (
+	memoBits  = 6
+	memoSlots = 1 << memoBits
+)
+
+// memoEntry is one slot: a value's bits and its text, n bytes long
+// (n == 0 marks an empty slot; no float formats to nothing). The
+// longest text appendFloat writes is 25 bytes.
+type memoEntry struct {
+	bits uint64
+	n    uint8
+	text [31]byte
+}
+
+// memoSlot maps a float's bits to its slot with a Fibonacci hash.
+func memoSlot(bits uint64) int {
+	return int(bits * 0x9e3779b97f4a7c15 >> (64 - memoBits))
+}
+
+func (m *floatMemo) appendOmit(b []byte, k string, v float64) []byte {
+	if v == 0 {
+		return b
+	}
+	return m.appendFloat(appendKey(b, k), v)
+}
+
+// appendFloat appends finite v as encoding/json does: the shortest 'f'
+// form, or 'e' outside [1e-6, 1e21) with a one-digit negative exponent
+// trimmed (e-07 -> e-7).
+func (m *floatMemo) appendFloat(b []byte, v float64) []byte {
+	bits := math.Float64bits(v)
+	e := &m[memoSlot(bits)]
+	if e.bits == bits && e.n != 0 {
+		return append(b, e.text[:e.n]...)
+	}
+	start := len(b)
 	format := byte('f')
 	if abs := math.Abs(v); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
 		format = 'e'
 	}
-	e.b = strconv.AppendFloat(e.b, v, format, -1, 64)
-	if n := len(e.b); format == 'e' && e.b[n-4] == 'e' && e.b[n-3] == '-' && e.b[n-2] == '0' {
-		e.b[n-2] = e.b[n-1]
-		e.b = e.b[:n-1]
+	b = strconv.AppendFloat(b, v, format, -1, 64)
+	if n := len(b); format == 'e' && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+		b[n-2] = b[n-1]
+		b = b[:n-1]
 	}
-}
-
-// omitInt, omitFloat and omitStr skip a zero value as omitempty does;
-// a float -0 counts as zero.
-func (e *jsonEncoder) omitInt(k string, v int) {
-	if v != 0 {
-		e.int(k, v)
+	if n := len(b) - start; n <= len(e.text) {
+		e.bits, e.n = bits, uint8(copy(e.text[:], b[start:]))
 	}
-}
-
-func (e *jsonEncoder) omitFloat(k string, v float64) {
-	if v != 0 {
-		e.float(k, v)
-	}
-}
-
-func (e *jsonEncoder) omitStr(k, v string) {
-	if v != "" {
-		e.str(k, v)
-	}
-}
-
-// quote appends s as a JSON string. Printable ASCII other than the
-// quote, the backslash and the HTML-sensitive <, > and & is copied
-// verbatim; any other byte hands the whole string to json.Marshal,
-// whose escaping of control bytes, U+2028/U+2029 and invalid UTF-8 the
-// output must match.
-func (e *jsonEncoder) quote(s string) {
-	for i := 0; i < len(s); i++ {
-		if c := s[i]; c < ' ' || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
-			q, _ := json.Marshal(s) // a string always marshals
-			e.b = append(e.b, q...)
-			return
-		}
-	}
-	e.b = append(e.b, '"')
-	e.b = append(e.b, s...)
-	e.b = append(e.b, '"')
+	return b
 }
 
 // csvHeader is the flat per-point column set of WriteCSV.

@@ -129,6 +129,61 @@ func TestWriteJSONMatchesEncoder(t *testing.T) {
 		}
 		checkWriteJSON(t, handResult(recs...))
 	})
+	t.Run("float memo", func(t *testing.T) {
+		// More distinct values than memo slots, each recurring among
+		// the others, so slots are evicted and refilled; GFLOPS repeats
+		// as pred_gflops in the same record, a hit on the slot just
+		// filled.
+		vals := make([]float64, 0, 3*memoSlots)
+		for i := 1; len(vals) < cap(vals); i++ {
+			v := float64(i) * 1.1
+			switch i % 3 {
+			case 1:
+				v *= 1e-9 // 'e' form below 1e-6
+			case 2:
+				v *= -1e19 // both forms around 1e21
+			}
+			vals = append(vals, v)
+		}
+		negZero := math.Copysign(0, -1)
+		recs := make([]Record, 1200)
+		for i := range recs {
+			at := func(stride int) float64 { return vals[i*stride%len(vals)] }
+			density := at(1)
+			switch i % 8 {
+			case 0:
+				density = 0
+			case 1:
+				density = negZero
+			}
+			recs[i] = Record{
+				Point: Point{Index: i, App: "spmv", Machine: "xd1", Mode: "hybrid", Density: density, BF: -1, L: -1},
+				Outcome: Outcome{
+					OK: true, K: i % 16, FfMHz: at(7), BdGBps: at(11), GFLOPS: at(13), Seconds: at(17),
+					PredictedGFLOPS: at(13), OverlapEfficiency: at(19), Binding: "Bd", Margin: at(23),
+				},
+			}
+			if i%5 == 0 {
+				recs[i].Outcome = Outcome{Err: "k <&> budget", Margin: at(3)}
+			}
+		}
+		checkWriteJSON(t, handResult(recs...))
+	})
+	t.Run("non-finite in the last of many records", func(t *testing.T) {
+		recs := make([]Record, 2000)
+		for i := range recs {
+			recs[i] = Record{
+				Point:   Point{Index: i, Density: 0.01},
+				Outcome: Outcome{OK: true, GFLOPS: float64(i) + 0.5, PredictedGFLOPS: float64(i) + 0.5},
+			}
+		}
+		last := &recs[len(recs)-1].Outcome
+		last.Margin = math.NaN()
+		checkWriteJSON(t, handResult(recs...))
+		// The first non-finite value in field order is the one reported.
+		last.Seconds = math.Inf(-1)
+		checkWriteJSON(t, handResult(recs...))
+	})
 	t.Run("non-finite", func(t *testing.T) {
 		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 			res := handResult(Record{Outcome: Outcome{OK: true, Seconds: v}})
@@ -145,7 +200,7 @@ func TestWriteJSONMatchesEncoder(t *testing.T) {
 
 // TestWriteJSONEmitsEveryField sets every json-tagged field of Point
 // and Outcome to a non-zero value by reflection, so a field added to
-// either type without a matching line in the record encoder fails here.
+// either type without a matching line in appendRecord fails here.
 func TestWriteJSONEmitsEveryField(t *testing.T) {
 	var rec Record
 	fill := func(v reflect.Value) {
@@ -171,11 +226,24 @@ func TestWriteJSONEmitsEveryField(t *testing.T) {
 	fill(reflect.ValueOf(&rec.Point).Elem())
 	fill(reflect.ValueOf(&rec.Outcome).Elem())
 	checkWriteJSON(t, &Result{Records: []Record{rec}})
+	// A NaN in any float field must fail as the reference does, so a
+	// float field missing from checkFinite fails here too.
+	for _, v := range []reflect.Value{reflect.ValueOf(&rec.Point).Elem(), reflect.ValueOf(&rec.Outcome).Elem()} {
+		for i := 0; i < v.NumField(); i++ {
+			if f := v.Field(i); f.Kind() == reflect.Float64 {
+				old := f.Float()
+				f.SetFloat(math.NaN())
+				checkWriteJSON(t, &Result{Records: []Record{rec}})
+				f.SetFloat(old)
+			}
+		}
+	}
 }
 
 // FuzzWriteJSON drives the record encoder's string, float and int
-// fields; it must match the reference encoder byte for byte or fail
-// the same way.
+// fields through three records, two different and a repeat of the
+// first; the output must match the reference encoder byte for byte or
+// fail the same way.
 func FuzzWriteJSON(f *testing.F) {
 	f.Add("", "Bd", 0.1, 130.0, 1.6, 3.2, 0.5, 3.1, 0.75, 0.01, 8, 16, 20000, 40, 64, 2400, 600, 3, 0, 0)
 	f.Add("<&> \"q\" \\", "Op*Fp", math.Copysign(0, -1), 1e-7, 1e21, -1e-7, 5e-324, 1e20, -0.0, 1e-6, -1, 0, 1, 2, 3, -4, 5, 6, 7, 8)
@@ -192,7 +260,17 @@ func FuzzWriteJSON(f *testing.F) {
 				Binding: binding, Margin: margin,
 			},
 		}
-		checkWriteJSON(t, &Result{Records: []Record{rec, rec}})
+		// A second record of the same fuzzed values in other fields,
+		// then the first again: the repeat meets a memo that the
+		// second record's values went through.
+		other := rec
+		o := &other.Outcome
+		other.Point.Density, o.FfMHz, o.BdGBps, o.GFLOPS, o.Seconds, o.PredictedGFLOPS, o.OverlapEfficiency, o.Margin =
+			ff, bd, gflops, seconds, pred, overlap, margin, density
+		o.Err, o.Binding, o.OK = binding, errText, binding == ""
+		o.K, o.Of, o.Slices, o.BlockRAMs, o.Multipliers, o.BF, o.BP, o.L, o.L1, o.L2 =
+			l2, l1, l, bp, bf, mults, brams, slices, of, k
+		checkWriteJSON(t, &Result{Records: []Record{rec, other, rec}})
 	})
 }
 
